@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -201,40 +202,28 @@ def _params(cfg):
 # -- command handlers ---------------------------------------------------------
 
 
-def cmd_eig(cfg, p, c, bcs):
-    cp = _params(cfg)
-    interval = cp.get("interval")
-    if not (isinstance(interval, list) and len(interval) == 2):
-        raise ValidationError("command_params.interval must be [a, b]")
+# the region parameter of each spectrum command: key, length, shape
+_REGIONS = {"eig": ("interval", 2, "[a, b]"),
+            "eig-complex": ("rectangle", 4, "[re0, re1, im0, im1]")}
+
+
+def cmd_eig(cfg, p, c, bcs, command="eig"):
+    key, size, shape = _REGIONS[command]
+    region = _params(cfg).get(key)
+    if not (isinstance(region, list) and len(region) == size):
+        raise ValidationError(f"command_params.{key} must be {shape}")
+    find = spectral.eigenvalues_real if command == "eig" else spectral.eigenvalues_complex
     reports = []
     for bc in bcs:
         try:
-            evs = spectral.eigenvalues_real(c, bc, interval)
-            reports.append({"bc": bc.label, "interval": interval,
+            evs = find(c, bc, region)
+            reports.append({"bc": bc.label, key: region,
                             "eigenvalues": [{"lambda": e.lam, "mult": e.multiplicity,
                                              "residual": e.residual} for e in evs],
                             "count": sum(e.multiplicity for e in evs)})
         except DegenerateBCError:
             reports.append({"bc": bc.label, "spectrum": "C", "degenerate": True})
-    _emit(cfg, {"command": "eig", "reports": reports})
-
-
-def cmd_eig_complex(cfg, p, c, bcs):
-    cp = _params(cfg)
-    rect = cp.get("rectangle")
-    if not (isinstance(rect, list) and len(rect) == 4):
-        raise ValidationError("command_params.rectangle must be [re0, re1, im0, im1]")
-    reports = []
-    for bc in bcs:
-        try:
-            evs = spectral.eigenvalues_complex(c, bc, rect)
-            reports.append({"bc": bc.label, "rectangle": rect,
-                            "eigenvalues": [{"lambda": e.lam, "mult": e.multiplicity,
-                                             "residual": e.residual} for e in evs],
-                            "count": sum(e.multiplicity for e in evs)})
-        except DegenerateBCError:
-            reports.append({"bc": bc.label, "spectrum": "C", "degenerate": True})
-    _emit(cfg, {"command": "eig-complex", "reports": reports})
+    _emit(cfg, {"command": command, "reports": reports})
 
 
 def cmd_curvature(cfg, p, c, bcs):
@@ -310,10 +299,9 @@ def cmd_height(cfg, p, c, bcs):
     rows = []
     recs = []
     hs = value_dist.height_grid(c, radii)
-    tabs = value_dist._phase_tables(c)
     for r, hv in zip(radii, hs):
-        pp = float(tabs[+1].interp()(r))
-        pm = float(tabs[-1].interp()(-r))
+        pp = value_dist.total_phase(c, r)
+        pm = value_dist.total_phase(c, -r)
         rows.append([float(r), pp, pm, float(hv)])
         recs.append({"r": r, "phase_plus": pp, "phase_minus": pm, "h": float(hv)})
     ot = value_dist.order_type(c, radii) if radii[-1] / radii[0] >= 100 else None
@@ -433,7 +421,7 @@ def cmd_resolvent_check(cfg, p, c, bcs):
 
 HANDLERS = {
     "eig": cmd_eig,
-    "eig-complex": cmd_eig_complex,
+    "eig-complex": functools.partial(cmd_eig, command="eig-complex"),
     "curvature": cmd_curvature,
     "scan": cmd_scan,
     "height": cmd_height,

@@ -9,11 +9,13 @@ and the group actions (SL(2,R) reparameterization, U(n,n) congruence).
 
 from __future__ import annotations
 
+import bisect
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.interpolate import CubicHermiteSpline
 
 from .errors import DomainError, NumericalError, ValidationError
 from .symplectic import PseudoUnitary, cayley, mobius_pu
@@ -32,11 +34,17 @@ class CurveProvider:
         lower branch is the reflection (B(conj lambda)*)^{-1}.  Real
         evaluation is allowed only when allow_real is set (boundary values
         of the upper branch, e.g. the constant curve).
+
+    Optional capabilities: speed_fn(u) is the exact phase speed at real u;
+    section_fn(point, lam) -> (F, scale) and lognorm_fn(point, lam) are
+    cancellation-safe forms of the Schubert section and of its log norm,
+    both taken against the provider's frame.  phase_path holds the real-axis
+    phase of det B shared by the spectral and value-distribution layers.
     """
 
     def __init__(self, n, domain, eval_fn, deriv_fn=None, frame_fn=None,
                  provenance=None, h0=DEFAULT_H0, allow_real=False,
-                 speed_fn=None):
+                 speed_fn=None, section_fn=None, lognorm_fn=None):
         if domain not in ("entire", "upper_half_plane_pair"):
             raise ValidationError(f"unknown provider domain {domain!r}")
         self.n = int(n)
@@ -44,17 +52,20 @@ class CurveProvider:
         self._eval_fn = eval_fn
         self._deriv_fn = deriv_fn
         self._frame_fn = frame_fn
-        self._speed_fn = speed_fn
+        self.speed_fn = speed_fn
+        self.section_fn = section_fn
+        self.lognorm_fn = lognorm_fn
         self.provenance = provenance or {"kind": "custom", "params": {}}
         self.h0 = float(h0)
         self.allow_real = bool(allow_real)
         self.derivative_kind = "exact" if deriv_fn is not None else "stencil"
+        self.phase_path = PhasePath(self)
 
     def phase_speed(self, u: float) -> float:
         """d/du arg det B(u) = trace(-i B^{-1} B') at a regular real point."""
         u = float(u)
-        if self._speed_fn is not None:
-            return float(self._speed_fn(u))
+        if self.speed_fn is not None:
+            return float(self.speed_fn(u))
         B = self.B(u)
         return float(np.trace(-1j * np.linalg.solve(B, self.dB(u))).real)
 
@@ -116,6 +127,162 @@ class CurveProvider:
         return dict(self.provenance)
 
 
+# -- the real-axis phase path --------------------------------------------
+
+TWO_PI = 2 * np.pi
+# Phase-step budgets (target, cap): steps are sized to reach `target` at the
+# speed of their start and accepted up to `cap`.  Crossing-safe steps turn
+# every eigenphase of U* B(u) by less than pi, so eigenphase crossings of 1
+# can be counted between neighbouring knots; unwrap-only steps need nothing
+# beyond an unambiguous branch of the det B phase.
+CROSSING = (1.0, 0.45 * np.pi)
+UNWRAP = (2.2, 3.0)
+
+
+def _step_cap(u: float) -> float:
+    """Largest admissible step through a quiet (low phase speed) region.
+
+    On the positive axis eigenvalue sweeps recur on the sqrt(u) gap scale,
+    so quiet-region steps must stay below it; below the spectrum the phase
+    is monotone and nearly flat and larger jumps are safe.
+    """
+    if u < 0:
+        return 0.25 * (1.0 + abs(u))
+    return max(1.0, 0.6 * np.sqrt(1.0 + u))
+
+
+class PhasePath:
+    """Unwrapped arg det B(u) along the real axis of an entire curve.
+
+    Sorted knots keep u, B(u), det B(u), the phase and the exact phase speed.
+    Every step between neighbouring knots is sized from the speed, lifted
+    onto the branch nearest the trapezoid prediction of the two end speeds
+    and rejected when the two disagree.  Once the path reaches 0, 0 is a
+    knot and the phase there is the principal value of arg det B(0).
+    Between knots the phase is the cubic Hermite spline on the knot speeds.
+    """
+
+    def __init__(self, c: CurveProvider):
+        self.c = c
+        self.us, self.Bs, self.dets, self.phis, self.speeds = [], [], [], [], []
+        self._spline = None
+
+    def _eval(self, u):
+        B = self.c.B(u)
+        d = np.linalg.det(B)
+        if d == 0:
+            raise NumericalError("det B vanished on the real axis; provider not entire here")
+        return B, d, max(float(self.c.phase_speed(u)), 0.0)
+
+    def _march(self, k, end, budget, last=None):
+        """Knots after k = (u, B, det, phi, speed) toward end, the last one
+        at or past end; given `last`, the knot at end, the march lands on it."""
+        target, cap = budget
+        u, _, d, phi, s = k
+        sign = 1.0 if end > u else -1.0
+        hmin = 1e-12 * (1 + abs(end - u))
+        out, h = [], None
+        while sign * (end - u) > 0:
+            if h is None:
+                h = min(target / max(s, 1e-12), _step_cap(u))
+            u1 = u + sign * h
+            if last is not None and sign * (u1 - end) >= 0:
+                u1, B1, d1, s1 = end, last[1], last[2], last[4]
+            else:
+                B1, d1, s1 = self._eval(u1)
+            predicted = sign * abs(u1 - u) * 0.5 * (s + s1)
+            apparent = float(np.angle(d1 / d))
+            step = apparent + TWO_PI * round((predicted - apparent) / TWO_PI)
+            if max(abs(step), abs(predicted)) > cap \
+                    or abs(step - predicted) > 0.4 * abs(predicted) + 0.2:
+                h = abs(u1 - u) / 2
+                if h < hmin:
+                    raise NumericalError("phase-tracking step underflow")
+                continue
+            u, d, phi, s = u1, d1, phi + step, s1
+            out.append((u, B1, d, phi, s))
+            h = None
+        return out
+
+    def _grow(self, knots, end, sign, budget):
+        """knots (ordered in the direction sign) extended past end, landing on 0."""
+        u = knots[-1][0]
+        if sign * (end - u) <= 0:
+            return knots
+        if u * end < 0:
+            B0, d0, s0 = self._eval(0.0)
+            knots = knots + self._march(knots[-1], 0.0, budget, last=(0.0, B0, d0, 0.0, s0))
+        return knots + self._march(knots[-1], end, budget)
+
+    def cover(self, a: float, b: float, budget) -> None:
+        """Grow the path over [a, b] and split every stored step overlapping
+        [a, b] whose phase exceeds the budget's cap.
+
+        A request farther from the path than its own length starts the path
+        afresh, at the point of [a, b] nearest 0.
+        """
+        us = self.us
+        if us and us[0] <= a and b <= us[-1]:
+            i, j = bisect.bisect_right(us, a) - 1, bisect.bisect_left(us, b) + 1
+            if np.all(np.abs(np.diff(self.phis[i:j])) <= budget[1]):
+                return
+        if not us or max(us[0] - b, a - us[-1]) > b - a:
+            u0 = min(max(0.0, a), b)
+            B0, d0, s0 = self._eval(u0)
+            knots = [(u0, B0, d0, float(np.angle(d0)), s0)]
+        else:
+            knots = list(zip(us, self.Bs, self.dets, self.phis, self.speeds))
+        knots = self._grow(knots, b, 1.0, budget)
+        knots = self._grow(knots[::-1], a, -1.0, budget)[::-1]
+        out = knots[:1]
+        for k0, k1 in zip(knots, knots[1:]):
+            if k1[0] > a and k0[0] < b and abs(k1[3] - k0[3]) > budget[1]:
+                out += self._march(k0, k1[0], budget, last=k1)[:-1]
+            out.append(k1)
+        self.us, self.Bs, self.dets, self.phis, self.speeds = (list(z) for z in zip(*out))
+        self._spline = None
+        i = bisect.bisect_left(self.us, 0.0)
+        if i < len(self.us) and self.us[i] == 0.0:
+            shift = TWO_PI * round((float(np.angle(self.dets[i])) - self.phis[i]) / TWO_PI)
+            if shift:
+                self.phis = [phi + shift for phi in self.phis]
+
+    def phase(self, u):
+        """The phase at u (scalar or array) inside the path, by the spline."""
+        if self._spline is None:
+            self._spline = CubicHermiteSpline(np.asarray(self.us), np.asarray(self.phis),
+                                              np.asarray(self.speeds))
+        return self._spline(u)
+
+    def knots(self, a: float, b: float) -> np.ndarray:
+        """The knot positions inside [a, b]."""
+        us = np.asarray(self.us)
+        return us[(us >= a) & (us <= b)]
+
+    def samples(self, a: float, b: float):
+        """(us, Bs, phis) on a covered [a, b]: a, the knots strictly inside, b.
+
+        a and b are sampled but not stored, so the knots do not depend on
+        the requests; a sub-step of a validated step is itself validated,
+        since every eigenphase of U* B(u) turns counterclockwise.
+        """
+        us = self.us
+        i, j = bisect.bisect_right(us, a), bisect.bisect_left(us, b)
+
+        def sample(x, k):
+            # B and the phase at x from the knot k at or just below it
+            if us[k] == x:
+                return self.Bs[k], self.phis[k]
+            B = self.c.B(x)
+            apparent = float(np.angle(np.linalg.det(B) / self.dets[k]))
+            predicted = float(self.phase(x)) - self.phis[k]
+            return B, self.phis[k] + apparent + TWO_PI * round((predicted - apparent) / TWO_PI)
+
+        (Ba, pa), (Bb, pb) = sample(a, i - 1), sample(b, j if us[j] == b else j - 1)
+        return (np.array([a] + us[i:j] + [b]), [Ba] + self.Bs[i:j] + [Bb],
+                np.array([pa] + self.phis[i:j] + [pb]))
+
+
 # -- built-in curves -----------------------------------------------------
 
 
@@ -156,11 +323,6 @@ def shifted_identity(a: float = 1.0, n: int = 1) -> CurveProvider:
 
 def exponential() -> CurveProvider:
     """The entire curve B(lambda) = e^{i lambda}, n = 1."""
-    prov = CurveProvider(
-        1, "entire",
-        eval_fn=lambda lam: np.array([[np.exp(1j * lam)]]),
-        deriv_fn=lambda lam: np.array([[1j * np.exp(1j * lam)]]),
-        provenance={"kind": "builtin", "params": {"name": "exponential"}})
 
     def lognorm(point, lam):
         # ln |det[V | (1; B)]| - ln vol(1; B) with B = e^{i lam}, computed
@@ -183,8 +345,12 @@ def exponential() -> CurveProvider:
         den = L + 0.5 * float(np.log1p(np.exp(-2.0 * L)))
         return num - den
 
-    prov.section_lognorm_fn = lognorm
-    return prov
+    return CurveProvider(
+        1, "entire",
+        eval_fn=lambda lam: np.array([[np.exp(1j * lam)]]),
+        deriv_fn=lambda lam: np.array([[1j * np.exp(1j * lam)]]),
+        provenance={"kind": "builtin", "params": {"name": "exponential"}},
+        lognorm_fn=lognorm)
 
 
 def _cser(m: np.ndarray):
@@ -297,7 +463,12 @@ def gram_min_eig(c: CurveProvider, points) -> float:
 
 
 def reparameterize(c: CurveProvider, g) -> CurveProvider:
-    """Precompose with the inverse SL(2,R) Moebius action on lambda."""
+    """Precompose with the inverse SL(2,R) Moebius action on lambda.
+
+    With m(lambda) = (d lambda - b) / (a - c lambda) and m' = 1 / (a - c lambda)^2,
+    the frame, the section, its log norm and the exact phase speed of the
+    base curve carry over composed with m.
+    """
     g = np.asarray(g, dtype=float)
     if g.shape != (2, 2) or abs(np.linalg.det(g) - 1.0) > 1e-10:
         raise ValidationError("reparameterize needs g in SL(2, R)")
@@ -309,24 +480,34 @@ def reparameterize(c: CurveProvider, g) -> CurveProvider:
             raise DomainError("Moebius reparameterization pole at this lambda")
         return (d * lam - b) / den
 
-    def ev(lam):
-        return c.B(m(lam))
-
     def dv(lam):
-        den = -cc * lam + a
-        return c.dB(m(lam)) / den ** 2
+        return c.dB(m(lam)) / (-cc * lam + a) ** 2
+
+    def composed(fn):
+        return None if fn is None else lambda point, lam: fn(point, m(lam))
+
+    def speed(u):
+        return c.speed_fn(m(u)) / (-cc * u + a) ** 2
 
     return CurveProvider(
-        c.n, c.domain, eval_fn=ev,
+        c.n, c.domain, eval_fn=lambda lam: c.B(m(lam)),
         deriv_fn=dv if c.derivative_kind == "exact" else None,
+        frame_fn=lambda lam: c.frame(m(lam)),
         provenance={"kind": "transformed",
                     "params": {"base": c.descriptor(), "action": "sl2",
                                "g": [[float(x) for x in row] for row in g]}},
-        h0=c.h0, allow_real=c.allow_real)
+        h0=c.h0, allow_real=c.allow_real,
+        speed_fn=speed if c.speed_fn is not None else None,
+        section_fn=composed(c.section_fn), lognorm_fn=composed(c.lognorm_fn))
 
 
 def congruence(c: CurveProvider, g) -> CurveProvider:
-    """Act on chart values by a U(n,n) Moebius transformation."""
+    """Act on chart values by a U(n,n) Moebius transformation.
+
+    The result keeps no frame, section, log norm or exact speed of c: those
+    belong to the base chart, and the transformed curve's frame is the chart
+    stack (I; B_g) of its own values.
+    """
     if not isinstance(g, PseudoUnitary):
         g = PseudoUnitary(g)
     if g.n != c.n:

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .curves import CurveProvider
+from .curves import CROSSING, CurveProvider
 from .errors import DegenerateBCError, NumericalError, ValidationError
 from .symplectic import GrassPoint, chart_convert, classify_subspace, graph_of, schubert_section
 
@@ -109,19 +109,17 @@ def char_function(c: CurveProvider, bc: BoundaryCondition, lam) -> complex:
 
     Zeros and their orders are frame-independent; the value is defined up
     to a nonvanishing holomorphic factor fixed by the canonical frames.
-    Providers may install a cancellation-safe evaluator as `section_fn`.
+    Providers may carry a cancellation-safe evaluator as `section_fn`.
     """
-    hook = getattr(c, "section_fn", None)
-    if hook is not None:
-        return hook(bc.point, lam)[0]
+    if c.section_fn is not None:
+        return c.section_fn(bc.point, lam)[0]
     return schubert_section(bc.point, c.frame(lam))
 
 
 def char_scale(c: CurveProvider, bc: BoundaryCondition, lam) -> float:
     """Hadamard scale of F: the noise ambient the value should be compared to."""
-    hook = getattr(c, "section_fn", None)
-    if hook is not None:
-        return max(hook(bc.point, lam)[1], 1e-300)
+    if c.section_fn is not None:
+        return max(c.section_fn(bc.point, lam)[1], 1e-300)
     m = np.hstack([bc.point.frame, c.frame(lam)])
     return float(np.prod(np.linalg.norm(m, axis=0)))
 
@@ -138,78 +136,14 @@ def is_degenerate(c: CurveProvider, bc: BoundaryCondition, samples=None) -> bool
     return True
 
 
-# -- phase marching along the real axis -----------------------------------
+# -- crossings along the real axis ------------------------------------------
 
 
-def _step_cap(u: float) -> float:
-    """Largest admissible march step through a quiet (low phase speed) region.
-
-    On the positive axis eigenvalue sweeps recur on the sqrt(u) gap scale,
-    so quiet-region steps must stay below it; below the spectrum the phase
-    is monotone and nearly flat and larger jumps are safe.
-    """
-    if u < 0:
-        return 0.25 * (1.0 + abs(u))
-    return max(1.0, 0.6 * np.sqrt(1.0 + u))
-
-
-def _march_real(c: CurveProvider, a: float, b: float, target: float = 1.0):
-    """Sample B(u) on [a, b] with det-phase steps below MAX_STEP_PHASE.
-
-    Returns (us, Bs, phis) with phis the unwrapped arg det B relative to
-    the principal value at a.  Valid for entire providers, where the
-    eigenphases of U* B(u) all rotate counterclockwise, so a bounded
-    det-phase step bounds every individual eigenphase step for every U.
-
-    Step sizes come from the exact local phase speed trace(-i B^{-1} B'),
-    and each step is validated against the trapezoid prediction of the two
-    endpoint speeds; this prevents phase aliasing when the speed swings
-    between eigenvalue sweeps and the quiet regions in between.
-    """
-    us = [a]
-    Bs = [c.B(a)]
-    dets = [np.linalg.det(Bs[0])]
-    phis = [float(np.angle(dets[0]))]
-    speeds = [max(float(c.phase_speed(a)), 0.0)]
-    u = a
-    hmin = 1e-12 * (1 + abs(b - a))
-    h = None
-    while u < b - 1e-15 * max(1.0, abs(b)):
-        if h is None:
-            h = min(target / max(speeds[-1], 1e-12), _step_cap(u))
-        u1 = min(u + h, b)
-        B1 = c.B(u1)
-        d1 = np.linalg.det(B1)
-        if abs(d1) == 0 or abs(dets[-1]) == 0:
-            raise NumericalError("det B vanished on the real axis; provider not entire here")
-        s1 = max(float(c.phase_speed(u1)), 0.0)
-        step = float(np.angle(d1 / dets[-1]))
-        predicted = (u1 - u) * 0.5 * (speeds[-1] + s1)
-        aliased = abs(step - predicted) > 0.5 * predicted + 0.2
-        if abs(step) > MAX_STEP_PHASE or predicted > MAX_STEP_PHASE or aliased:
-            h = (u1 - u) / 2
-            if h < hmin:
-                raise NumericalError("phase-tracking step underflow")
-            continue
-        us.append(u1)
-        Bs.append(B1)
-        dets.append(d1)
-        phis.append(phis[-1] + step)
-        speeds.append(s1)
-        u = u1
-        h = None
-    return np.array(us), Bs, np.array(phis)
-
-
-def _get_march(c: CurveProvider, a: float, b: float):
-    cache = getattr(c, "_march_cache", None)
-    if cache is None:
-        cache = {}
-        c._march_cache = cache
-    key = (float(a), float(b))
-    if key not in cache:
-        cache[key] = _march_real(c, a, b)
-    return cache[key]
+def _real_samples(c: CurveProvider, a: float, b: float):
+    """(us, Bs, phis) on [a, b] from the provider's phase path, with steps
+    small enough that no eigenphase of U* B(u) turns by pi between samples."""
+    c.phase_path.cover(a, b, CROSSING)
+    return c.phase_path.samples(a, b)
 
 
 def _matched_steps(U, B0, B1):
@@ -253,9 +187,12 @@ def count_real(c: CurveProvider, bc: BoundaryCondition, a: float, b: float) -> i
     """Eigenvalue count (with multiplicity) in (a, b] by crossing counting."""
     if bc.chart_unitary is None:
         raise ValidationError("count_real requires a chart-unitary boundary condition")
-    us, Bs, _ = _get_march(c, a, b)
-    U = bc.chart_unitary
-    return sum(_crossings(U, Bs[k], Bs[k + 1]) for k in range(len(us) - 1))
+    _, Bs, _ = _real_samples(c, a, b)
+    return _count_crossings(bc.chart_unitary, Bs)
+
+
+def _count_crossings(U, Bs) -> int:
+    return sum(_crossings(U, B0, B1) for B0, B1 in zip(Bs, Bs[1:]))
 
 
 def _locate_crossings(c, U, u0, u1, B0, B1, cluster_tol, out):
@@ -323,7 +260,7 @@ def eigenvalues_real(c: CurveProvider, bc: BoundaryCondition, interval, cfg=None
         raise ValidationError("empty interval")
     if is_degenerate(c, bc, samples=np.linspace(a, b, 16)):
         raise DegenerateBCError("characteristic function vanishes identically; spectrum = C")
-    us, Bs, _ = _get_march(c, a, b)
+    us, Bs, _ = _real_samples(c, a, b)
     U = bc.chart_unitary
     roots = []
     for k in range(len(us) - 1):
@@ -593,9 +530,9 @@ def phase_count(c: CurveProvider, bc: BoundaryCondition, r: float) -> dict:
     """
     if not bc.selfadjoint or bc.chart_unitary is None:
         raise ValidationError("phase_count requires a self-adjoint chart condition")
-    us, Bs, phis = _get_march(c, -float(r), float(r))
+    _, Bs, phis = _real_samples(c, -float(r), float(r))
     phase_integral = float(phis[-1] - phis[0]) / TWO_PI
-    n_T = count_real(c, bc, -float(r), float(r))
+    n_T = _count_crossings(bc.chart_unitary, Bs)
     gap = abs(phase_integral - n_T)
     if gap > c.n + 1.0:
         raise NumericalError(f"phase-count gap {gap:.3f} exceeds the theoretical bound")

@@ -213,29 +213,26 @@ def _pole_tol(lam: complex) -> float:
 
 
 def sl_weyl(p: SLProblem, lam) -> dict:
-    """Weyl function M (None at poles) and contractive Weyl function B."""
+    """Weyl function M (None at poles) and contractive Weyl function B.
+
+    B = [[c' + s - i w, 2i], [2i, c' + s + i w]] / (c' - s - i (c + s')) with
+    the carried w = c - s': the Cayley transform of M = -[[c, -1], [-1, s']] / s
+    with the common factor s cancelled by the Wronskian c s' - c' s = 1, so
+    it stays exact near the poles of M (the zeros of s).
+    """
     lam = complex(lam)
     fd = fundamental(p, lam)
     c_, cp_, s_, sp_ = fd.c, fd.cp, fd.s, fd.sp
     at_pole = abs(s_) < _pole_tol(lam)
-    if at_pole:
-        M = None
-        den = cp_ - s_ - 1j * c_ - 1j * sp_
-        scale = abs(cp_) + abs(s_) + abs(c_) + abs(sp_) + 1.0
-        if abs(den) < 1e-13 * scale:
-            raise NumericalError("factored Weyl denominator vanished at a real point; "
-                                 "internal inconsistency")
-        B = np.array([
-            [cp_ + s_ - 1j * c_ + 1j * sp_, 2j],
-            [2j, cp_ + s_ + 1j * c_ - 1j * sp_],
-        ], dtype=complex) / den
-    else:
-        M = -np.array([[c_, -1], [-1, sp_]], dtype=complex) / s_
-        d = (c_ - 1j * s_) * (sp_ - 1j * s_) - 1
-        B = np.array([
-            [(c_ + 1j * s_) * (sp_ - 1j * s_) - 1, 2j * s_],
-            [2j * s_, (c_ - 1j * s_) * (sp_ + 1j * s_) - 1],
-        ], dtype=complex) / d
+    M = None if at_pole else -np.array([[c_, -1], [-1, sp_]], dtype=complex) / s_
+    den = cp_ - s_ - 1j * (c_ + sp_)
+    scale = abs(cp_) + abs(s_) + abs(c_) + abs(sp_) + 1.0
+    if abs(den) < 1e-13 * scale:
+        raise NumericalError("factored Weyl denominator vanished: B has a pole here")
+    B = np.array([
+        [cp_ + s_ - 1j * fd.w, 2j],
+        [2j, cp_ + s_ + 1j * fd.w],
+    ], dtype=complex) / den
     return {"M": M, "B": B, "pole": at_pole}
 
 
@@ -346,16 +343,14 @@ def curve_provider(p: SLProblem) -> CurveProvider:
             return 0.0
         return t
 
-    prov = CurveProvider(
+    return CurveProvider(
         2, "entire", eval_fn=ev, frame_fn=fr,
         provenance={"kind": "sturm_liouville",
                     "params": {"potential": p.potential.to_json(),
                                "length": p.length}},
-        h0=1e-3, speed_fn=speed)
-    prov.sl_problem = p
-    prov.section_fn = lambda point, lam: stable_section(p, point, lam)
-    prov.section_lognorm_fn = lambda point, lam: stable_section_lognorm(p, point, lam)
-    return prov
+        h0=1e-3, speed_fn=speed,
+        section_fn=lambda point, lam: stable_section(p, point, lam),
+        lognorm_fn=lambda point, lam: stable_section_lognorm(p, point, lam))
 
 
 # -- gamma-fields ---------------------------------------------------------
@@ -378,34 +373,28 @@ def _moment_matrix(fd: FundamentalData) -> np.ndarray:
     ], dtype=complex)
 
 
-def gamma_plus(p: SLProblem, lam, phi) -> dict:
-    """Solve gamma_+(lambda) phi = alpha c + beta s and return its L^2 norm."""
+def _gamma(p: SLProblem, lam, phi, sign: int) -> dict:
     lam = complex(lam)
     phi = np.asarray(phi, dtype=complex).ravel()
     fd = fundamental(p, lam)
-    A = _gamma_system(fd, +1)
+    A = _gamma_system(fd, sign)
     sv = np.linalg.svd(A, compute_uv=False)
     if sv.min() <= 1e-12 * sv.max():
-        raise NumericalError("boundary system for gamma_+ is singular at this lambda")
+        raise NumericalError(f"boundary system for gamma_{'+' if sign > 0 else '-'} "
+                             "is singular at this lambda")
     coeffs = np.linalg.solve(A, phi)
-    mom = _moment_matrix(fd)
-    norm_sq = complex(coeffs.conj() @ mom @ coeffs).real
+    norm_sq = complex(coeffs.conj() @ _moment_matrix(fd) @ coeffs).real
     return {"coeffs": coeffs, "l2_norm_sq": norm_sq}
+
+
+def gamma_plus(p: SLProblem, lam, phi) -> dict:
+    """Solve gamma_+(lambda) phi = alpha c + beta s and return its L^2 norm."""
+    return _gamma(p, lam, phi, +1)
 
 
 def gamma_minus(p: SLProblem, lam, phi) -> dict:
     """Solve gamma_-(lambda) phi = alpha c + beta s (Gamma_- trace data)."""
-    lam = complex(lam)
-    phi = np.asarray(phi, dtype=complex).ravel()
-    fd = fundamental(p, lam)
-    A = _gamma_system(fd, -1)
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv.min() <= 1e-12 * sv.max():
-        raise NumericalError("boundary system for gamma_- is singular at this lambda")
-    coeffs = np.linalg.solve(A, phi)
-    mom = _moment_matrix(fd)
-    norm_sq = complex(coeffs.conj() @ mom @ coeffs).real
-    return {"coeffs": coeffs, "l2_norm_sq": norm_sq}
+    return _gamma(p, lam, phi, -1)
 
 
 def gamma_plus_gram(p: SLProblem, lam) -> np.ndarray:

@@ -9,111 +9,29 @@ and Nevanlinna/Valiron defects are finite-grid estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from .curves import CurveProvider
+from .curves import UNWRAP, CurveProvider
 from .errors import NumericalError, ValidationError
 from .spectral import (BoundaryCondition, DegenerateBCError, char_function,
                        eigenvalues_complex, eigenvalues_real, is_degenerate)
 
 TWO_PI = 2 * np.pi
-MAX_STEP_PHASE = 0.45 * np.pi
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL7_NODES, _GL7_WEIGHTS = np.polynomial.legendre.leggauss(7)
 
 
-class _PhaseTable:
-    """Unwrapped arg det B(u) along one real direction, grown on demand."""
-
-    def __init__(self, c: CurveProvider, direction: int):
-        self.c = c
-        self.sign = 1 if direction > 0 else -1
-        B0 = c.B(0.0)
-        self.us = [0.0]
-        self.phis = [float(np.angle(np.linalg.det(B0)))]
-        self._last_det = np.linalg.det(B0)
-        self._last_speed = None
-        self._interp = None
-
-    def extend(self, r: float, target_phase: float = 2.2):
-        target = self.sign * abs(r)
-        if self.sign * (target - self.us[-1]) <= 0:
-            return
-        hmin = 1e-12 * (1 + abs(target))
-        u = self.us[-1]
-        if self._last_speed is None:
-            self._last_speed = max(float(self.c.phase_speed(u)), 0.0)
-        h = None
-        while self.sign * (target - u) > 1e-15 * max(1.0, abs(target)):
-            if h is None:
-                from .spectral import _step_cap
-                h = min(target_phase / max(self._last_speed, 1e-12),
-                        _step_cap(self.sign * abs(u)))
-            u1 = u + self.sign * h
-            if self.sign * (u1 - target) > 0:
-                u1 = target
-            d1 = np.linalg.det(self.c.B(u1))
-            if abs(d1) == 0:
-                raise NumericalError("det B vanished along the phase path")
-            s1 = max(float(self.c.phase_speed(u1)), 0.0)
-            predicted = self.sign * abs(u1 - u) * 0.5 * (self._last_speed + s1)
-            # unlike eigenphase-crossing marches, the table only needs correct
-            # unwrapping: lift the principal-value step onto the branch
-            # nearest the trapezoid prediction, then validate the agreement
-            apparent = float(np.angle(d1 / self._last_det))
-            step = apparent + TWO_PI * round((predicted - apparent) / TWO_PI)
-            if abs(predicted) > target_phase + 0.5 \
-                    or abs(step - predicted) > 0.4 * abs(predicted) + 0.2:
-                h = abs(u1 - u) / 2
-                if h < hmin:
-                    raise NumericalError("phase step underflow")
-                continue
-            self.us.append(u1)
-            self.phis.append(self.phis[-1] + step)
-            self._last_det = d1
-            self._last_speed = s1
-            u = u1
-            h = None
-        self._interp = None
-
-    def interp(self) -> PchipInterpolator:
-        if self._interp is None or self._interp_len != len(self.us):
-            us = np.asarray(self.us)
-            phis = np.asarray(self.phis)
-            if self.sign < 0:
-                us, phis = us[::-1], phis[::-1]
-            if len(us) < 2:
-                raise NumericalError("phase table too short")
-            self._interp = PchipInterpolator(us, phis)
-            self._interp_len = len(self.us)
-        return self._interp
-
-    def knots(self):
-        return np.abs(np.asarray(self.us))
-
-
-def _phase_tables(c: CurveProvider):
-    tabs = getattr(c, "_phase_tables", None)
-    if tabs is None:
-        tabs = {+1: _PhaseTable(c, +1), -1: _PhaseTable(c, -1)}
-        c._phase_tables = tabs
-    return tabs
-
-
 def total_phase(c: CurveProvider, u: float) -> float:
     """Unwrapped arg det B along [0, u], anchored at the principal value."""
     u = float(u)
-    tabs = _phase_tables(c)
-    tab = tabs[+1] if u >= 0 else tabs[-1]
-    tab.extend(abs(u))
     if u == 0.0:
-        return tab.phis[0]
-    return float(tab.interp()(u))
+        return float(np.angle(np.linalg.det(c.B(0.0))))
+    c.phase_path.cover(min(u, 0.0), max(u, 0.0), UNWRAP)
+    return float(c.phase_path.phase(u))
 
 
 def height(c: CurveProvider, r: float) -> float:
@@ -125,41 +43,18 @@ def height_grid(c: CurveProvider, r_grid) -> np.ndarray:
     radii = np.asarray(sorted(float(r) for r in r_grid))
     if radii.size == 0 or radii[0] <= 0:
         raise ValidationError("radii must be positive")
-    tabs = _phase_tables(c)
     rmax = radii[-1]
-    tabs[+1].extend(rmax)
-    tabs[-1].extend(rmax)
-    fp = tabs[+1].interp()
-    fm = tabs[-1].interp()
-    phi0_p = tabs[+1].phis[0]
-    phi0_m = tabs[-1].phis[0]
-
-    def integrand(t):
-        # difference of the two branches; anchors cancel at t=0
-        return ((fp(t) - phi0_p) - (fm(-t) - phi0_m)) / t
-
-    knots = np.unique(np.concatenate([
-        tabs[+1].knots(), tabs[-1].knots(), radii, [0.0]]))
-    knots = knots[knots <= rmax * (1 + 1e-15)]
-    out = np.empty_like(radii)
-    acc = 0.0
-    k = 0
-    ri = 0
-    prev_edge = 0.0
-    for k in range(len(knots) - 1):
-        t0, t1 = knots[k], knots[k + 1]
-        while ri < len(radii) and radii[ri] <= t0 + 1e-15 * max(1.0, t0):
-            out[ri] = acc / TWO_PI
-            ri += 1
-        if t1 <= t0:
-            continue
-        mid = 0.5 * (t0 + t1)
-        half = 0.5 * (t1 - t0)
-        ts = mid + half * _GL7_NODES
-        acc += half * float(np.dot(_GL7_WEIGHTS, integrand(ts)))
-    while ri < len(radii):
-        out[ri] = acc / TWO_PI
-        ri += 1
+    path = c.phase_path
+    path.cover(-rmax, rmax, UNWRAP)
+    # 7-point Gauss-Legendre on every panel between the knots of both
+    # half-axes; the spline is cubic on each panel
+    knots = np.unique(np.concatenate([np.abs(path.knots(-rmax, rmax)), radii, [0.0]]))
+    mid = 0.5 * (knots[1:] + knots[:-1])[:, None]
+    half = 0.5 * (knots[1:] - knots[:-1])[:, None]
+    ts = mid + half * _GL7_NODES
+    vals = (path.phase(ts) - path.phase(-ts)) / ts
+    acc = np.concatenate([[0.0], np.cumsum(half[:, 0] * (vals @ _GL7_WEIGHTS))])
+    out = acc[np.searchsorted(knots, radii)] / TWO_PI
     # restore caller order
     order = np.argsort(np.argsort([float(r) for r in r_grid]))
     return out[order]
@@ -168,13 +63,37 @@ def height_grid(c: CurveProvider, r_grid) -> np.ndarray:
 # -- proximity --------------------------------------------------------------
 
 
+def _adaptive_gl(f, edges, tol: float) -> float:
+    """Adaptive 16-point Gauss-Legendre integral of f over consecutive edges.
+
+    A panel is split until its two halves agree with the whole to tol; the
+    halves become the children's whole values.  Panels where f exceeds
+    ln 1e3 (a near-zero of the section whose -ln f integrand spikes) are
+    split to depth 4 regardless.
+    """
+    def rule(a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        vals = f(mid + half * _GL_NODES)
+        return half * float(np.dot(_GL_WEIGHTS, vals)), vals.max()
+
+    def panel(a, b, whole, depth):
+        mid = 0.5 * (a + b)
+        left, right = rule(a, mid), rule(mid, b)
+        fine = left[0] + right[0]
+        needs_depth = np.exp(-whole[1]) < 1e-3 and depth < 4
+        if (abs(fine - whole[0]) <= tol * (1 + abs(fine)) and not needs_depth) or depth >= 14:
+            return fine
+        return panel(a, mid, left, depth + 1) + panel(mid, b, right, depth + 1)
+
+    return sum(panel(a, b, rule(a, b), 0) for a, b in zip(edges, edges[1:]))
+
+
 def _neg_lognorm(c: CurveProvider, bc: BoundaryCondition, r: float, theta):
     from .symplectic import section_lognorm
-    hook = getattr(c, "section_lognorm_fn", None)
     vals = []
     for th in np.atleast_1d(theta):
         lam = r * np.exp(1j * th)
-        ln = hook(bc.point, lam) if hook is not None \
+        ln = c.lognorm_fn(bc.point, lam) if c.lognorm_fn is not None \
             else section_lognorm(bc.point, c.frame(lam))
         if not np.isfinite(ln):
             raise NumericalError("section norm vanished on the circle "
@@ -187,30 +106,8 @@ def proximity(c: CurveProvider, bc: BoundaryCondition, r: float,
               tol: float = 1e-7) -> float:
     """m(r) = -(1/2pi) int_0^{2pi} ln section_norm(V_y, W(r e^{i theta})) d theta."""
     r = float(r)
-
-    def panel(a, b, depth):
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        ths = mid + half * _GL_NODES
-        vals = _neg_lognorm(c, bc, r, ths)
-        coarse = half * float(np.dot(_GL_WEIGHTS, vals))
-        fine = _panel_once(a, mid) + _panel_once(mid, b)
-        needs_depth = np.exp(-vals.max()) < 1e-3 and depth < 4
-        if (abs(fine - coarse) <= tol * (1 + abs(fine)) and not needs_depth) or depth >= 14:
-            return fine
-        return panel(a, mid, depth + 1) + panel(mid, b, depth + 1)
-
-    def _panel_once(a, b):
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        ths = mid + half * _GL_NODES
-        return half * float(np.dot(_GL_WEIGHTS, _neg_lognorm(c, bc, r, ths)))
-
-    total = 0.0
-    edges = np.linspace(0.0, TWO_PI, 9)
-    for a, b in zip(edges, edges[1:]):
-        total += panel(a, b, 0)
-    return total / TWO_PI
+    return _adaptive_gl(lambda ths: _neg_lognorm(c, bc, r, ths),
+                        np.linspace(0.0, TWO_PI, 9), tol) / TWO_PI
 
 
 def proximity_omega(c: CurveProvider, Omega, r: float, tol: float = 1e-7) -> float:
@@ -232,18 +129,7 @@ def proximity_omega(c: CurveProvider, Omega, r: float, tol: float = 1e-7) -> flo
             out.append(-(l1 + l2))
         return np.asarray(out)
 
-    def panel(a, b, depth):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        coarse = half * float(np.dot(_GL_WEIGHTS, f(mid + half * _GL_NODES)))
-        fine = sum(0.5 * half * float(np.dot(_GL_WEIGHTS,
-                   f(0.5 * (aa + bb) + 0.5 * (bb - aa) * _GL_NODES)))
-                   for aa, bb in ((a, mid), (mid, b)))
-        if abs(fine - coarse) <= tol * (1 + abs(fine)) or depth >= 14:
-            return fine
-        return panel(a, mid, depth + 1) + panel(mid, b, depth + 1)
-
-    edges = np.linspace(0.0, np.pi, 5)
-    return sum(panel(a, b, 0) for a, b in zip(edges, edges[1:])) / TWO_PI
+    return _adaptive_gl(f, np.linspace(0.0, np.pi, 5), tol) / TWO_PI
 
 
 # -- reports ----------------------------------------------------------------
@@ -277,13 +163,14 @@ def fmt_report(c: CurveProvider, bc: BoundaryCondition, r_grid) -> VDReport:
     if is_degenerate(c, bc):
         raise DegenerateBCError("degenerate boundary condition; FMT undefined")
     rmax = radii[-1]
-    h = height_grid(c, radii)
-    # one eigenvalue sweep reused for every radius
+    # one eigenvalue sweep reused for every radius; it runs first, so the
+    # heights are read off its knots rather than off a second march
     if bc.selfadjoint and c.domain == "entire" and bc.chart_unitary is not None:
         evs = eigenvalues_real(c, bc, (-1.05 * rmax - 1.0, 1.05 * rmax + 1.0))
     else:
         evs = eigenvalues_complex(c, bc, (-1.05 * rmax, 1.05 * rmax,
                                           -1.05 * rmax, 1.05 * rmax))
+    h = height_grid(c, radii)
     moduli = np.array([abs(e.lam) for e in evs])
     mults = np.array([e.multiplicity for e in evs], dtype=float)
     zero_tol = 1e-8
@@ -297,9 +184,8 @@ def fmt_report(c: CurveProvider, bc: BoundaryCondition, r_grid) -> VDReport:
         N[i] = float((mults[inside] * vals).sum())
     m = np.array([proximity(c, bc, r) for r in radii])
     resid = h - m - N
-    tabs = _phase_tables(c)
-    phase_p = np.array([float(tabs[+1].interp()(r)) for r in radii])
-    phase_m = np.array([float(tabs[-1].interp()(-r)) for r in radii])
+    phase_p = np.array([total_phase(c, r) for r in radii])
+    phase_m = np.array([total_phase(c, -r) for r in radii])
     span = float(resid.max() - resid.min())
     ratio = float(np.abs(resid).max() / max(h[-1], 1e-300))
     slope = float(np.polyfit(h, resid, 1)[0]) if len(radii) > 2 else 0.0

@@ -96,6 +96,32 @@ def test_height_with_order(tmp_path):
     assert doc["order_estimate"] == pytest.approx(1.0, abs=0.02)
 
 
+def test_fmt_csv_exponential(tmp_path):
+    cfg = exp_cfg(tmp_path, out_name="out.csv", command_params={"r_grid": [5.0, 10.0, 20.0]})
+    cfg["output"]["format"] = "csv"
+    rc = main(["fmt", "--config", write_cfg(tmp_path, "c.json", cfg)])
+    assert rc == 0
+    lines = (tmp_path / "out.csv").read_text().strip().splitlines()
+    assert lines[0] == "bc,r,phase_plus,phase_minus,h,N,m,residual"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [float(row[1]) for row in rows] == [5.0, 10.0, 20.0]
+    for row in rows:
+        assert float(row[4]) == pytest.approx(float(row[1]) / np.pi, abs=1e-8)
+
+
+def test_eig_complex_exponential_chart(tmp_path):
+    # e^{i lam} = 2 at lam = 2 pi k - i ln 2
+    cfg = exp_cfg(tmp_path, command_params={"rectangle": [-10.0, 10.0, -2.5, 2.5]})
+    cfg["boundary_conditions"] = [{"mode": "chart", "label": "two", "rows": [[2.0]]}]
+    rc = main(["eig-complex", "--config", write_cfg(tmp_path, "c.json", cfg)])
+    assert rc == 0
+    rep = read_out(tmp_path)["reports"][0]
+    assert rep["rectangle"] == [-10.0, 10.0, -2.5, 2.5]
+    lams = sorted((complex(*e["lambda"]) for e in rep["eigenvalues"]), key=lambda z: z.real)
+    assert rep["count"] == 3
+    assert np.allclose(lams, [2 * np.pi * k - 1j * np.log(2.0) for k in (-1, 0, 1)], atol=1e-8)
+
+
 def test_phase_count(tmp_path):
     cfg = exp_cfg(tmp_path, command_params={"r": 10.0})
     rc = main(["phase-count", "--config", write_cfg(tmp_path, "c.json", cfg)])

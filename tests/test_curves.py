@@ -113,6 +113,18 @@ def test_reparameterize_translation(c_exp):
     assert np.allclose(cg.dB(lam), c_exp.dB(lam + 2.0), atol=1e-12)
 
 
+def test_reparameterize_keeps_exact_speed_and_section(c_q0):
+    # B_g(lambda) = B(lambda + 2): the exact phase speed and the
+    # cancellation-safe section of the base curve carry over
+    g = np.array([[1.0, -2.0], [0.0, 1.0]])
+    cg = wc.reparameterize(c_q0, g)
+    for u in (0.7, 5.3, 20.1):
+        assert cg.phase_speed(u) == pytest.approx(c_q0.phase_speed(u + 2.0), rel=1e-12)
+    bc = wc.bc_from_physical([[1, 0, 0, 0], [0, 0, 1, 0]], "functional")
+    lams = [e.lam.real for e in wc.eigenvalues_real(cg, bc, (-1.5, 30.0))]
+    assert lams == pytest.approx([k * k - 2.0 for k in range(1, 6)], abs=1e-7)
+
+
 def test_reparameterize_rejects_non_sl2():
     with pytest.raises(wc.ValidationError):
         wc.reparameterize(wc.exponential(), np.array([[2.0, 0.0], [0.0, 2.0]]))

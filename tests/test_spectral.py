@@ -66,6 +66,17 @@ def test_eigenvalues_real_cos_potential(c_qcos, bc_dirichlet):
         assert e.residual < 1e-6
 
 
+def test_cos_neumann_eigenvalue_matches_mathieu(c_qcos, bc_neumann):
+    # x = 2z turns -y'' + cos(x) y = lam y into Mathieu's equation with
+    # a = 4 lam, q = 2; Neumann data on [0, pi] select the even pi-periodic
+    # solutions, so lam = a_6(2) / 4 near 9.014.  The eigenvalue sits at a
+    # zero of s(pi, lam), where B must not lose accuracy.
+    from scipy.special import mathieu_a
+    evs = wc.eigenvalues_real(c_qcos, bc_neumann, (8.5, 9.5))
+    assert len(evs) == 1
+    assert evs[0].lam.real == pytest.approx(mathieu_a(6, 2.0) / 4, abs=1e-8)
+
+
 def test_degenerate_bc_raises(c_q0):
     # the degenerate condition is not self-adjoint (spectrum = C), so the
     # contour search is the entry point that must refuse it

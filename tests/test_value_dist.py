@@ -36,6 +36,30 @@ def test_phase_difference_nondecreasing(c_qcos):
     assert np.all(np.diff(d) >= -1e-8)
 
 
+def _q0_height(r, n=400000):
+    """h(r) for q = 0 from the closed form arg det B = -2 arg(c' - s - i(c + s')),
+    unwrapped outward from 0 on a dense grid and integrated by Simpson."""
+    from scipy.integrate import simpson
+    t = np.linspace(0.0, r, n + 1)
+    k, kap = np.sqrt(t[1:]), np.sqrt(t[1:])
+    den_p = np.concatenate([[-np.pi - 2j], -(k + 1 / k) * np.sin(k * np.pi)
+                            - 2j * np.cos(k * np.pi)])
+    den_m = np.concatenate([[-np.pi - 2j], (kap - 1 / kap) * np.sinh(kap * np.pi)
+                            - 2j * np.cosh(kap * np.pi)])
+    diff = np.unwrap(-2 * np.angle(den_p)) - np.unwrap(-2 * np.angle(den_m))
+    f = np.empty_like(t)
+    f[1:] = diff[1:] / t[1:]
+    f[0] = 3 * f[1] - 3 * f[2] + f[3]
+    return simpson(f, x=t) / (2 * np.pi)
+
+
+def test_height_q0_matches_closed_form(p_q0):
+    # a fresh provider, so the heights come from the phase path alone
+    c = wc.curve_provider(p_q0)
+    h = wc.height_grid(c, [0.5, 10.37])
+    assert h == pytest.approx([_q0_height(0.5), _q0_height(10.37)], abs=5e-3)
+
+
 def test_height_grid_validates(c_exp):
     with pytest.raises(wc.ValidationError):
         wc.height_grid(c_exp, [-1.0, 2.0])

@@ -130,13 +130,13 @@ class CurveProvider:
 # -- the real-axis phase path --------------------------------------------
 
 TWO_PI = 2 * np.pi
-# Phase-step budgets (target, cap): steps are sized to reach `target` at the
-# speed of their start and accepted up to `cap`.  Crossing-safe steps turn
-# every eigenphase of U* B(u) by less than pi, so eigenphase crossings of 1
-# can be counted between neighbouring knots; unwrap-only steps need nothing
-# beyond an unambiguous branch of the det B phase.
-CROSSING = (1.0, 0.45 * np.pi)
-UNWRAP = (2.2, 3.0)
+# Steps are sized to turn det B by STEP_TARGET at the speed of their start
+# and accepted up to STEP_CAP.  The cap is below pi, so the phase anywhere
+# inside a step is the phase of its left knot plus the principal value of
+# arg(det B(u) / det B(knot)), and the trapezoid prediction picks an
+# unambiguous branch for the step itself.
+STEP_TARGET = 2.2
+STEP_CAP = 3.0
 
 
 def _step_cap(u: float) -> float:
@@ -156,10 +156,12 @@ class PhasePath:
 
     Sorted knots keep u, B(u), det B(u), the phase and the exact phase speed.
     Every step between neighbouring knots is sized from the speed, lifted
-    onto the branch nearest the trapezoid prediction of the two end speeds
-    and rejected when the two disagree.  Once the path reaches 0, 0 is a
-    knot and the phase there is the principal value of arg det B(0).
-    Between knots the phase is the cubic Hermite spline on the knot speeds.
+    onto the branch nearest the trapezoid prediction of the two end speeds,
+    rejected when the two disagree, and turns det B by at most STEP_CAP.
+    Once the path reaches 0, 0 is a knot and the phase there is the
+    principal value of arg det B(0).  Points between knots are sampled
+    exactly by `sample`; `phase` is the cubic Hermite spline on the knot
+    speeds, for quadrature.
     """
 
     def __init__(self, c: CurveProvider):
@@ -174,17 +176,16 @@ class PhasePath:
             raise NumericalError("det B vanished on the real axis; provider not entire here")
         return B, d, max(float(self.c.phase_speed(u)), 0.0)
 
-    def _march(self, k, end, budget, last=None):
+    def _march(self, k, end, last=None):
         """Knots after k = (u, B, det, phi, speed) toward end, the last one
         at or past end; given `last`, the knot at end, the march lands on it."""
-        target, cap = budget
         u, _, d, phi, s = k
         sign = 1.0 if end > u else -1.0
         hmin = 1e-12 * (1 + abs(end - u))
         out, h = [], None
         while sign * (end - u) > 0:
             if h is None:
-                h = min(target / max(s, 1e-12), _step_cap(u))
+                h = min(STEP_TARGET / max(s, 1e-12), _step_cap(u))
             u1 = u + sign * h
             if last is not None and sign * (u1 - end) >= 0:
                 u1, B1, d1, s1 = end, last[1], last[2], last[4]
@@ -193,7 +194,7 @@ class PhasePath:
             predicted = sign * abs(u1 - u) * 0.5 * (s + s1)
             apparent = float(np.angle(d1 / d))
             step = apparent + TWO_PI * round((predicted - apparent) / TWO_PI)
-            if max(abs(step), abs(predicted)) > cap \
+            if max(abs(step), abs(predicted)) > STEP_CAP \
                     or abs(step - predicted) > 0.4 * abs(predicted) + 0.2:
                 h = abs(u1 - u) / 2
                 if h < hmin:
@@ -204,42 +205,34 @@ class PhasePath:
             h = None
         return out
 
-    def _grow(self, knots, end, sign, budget):
+    def _grow(self, knots, end, sign):
         """knots (ordered in the direction sign) extended past end, landing on 0."""
         u = knots[-1][0]
         if sign * (end - u) <= 0:
             return knots
-        if u * end < 0:
+        if u != 0.0 and u * end <= 0:
             B0, d0, s0 = self._eval(0.0)
-            knots = knots + self._march(knots[-1], 0.0, budget, last=(0.0, B0, d0, 0.0, s0))
-        return knots + self._march(knots[-1], end, budget)
+            knots = knots + self._march(knots[-1], 0.0, last=(0.0, B0, d0, 0.0, s0))
+        return knots + self._march(knots[-1], end)
 
-    def cover(self, a: float, b: float, budget) -> None:
-        """Grow the path over [a, b] and split every stored step overlapping
-        [a, b] whose phase exceeds the budget's cap.
+    def cover(self, a: float, b: float) -> None:
+        """Grow the path over [a, b].
 
         A request farther from the path than its own length starts the path
         afresh, at the point of [a, b] nearest 0.
         """
         us = self.us
         if us and us[0] <= a and b <= us[-1]:
-            i, j = bisect.bisect_right(us, a) - 1, bisect.bisect_left(us, b) + 1
-            if np.all(np.abs(np.diff(self.phis[i:j])) <= budget[1]):
-                return
+            return
         if not us or max(us[0] - b, a - us[-1]) > b - a:
             u0 = min(max(0.0, a), b)
             B0, d0, s0 = self._eval(u0)
             knots = [(u0, B0, d0, float(np.angle(d0)), s0)]
         else:
             knots = list(zip(us, self.Bs, self.dets, self.phis, self.speeds))
-        knots = self._grow(knots, b, 1.0, budget)
-        knots = self._grow(knots[::-1], a, -1.0, budget)[::-1]
-        out = knots[:1]
-        for k0, k1 in zip(knots, knots[1:]):
-            if k1[0] > a and k0[0] < b and abs(k1[3] - k0[3]) > budget[1]:
-                out += self._march(k0, k1[0], budget, last=k1)[:-1]
-            out.append(k1)
-        self.us, self.Bs, self.dets, self.phis, self.speeds = (list(z) for z in zip(*out))
+        knots = self._grow(knots, b, 1.0)
+        knots = self._grow(knots[::-1], a, -1.0)[::-1]
+        self.us, self.Bs, self.dets, self.phis, self.speeds = (list(z) for z in zip(*knots))
         self._spline = None
         i = bisect.bisect_left(self.us, 0.0)
         if i < len(self.us) and self.us[i] == 0.0:
@@ -259,26 +252,22 @@ class PhasePath:
         us = np.asarray(self.us)
         return us[(us >= a) & (us <= b)]
 
-    def samples(self, a: float, b: float):
-        """(us, Bs, phis) on a covered [a, b]: a, the knots strictly inside, b.
+    def sample(self, x: float):
+        """(B(x), phase at x) at a covered x, lifted from the knot at or below it.
 
-        a and b are sampled but not stored, so the knots do not depend on
-        the requests; a sub-step of a validated step is itself validated,
-        since every eigenphase of U* B(u) turns counterclockwise.
+        x is sampled but not stored, so the knots do not depend on requests.
         """
+        k = bisect.bisect_right(self.us, x) - 1
+        if self.us[k] == x:
+            return self.Bs[k], self.phis[k]
+        B = self.c.B(x)
+        return B, self.phis[k] + float(np.angle(np.linalg.det(B) / self.dets[k]))
+
+    def samples(self, a: float, b: float):
+        """(us, Bs, phis) on a covered [a, b]: a, the knots strictly inside, b."""
         us = self.us
         i, j = bisect.bisect_right(us, a), bisect.bisect_left(us, b)
-
-        def sample(x, k):
-            # B and the phase at x from the knot k at or just below it
-            if us[k] == x:
-                return self.Bs[k], self.phis[k]
-            B = self.c.B(x)
-            apparent = float(np.angle(np.linalg.det(B) / self.dets[k]))
-            predicted = float(self.phase(x)) - self.phis[k]
-            return B, self.phis[k] + apparent + TWO_PI * round((predicted - apparent) / TWO_PI)
-
-        (Ba, pa), (Bb, pb) = sample(a, i - 1), sample(b, j if us[j] == b else j - 1)
+        (Ba, pa), (Bb, pb) = self.sample(a), self.sample(b)
         return (np.array([a] + us[i:j] + [b]), [Ba] + self.Bs[i:j] + [Bb],
                 np.array([pa] + self.phis[i:j] + [pb]))
 

@@ -2,13 +2,16 @@
 
 Eigenvalues of a boundary condition y are the zeros of the characteristic
 function F(lambda) = det [ frame_Vy | frame_W(lambda) ].  Self-adjoint
-conditions on entire curves have real spectrum, located by marching the
-unitary path u -> U* B(u) with phase-controlled steps and bisecting on
-eigenphase crossings of 1; general conditions use argument-principle
-winding with recursive quadrisection.  The module also implements the
-counting function, the interlacing and phase-count bounds, the monotone
-phase margin, and the resolvent-identity verification for the
-Sturm-Liouville backend.
+conditions on entire curves have real spectrum.  Every eigenphase of
+U* B(u) turns counterclockwise and their lifted sum is arg det B(u) less
+arg det U, so the eigenvalues in (a, b] number the unwrapped det B phase
+change less the change of the eigenphase sum in [0, 2 pi), over 2 pi; the
+spectrum is counted that way on each step of the curve's phase path and
+located by halving and one root solve per crossing.  General conditions
+use argument-principle winding with recursive quadrisection.  The module
+also implements the counting function, the interlacing and phase-count
+bounds, the monotone phase margin, and the resolvent-identity
+verification for the Sturm-Liouville backend.
 """
 
 from __future__ import annotations
@@ -17,15 +20,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import brentq
 
-from .curves import CROSSING, CurveProvider
+from .curves import CurveProvider
 from .errors import DegenerateBCError, NumericalError, ValidationError
 from .symplectic import GrassPoint, chart_convert, classify_subspace, graph_of, schubert_section
 
 TWO_PI = 2 * np.pi
 MAX_STEP_PHASE = 0.45 * np.pi
 CLUSTER_TOL_BASE = 1e-7
+COUNT_TOL = 1e-6
 DEGEN_TOL = 1e-9
 M_MAX = 4
 SIZE_TOL = 1e-8
@@ -140,115 +144,81 @@ def is_degenerate(c: CurveProvider, bc: BoundaryCondition, samples=None) -> bool
 
 
 def _real_samples(c: CurveProvider, a: float, b: float):
-    """(us, Bs, phis) on [a, b] from the provider's phase path, with steps
-    small enough that no eigenphase of U* B(u) turns by pi between samples."""
-    c.phase_path.cover(a, b, CROSSING)
+    """(us, Bs, phis) on [a, b] from the provider's phase path: a, the knots
+    inside, b.  Each step turns det B by less than pi."""
+    c.phase_path.cover(a, b)
     return c.phase_path.samples(a, b)
 
 
-def _matched_steps(U, B0, B1):
-    """Pair the eigenvalues of U^H B at consecutive samples.
+def _eigenphases(U, B) -> np.ndarray:
+    """The eigenphases of U* B, each taken in [0, 2 pi)."""
+    return np.angle(np.linalg.eigvals(U.conj().T @ B)) % TWO_PI
 
-    Returns a list of (theta0, delta) with theta0 the starting angle in
-    (-pi, pi] and delta >= 0 the counterclockwise motion to the partner.
+
+def _crossing_count(dphi: float, th0, th1) -> int:
+    """Eigenphase crossings of 1 between two samples of the real axis.
+
+    Every eigenphase of U* B(u) turns counterclockwise and their lifted sum
+    is arg det B(u) less arg det U, so with dphi the unwrapped det B phase
+    change and th0, th1 the eigenphases in [0, 2 pi) at the two samples,
+    the crossings number [dphi - (sum th1 - sum th0)] / 2 pi.
     """
-    w0 = np.linalg.eigvals(U.conj().T @ B0)
-    w1 = np.linalg.eigvals(U.conj().T @ B1)
-    a0 = np.angle(w0)
-    a1 = np.angle(w1)
-    n = len(a0)
-    cost = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            d = abs((a1[j] - a0[i] + np.pi) % TWO_PI - np.pi)
-            cost[i, j] = d
-    ri, cj = linear_sum_assignment(cost)
-    out = []
-    for i, j in zip(ri, cj):
-        # Phase-controlled steps keep every genuine motion below pi, so take
-        # the representative in (-pi, pi]; tiny negative values are numerical
-        # noise on a stationary eigenphase, not clockwise motion.
-        delta = (a1[j] - a0[i] + np.pi) % TWO_PI - np.pi
-        out.append((float(a0[i]), float(max(delta, 0.0))))
-    return out
-
-
-def _crossings(U, B0, B1) -> int:
-    """Number of eigenphases of U^H B crossing 1 along the step (B0, B1]."""
-    cnt = 0
-    for theta0, delta in _matched_steps(U, B0, B1):
-        t = (-theta0) % TWO_PI  # ccw distance from theta0 to angle 0
-        if 0 < t <= delta:
-            cnt += 1
-    return cnt
+    k = (dphi - (float(np.sum(th1)) - float(np.sum(th0)))) / TWO_PI
+    n = round(k)
+    if n < 0 or abs(k - n) > COUNT_TOL:
+        raise NumericalError(f"eigenphase crossing count {k:.9f} is not a nonnegative integer")
+    return int(n)
 
 
 def count_real(c: CurveProvider, bc: BoundaryCondition, a: float, b: float) -> int:
-    """Eigenvalue count (with multiplicity) in (a, b] by crossing counting."""
+    """Eigenvalue count (with multiplicity) in (a, b] from the unwrapped det B phase."""
     if bc.chart_unitary is None:
         raise ValidationError("count_real requires a chart-unitary boundary condition")
-    _, Bs, _ = _real_samples(c, a, b)
-    return _count_crossings(bc.chart_unitary, Bs)
+    U = bc.chart_unitary
+    _, Bs, phis = _real_samples(c, a, b)
+    return _crossing_count(phis[-1] - phis[0], _eigenphases(U, Bs[0]), _eigenphases(U, Bs[-1]))
 
 
-def _count_crossings(U, Bs) -> int:
-    return sum(_crossings(U, B0, B1) for B0, B1 in zip(Bs, Bs[1:]))
+def _step_roots(c, U, u0, B0, u1, B1, dphi, out):
+    """Append (root, multiplicity) for the crossings in the path step (u0, u1],
+    over which det B turns by dphi < pi."""
+    d0 = np.linalg.det(B0)
 
+    def sample(u, B=None, phi=None):
+        # (u, det B phase relative to u0, eigenphases)
+        B = c.B(u) if B is None else B
+        phi = float(np.angle(np.linalg.det(B) / d0)) if phi is None else phi
+        return u, phi, _eigenphases(U, B)
 
-def _locate_crossings(c, U, u0, u1, B0, B1, cluster_tol, out):
-    cnt = _crossings(U, B0, B1)
-    if cnt == 0:
-        return
-    xtol = 1e-10 * (1 + abs(u1))
-    if cnt == 1:
-        # psi(u): eigenphase of U^H B(u) that crosses 1, unwrapped so
-        # psi < 0 before the crossing and psi >= 0 after; its zero is the
-        # eigenvalue.  Matching against the fixed left endpoint is safe
-        # because the whole step is phase-controlled.
-        theta0 = None
-        for t0, d in _matched_steps(U, B0, B1):
-            t = (-t0) % TWO_PI
-            if 0 < t <= d:
-                theta0 = t0
-                break
-        psi0 = -((-theta0) % TWO_PI)
+    def count(x, y):
+        return _crossing_count(y[1] - x[1], x[2], y[2])
+
+    lo, hi = sample(u0, B0, 0.0), sample(u1, B1, dphi)
+    parts = [(lo, hi, count(lo, hi))]
+    while parts:
+        x, y, m = parts.pop()
+        if m == 0:
+            continue
+        if m > 1 and y[0] - x[0] >= CLUSTER_TOL_BASE * (1 + abs(y[0])):
+            mid = sample(0.5 * (x[0] + y[0]))
+            m1 = count(x, mid)
+            parts += [(x, mid, m1), (mid, y, m - m1)]
+            continue
 
         def psi(u):
-            if u <= u0:
-                return psi0
-            steps = _matched_steps(U, B0, c.B(u))
-            cost = min(((abs((t0 - theta0 + np.pi) % TWO_PI - np.pi), d)
-                        for t0, d in steps), key=lambda z: z[0])
-            return psi0 + cost[1]
+            # before the first crossing in (x, u]: minus the counterclockwise
+            # distance of the eigenphase nearest below 1; after it: the
+            # distance of the one nearest above; continuous through the root
+            z = x if u == x[0] else y if u == y[0] else sample(u)
+            return float(z[2].min()) if count(x, z) else float(z[2].max()) - TWO_PI
 
-        from scipy.optimize import brentq
-        a_val = psi0
-        b_val = psi(u1)
-        if a_val < 0 <= b_val:
-            root = brentq(psi, u0, u1, xtol=xtol, rtol=4 * np.finfo(float).eps)
-            out.append((float(root), 1))
-            return
-        # fall through to bisection if the bracket is inconsistent
-    if cnt == 1 or (u1 - u0) < cluster_tol:
-        lo, hi = u0, u1
-        Blo, Bhi = B0, B1
-        while hi - lo > xtol:
-            mid = 0.5 * (lo + hi)
-            Bm = c.B(mid)
-            if _crossings(U, Blo, Bm) >= 1:
-                hi, Bhi = mid, Bm
-            else:
-                lo, Blo = mid, Bm
-        out.append((0.5 * (lo + hi), cnt))
-        return
-    mid = 0.5 * (u0 + u1)
-    Bm = c.B(mid)
-    _locate_crossings(c, U, u0, mid, B0, Bm, cluster_tol, out)
-    _locate_crossings(c, U, mid, u1, Bm, B1, cluster_tol, out)
+        root = brentq(psi, x[0], y[0], xtol=1e-10 * (1 + abs(y[0])),
+                      rtol=4 * np.finfo(float).eps)
+        out.append((float(root), m))
 
 
-def eigenvalues_real(c: CurveProvider, bc: BoundaryCondition, interval, cfg=None):
-    """All eigenvalues of a self-adjoint condition in a real interval."""
+def eigenvalues_real(c: CurveProvider, bc: BoundaryCondition, interval):
+    """All eigenvalues of a self-adjoint condition in a real interval (a, b]."""
     if not bc.selfadjoint:
         raise ValidationError("eigenvalues_real requires a self-adjoint condition")
     if c.domain != "entire":
@@ -260,12 +230,11 @@ def eigenvalues_real(c: CurveProvider, bc: BoundaryCondition, interval, cfg=None
         raise ValidationError("empty interval")
     if is_degenerate(c, bc, samples=np.linspace(a, b, 16)):
         raise DegenerateBCError("characteristic function vanishes identically; spectrum = C")
-    us, Bs, _ = _real_samples(c, a, b)
-    U = bc.chart_unitary
+    us, Bs, phis = _real_samples(c, a, b)
     roots = []
     for k in range(len(us) - 1):
-        cluster_tol = CLUSTER_TOL_BASE * (1 + abs(us[k + 1]))
-        _locate_crossings(c, U, us[k], us[k + 1], Bs[k], Bs[k + 1], cluster_tol, roots)
+        _step_roots(c, bc.chart_unitary, us[k], Bs[k], us[k + 1], Bs[k + 1],
+                    phis[k + 1] - phis[k], roots)
     # merge refined roots that belong to one cluster
     roots.sort()
     merged = []
@@ -363,7 +332,7 @@ def _refine_newton(c, bc, lam0, mult, box_size):
     return lam
 
 
-def eigenvalues_complex(c: CurveProvider, bc: BoundaryCondition, rectangle, cfg=None):
+def eigenvalues_complex(c: CurveProvider, bc: BoundaryCondition, rectangle):
     """Zeros of F inside a rectangle (re_min, re_max, im_min, im_max)."""
     if c.domain != "entire":
         raise ValidationError("contour search requires an entire provider")
@@ -530,9 +499,10 @@ def phase_count(c: CurveProvider, bc: BoundaryCondition, r: float) -> dict:
     """
     if not bc.selfadjoint or bc.chart_unitary is None:
         raise ValidationError("phase_count requires a self-adjoint chart condition")
+    U = bc.chart_unitary
     _, Bs, phis = _real_samples(c, -float(r), float(r))
     phase_integral = float(phis[-1] - phis[0]) / TWO_PI
-    n_T = _count_crossings(bc.chart_unitary, Bs)
+    n_T = _crossing_count(phis[-1] - phis[0], _eigenphases(U, Bs[0]), _eigenphases(U, Bs[-1]))
     gap = abs(phase_integral - n_T)
     if gap > c.n + 1.0:
         raise NumericalError(f"phase-count gap {gap:.3f} exceeds the theoretical bound")

@@ -10,11 +10,10 @@ and Nevanlinna/Valiron defects are finite-grid estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .curves import UNWRAP, CurveProvider
+from .curves import CurveProvider
 from .errors import NumericalError, ValidationError
 from .spectral import (BoundaryCondition, DegenerateBCError, char_function,
                        eigenvalues_complex, eigenvalues_real, is_degenerate)
@@ -26,12 +25,15 @@ _GL7_NODES, _GL7_WEIGHTS = np.polynomial.legendre.leggauss(7)
 
 
 def total_phase(c: CurveProvider, u: float) -> float:
-    """Unwrapped arg det B along [0, u], anchored at the principal value."""
+    """Unwrapped arg det B along [0, u], anchored at the principal value.
+
+    The value is sampled at u off the phase path, not interpolated.
+    """
     u = float(u)
     if u == 0.0:
         return float(np.angle(np.linalg.det(c.B(0.0))))
-    c.phase_path.cover(min(u, 0.0), max(u, 0.0), UNWRAP)
-    return float(c.phase_path.phase(u))
+    c.phase_path.cover(min(u, 0.0), max(u, 0.0))
+    return float(c.phase_path.sample(u)[1])
 
 
 def height(c: CurveProvider, r: float) -> float:
@@ -45,7 +47,7 @@ def height_grid(c: CurveProvider, r_grid) -> np.ndarray:
         raise ValidationError("radii must be positive")
     rmax = radii[-1]
     path = c.phase_path
-    path.cover(-rmax, rmax, UNWRAP)
+    path.cover(-rmax, rmax)
     # 7-point Gauss-Legendre on every panel between the knots of both
     # half-axes; the spline is cubic on each panel
     knots = np.unique(np.concatenate([np.abs(path.knots(-rmax, rmax)), radii, [0.0]]))
@@ -148,9 +150,6 @@ class VDReport:
     residual_range: float
     residual_ratio: float
     drift_slope: float
-    order_estimate: Optional[float] = None
-    type_estimate: Optional[float] = None
-    defect_estimates: Optional[tuple] = None
     label: str = ""
 
 

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import weylcurve as wc
+
+# Property tests draw the same bounded set of examples on every run, so the
+# suite stays reproducible and its run time bounded; solves are too slow for
+# a per-example deadline.
+settings.register_profile("weylcurve", derandomize=True, deadline=None,
+                          max_examples=50, database=None)
+settings.load_profile("weylcurve")
 
 LENGTH = np.pi
 

@@ -36,17 +36,32 @@ def test_phase_difference_nondecreasing(c_qcos):
     assert np.all(np.diff(d) >= -1e-8)
 
 
+def test_total_phase_is_anchored_at_zero_when_the_path_starts_away_from_it():
+    # the eigenvalue sweep starts the path at 10; the phase at 0 is still
+    # the principal value of arg det B(0)
+    c = wc.exponential()
+    assert wc.count_real(c, wc.bc_from_chart(np.array([[1.0]])), 10.0, 20.0) == 2
+    assert wc.total_phase(c, 5.0) == pytest.approx(5.0, abs=1e-10)
+
+
+def _q0_phase(t):
+    """arg det B for q = 0 on a grid t of one sign that starts at 0, from the
+    closed form arg det B = -2 arg(c' - s - i(c + s')), unwrapped outward
+    from 0 and anchored there at the principal value."""
+    k = np.sqrt(np.abs(t[1:]))
+    if t[-1] > 0:
+        den = -(k + 1 / k) * np.sin(k * np.pi) - 2j * np.cos(k * np.pi)
+    else:
+        den = (k - 1 / k) * np.sinh(k * np.pi) - 2j * np.cosh(k * np.pi)
+    phi = np.unwrap(-2 * np.angle(np.concatenate([[-np.pi - 2j], den])))
+    return phi - phi[0] + np.angle(np.exp(1j * phi[0]))
+
+
 def _q0_height(r, n=400000):
-    """h(r) for q = 0 from the closed form arg det B = -2 arg(c' - s - i(c + s')),
-    unwrapped outward from 0 on a dense grid and integrated by Simpson."""
+    """h(r) for q = 0 from the closed-form phase integrated by Simpson."""
     from scipy.integrate import simpson
     t = np.linspace(0.0, r, n + 1)
-    k, kap = np.sqrt(t[1:]), np.sqrt(t[1:])
-    den_p = np.concatenate([[-np.pi - 2j], -(k + 1 / k) * np.sin(k * np.pi)
-                            - 2j * np.cos(k * np.pi)])
-    den_m = np.concatenate([[-np.pi - 2j], (kap - 1 / kap) * np.sinh(kap * np.pi)
-                            - 2j * np.cosh(kap * np.pi)])
-    diff = np.unwrap(-2 * np.angle(den_p)) - np.unwrap(-2 * np.angle(den_m))
+    diff = _q0_phase(t) - _q0_phase(-t)
     f = np.empty_like(t)
     f[1:] = diff[1:] / t[1:]
     f[0] = 3 * f[1] - 3 * f[2] + f[3]
@@ -58,6 +73,14 @@ def test_height_q0_matches_closed_form(p_q0):
     c = wc.curve_provider(p_q0)
     h = wc.height_grid(c, [0.5, 10.37])
     assert h == pytest.approx([_q0_height(0.5), _q0_height(10.37)], abs=5e-3)
+
+
+def test_total_phase_q0_matches_closed_form(p_q0):
+    # phase columns are sampled off the path, not read from its spline
+    c = wc.curve_provider(p_q0)
+    for r in (15.0, -15.0):
+        exact = _q0_phase(np.linspace(0.0, r, 400001))[-1]
+        assert wc.total_phase(c, r) == pytest.approx(exact, abs=1e-6)
 
 
 def test_height_grid_validates(c_exp):

@@ -18,13 +18,13 @@ from .curves import (CurvatureResult, CurveProvider, KernelBlock, congruence,
                      kernel_block, reparameterize, shifted_identity)
 from .sturm import (FundamentalData, Potential, SLProblem, bc_from_physical,
                     curve_provider, degeneracy_scan, fundamental, gamma_minus,
-                    gamma_plus, gamma_plus_gram, sl_weyl, solve_bvp)
+                    gamma_plus, gamma_plus_gram, resolvent_residual, sl_weyl,
+                    solve_bvp)
 from .spectral import (BoundaryCondition, Eigenvalue, bc_from_canonical,
                        bc_from_chart, bc_from_unitary, char_function,
                        count_real, counting, eigenvalues_complex,
                        eigenvalues_real, interlace, is_degenerate, make_bc,
-                       monotone_margin, multiplicity, phase_count,
-                       resolvent_residual)
+                       monotone_margin, multiplicity, phase_count)
 from .value_dist import (VDReport, defects, fmt_report, height, height_grid,
                          order_type, proximity, proximity_omega, total_phase)
 

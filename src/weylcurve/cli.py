@@ -414,7 +414,7 @@ def cmd_resolvent_check(cfg, p, c, bcs):
 
     reports = []
     for bc in bcs:
-        res = spectral.resolvent_residual(p, bc, lam, f)
+        res = sturm.resolvent_residual(p, bc, lam, f)
         reports.append({"bc": bc.label, "lambda": lam, "residual": res})
     _emit(cfg, {"command": "resolvent-check", "reports": reports})
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline

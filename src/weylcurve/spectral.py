@@ -10,12 +10,12 @@ spectrum is counted that way on each step of the curve's phase path and
 located by halving and one root solve per crossing.  General conditions
 use argument-principle winding with recursive quadrisection.  The module
 also implements the counting function, the interlacing and phase-count
-bounds, the monotone phase margin, and the resolvent-identity
-verification for the Sturm-Liouville backend.
+bounds, and the monotone phase margin.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -255,59 +255,98 @@ def eigenvalues_real(c: CurveProvider, bc: BoundaryCondition, interval):
 # -- contour search --------------------------------------------------------
 
 
-def _march_segment(c, bc, z0, z1, edge_floor):
-    """Adaptive F-phase samples along [z0, z1]; returns accumulated arg
-    change and the sampled (z, F) list."""
-    samples = [(z0, char_function(c, bc, z0))]
-    total = 0.0
-    t = 0.0
-    h = 0.125
-    hmin = 1e-10
-    while t < 1.0 - 1e-15:
+class _EdgeHit(NumericalError):
+    """F vanishes on the contour, or turns too fast there to be resolved."""
+
+
+def _sample(c, bc, z):
+    """(z, F(z)); a value below the noise floor means a zero on the contour."""
+    F = char_function(c, bc, z)
+    if abs(F) < 1e-11 * char_scale(c, bc, z):
+        raise _EdgeHit(f"characteristic function vanishes on the contour at {z}")
+    return z, F
+
+
+def _march(c, bc, a, b, fresh=True):
+    """Samples (z, F) along the segment from sample a to sample b, both
+    included, with arg F turning by at most MAX_STEP_PHASE between neighbours.
+
+    A step halves when it turns too far and grows by half when it turns by
+    less than half the limit.  On a fresh segment it starts at 1/64 of it and
+    never exceeds 1/4; a part of a step already accepted is tried whole.
+    """
+    z0, z1 = a[0], b[0]
+    out, t = [a], 0.0
+    h, hmax = (1 / 64, 0.25) if fresh else (1.0, 1.0)
+    while t < 1.0:
         t1 = min(t + h, 1.0)
-        z = z0 + (z1 - z0) * t1
-        F = char_function(c, bc, z)
-        if abs(F) < edge_floor(z):
-            raise _EdgeHit(z)
-        Fp = samples[-1][1]
-        step = float(np.angle(F / Fp))
-        if abs(step) > MAX_STEP_PHASE:
+        z, F = b if t1 == 1.0 else _sample(c, bc, z0 + (z1 - z0) * t1)
+        step = abs(float(np.angle(F / out[-1][1])))
+        if step > MAX_STEP_PHASE:
             h = (t1 - t) / 2
-            if h < hmin:
+            if h < 1e-10:
                 # a phase jump the refinement cannot resolve means a zero
                 # sits on (or hugs) the contour; trigger the dilation retry
-                raise _EdgeHit(z)
+                raise _EdgeHit(f"unresolved phase jump on the contour at {z}")
             continue
-        samples.append((z, F))
-        total += step
+        out.append((z, F))
         t = t1
-        if abs(step) < MAX_STEP_PHASE / 2:
-            h = min(h * 1.5, 0.25)
-    return total, samples
+        if step < MAX_STEP_PHASE / 2:
+            h = min(h * 1.5, hmax)
+    return out
 
 
-class _EdgeHit(Exception):
-    def __init__(self, z):
-        self.z = z
-
-
-def _box_winding(c, bc, rect, edge_floor):
-    """Winding number of F around a rectangle plus the first log-moment."""
+def _box_edges(c, bc, rect):
+    """The edges of a rectangle, counterclockwise from its lower left corner,
+    each marched once between corners sampled once."""
     x0, x1, y0, y1 = rect
-    corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
-    total = 0.0
-    moment = 0.0 + 0.0j
-    for k in range(4):
-        seg_total, samples = _march_segment(c, bc, corners[k], corners[(k + 1) % 4],
-                                            edge_floor)
-        total += seg_total
-        for (za, Fa), (zb, Fb) in zip(samples, samples[1:]):
-            dlog = np.log(abs(Fb / Fa)) + 1j * float(np.angle(Fb / Fa))
-            moment += 0.5 * (za + zb) * dlog
-    w = total / TWO_PI
+    corners = [_sample(c, bc, complex(x, y))
+               for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))]
+    return [_march(c, bc, corners[k], corners[(k + 1) % 4]) for k in range(4)]
+
+
+def _winding(edges):
+    """Winding number of F around a closed chain of sampled edges, and the
+    first log-moment (1/2 pi i) sum z dlog F, the sum of the zeros inside."""
+    # each edge starts where the previous one ends: dropping every start
+    # leaves each sample once, and the roll closes the chain
+    z, F = np.array([s for e in edges for s in e[1:]]).T
+    dlog = np.log(F / np.roll(F, 1))
+    w = float(dlog.imag.sum()) / TWO_PI
     if abs(w - round(w)) > 0.15:
         raise NumericalError(f"non-integer winding {w:.3f}; zero too close to the contour")
-    return int(round(w)), moment / (2j * np.pi)
+    return int(round(w)), complex(np.sum(0.5 * (z + np.roll(z, 1)) * dlog)) / (2j * np.pi)
+
+
+def _cut(c, bc, edge, zm):
+    """Split a sampled edge at the point zm on it.  Only the step that holds
+    zm is marched again, in two parts."""
+    za, zb = edge[0][0], edge[-1][0]
+    ts = [((z - za) / (zb - za)).real for z, _ in edge]
+    k = bisect_right(ts, ((zm - za) / (zb - za)).real) - 1
+    m = _sample(c, bc, zm)
+    return (edge[:k] + _march(c, bc, edge[k], m, fresh=False),
+            _march(c, bc, m, edge[k + 1], fresh=False) + edge[k + 2:])
+
+
+def _children(c, bc, rect, edges, xm, ym):
+    """The quadrants of a box split at (xm, ym), each with its boundary.
+
+    The box's edges are cut at the split lines.  The four arms of the cross,
+    from the cut points to the center, are marched once: each quadrant walks
+    one arm in and its neighbour's arm out.
+    """
+    x0, x1, y0, y1 = rect
+    b0, b1 = _cut(c, bc, edges[0], complex(xm, y0))
+    r0, r1 = _cut(c, bc, edges[1], complex(x1, ym))
+    t0, t1 = _cut(c, bc, edges[2], complex(xm, y1))
+    l0, l1 = _cut(c, bc, edges[3], complex(x0, ym))
+    center = _sample(c, bc, complex(xm, ym))
+    south, east, north, west = (_march(c, bc, half[-1], center) for half in (b0, r0, t0, l0))
+    return [((x0, xm, y0, ym), [b0, south, west[::-1], l1]),
+            ((xm, x1, y0, ym), [b1, r0, east, south[::-1]]),
+            ((x0, xm, ym, y1), [west, north[::-1], t1, l0]),
+            ((xm, x1, ym, y1), [east[::-1], r1, t0, north])]
 
 
 def _refine_newton(c, bc, lam0, mult, box_size):
@@ -344,14 +383,11 @@ def eigenvalues_complex(c: CurveProvider, bc: BoundaryCondition, rectangle):
                                      for b in np.linspace(y0, y1, 8)]):
         raise DegenerateBCError("characteristic function vanishes identically; spectrum = C")
 
-    def edge_floor(z):
-        return 1e-11 * char_scale(c, bc, z)
-
     rect = (x0, x1, y0, y1)
     for attempt in range(6):
         try:
             found = []
-            _subdivide(c, bc, rect, edge_floor, found)
+            _subdivide(c, bc, rect, _box_edges(c, bc, rect), found)
             break
         except _EdgeHit:
             if attempt == 5:
@@ -364,15 +400,14 @@ def eigenvalues_complex(c: CurveProvider, bc: BoundaryCondition, rectangle):
     return found
 
 
-def _subdivide(c, bc, rect, edge_floor, found):
+def _subdivide(c, bc, rect, edges, found):
     x0, x1, y0, y1 = rect
-    w, s1 = _box_winding(c, bc, rect, edge_floor)
+    w, s1 = _winding(edges)
     if w == 0:
         return
     size = max(x1 - x0, y1 - y0)
     if (w <= M_MAX and (w == 1 or size <= 1.0)) or size <= SIZE_TOL:
-        centroid = s1 / w
-        lam = _refine_newton(c, bc, centroid, w, max(size, SIZE_TOL))
+        lam = _refine_newton(c, bc, s1 / w, w, max(size, SIZE_TOL))
         res = abs(char_function(c, bc, lam)) / max(char_scale(c, bc, lam), 1e-300)
         found.append(Eigenvalue(lam=lam, multiplicity=w, residual=float(res),
                                 method="contour"))
@@ -383,9 +418,8 @@ def _subdivide(c, bc, rect, edge_floor, found):
         xm = (x0 + x1) / 2 + shift * (x1 - x0)
         ym = (y0 + y1) / 2 + shift * (y1 - y0)
         try:
-            for sub in ((x0, xm, y0, ym), (xm, x1, y0, ym),
-                        (x0, xm, ym, y1), (xm, x1, ym, y1)):
-                _subdivide(c, bc, sub, edge_floor, found)
+            for sub, sub_edges in _children(c, bc, rect, edges, xm, ym):
+                _subdivide(c, bc, sub, sub_edges, found)
             break
         except _EdgeHit:
             del found[before:]
@@ -397,45 +431,26 @@ def _subdivide(c, bc, rect, edge_floor, found):
 
 
 def multiplicity(c: CurveProvider, bc: BoundaryCondition, lam0, rho: float = 0.1) -> dict:
-    """Analytic multiplicity by stabilized circle winding; geometric by rank."""
+    """Analytic multiplicity by winding on the square, half-side rho, about
+    lam0, confirmed on half-side rho/2 (both halved until they agree);
+    geometric by rank."""
     lam0 = complex(lam0)
 
-    def winding(radius):
-        total = 0.0
-        prev = char_function(c, bc, lam0 + radius)
-        if abs(prev) == 0:
-            raise NumericalError("zero on the multiplicity circle")
-        m = 64
-        k = 1
-        while k <= m:
-            z = lam0 + radius * np.exp(2j * np.pi * k / m)
-            F = char_function(c, bc, z)
-            if abs(F) == 0:
-                raise NumericalError("zero on the multiplicity circle")
-            step = float(np.angle(F / prev))
-            if abs(step) > MAX_STEP_PHASE and m < 65536:
-                m *= 2
-                k = 2 * k - 1
-                continue
-            total += step
-            prev = F
-            k += 1
-        w = total / TWO_PI
-        if abs(w - round(w)) > 0.15:
-            raise NumericalError("non-integer circle winding")
-        return int(round(w))
+    def winding(h):
+        return _winding(_box_edges(c, bc, (lam0.real - h, lam0.real + h,
+                                           lam0.imag - h, lam0.imag + h)))[0]
 
-    radius = rho
+    w1 = winding(rho)
     for _ in range(20):
-        w1 = winding(radius)
-        w2 = winding(radius / 2)
+        rho /= 2
+        w2 = winding(rho)
         if w1 == w2:
             out = {"analytic": w1}
             if bc.chart_unitary is not None:
                 sv = np.linalg.svd(bc.chart_unitary - c.B(lam0), compute_uv=False)
                 out["geometric"] = int(np.sum(sv < 1e-6 * max(sv.max(), 1.0)))
             return out
-        radius /= 2
+        w1 = w2
     raise NumericalError("winding failed to stabilize; zero may not be isolated")
 
 
@@ -443,6 +458,7 @@ def multiplicity(c: CurveProvider, bc: BoundaryCondition, lam0, rho: float = 0.1
 
 
 RING_TOL_BASE = 1e-6
+ZERO_TOL = 1e-8
 
 
 def counting(c: CurveProvider, bc: BoundaryCondition, r: float) -> dict:
@@ -461,19 +477,20 @@ def counting(c: CurveProvider, bc: BoundaryCondition, r: float) -> dict:
         below = max((m for m in moduli if m < r - ring_tol), default=0.0)
         above = min((m for m in moduli if m > r + ring_tol), default=r * (1 + 1e-3))
         r_used = 0.5 * (below + above)
-    n_T = 0
-    N_T = 0.0
-    zero_tol = 1e-8
+    n_T, N_T = counting_sums(evs, r_used)
+    return {"n_T": n_T, "N_T": N_T, "r_used": float(r_used)}
+
+
+def counting_sums(evs, r: float) -> tuple:
+    """(n(r), N(r)): the multiplicities of the eigenvalues strictly inside r,
+    and their sum weighted by log(r / |lam|), or by log r where |lam| < ZERO_TOL."""
+    n, N = 0, 0.0
     for e in evs:
         m = abs(e.lam)
-        if m >= r_used:
-            continue
-        n_T += e.multiplicity
-        if m < zero_tol:
-            N_T += e.multiplicity * np.log(r_used)
-        else:
-            N_T += e.multiplicity * np.log(r_used / m)
-    return {"n_T": int(n_T), "N_T": float(N_T), "r_used": float(r_used)}
+        if m < r:
+            n += e.multiplicity
+            N += e.multiplicity * np.log(r if m < ZERO_TOL else r / m)
+    return int(n), float(N)
 
 
 def interlace(c: CurveProvider, bc1: BoundaryCondition, bc2: BoundaryCondition,
@@ -518,41 +535,3 @@ def monotone_margin(c: CurveProvider, u: float) -> float:
     A = -1j * np.linalg.solve(B, c.dB(float(u)))
     H = (A + A.conj().T) / 2
     return float(np.linalg.eigvalsh(H).min())
-
-
-def resolvent_residual(p, bc: BoundaryCondition, lam: float, f, num: int = 2049) -> float:
-    """Relative L^2 residual of the Krein-type resolvent difference formula.
-
-    Compares (T_bc - lam)^{-1} f - (T_+ - lam)^{-1} f against
-    i gamma_+(lam) (B(lam)^{-1} U - I)^{-1} gamma_+(lam)* f.
-    """
-    from .sturm import (GAMMA_PLUS_ROWS_PHYS, _bc_functional_rows_phys, _dense_cs,
-                        _gamma_system, _solve_bvp_rows, fundamental)
-    from .sturm import sl_weyl
-    if bc.chart_unitary is None:
-        raise ValidationError("resolvent_residual requires a chart-unitary condition")
-    lam = float(lam)
-    xs = np.linspace(0.0, p.length, num)
-    fv = np.asarray([f(x) for x in xs], dtype=complex) if callable(f) \
-        else np.asarray(f, dtype=complex)
-    y_bc = _solve_bvp_rows(p, _bc_functional_rows_phys(bc), lam, fv, xs)
-    y_plus = _solve_bvp_rows(p, GAMMA_PLUS_ROWS_PHYS, lam, fv, xs)
-    lhs = y_bc - y_plus
-
-    cv, _, sv, _ = _dense_cs(p, lam, xs)
-    fd = fundamental(p, lam)
-    C = np.linalg.inv(_gamma_system(fd, +1))  # columns: coeffs of gamma_+ e_j
-    from scipy.integrate import simpson
-    basis = [C[0, j] * cv + C[1, j] * sv for j in range(2)]
-    w = np.array([simpson(fv * np.conj(basis[j]), x=xs) for j in range(2)])
-    B = sl_weyl(p, lam)["B"]
-    T = np.linalg.solve(B, bc.chart_unitary) - np.eye(2)
-    vec = np.linalg.solve(T, w)
-    coef = C @ vec
-    rhs = 1j * (coef[0] * cv + coef[1] * sv)
-
-    num_int = simpson(np.abs(lhs - rhs) ** 2, x=xs)
-    den_int = simpson(np.abs(fv) ** 2, x=xs)
-    if den_int == 0:
-        return 0.0
-    return float(np.sqrt(num_int / den_int))

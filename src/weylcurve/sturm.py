@@ -5,8 +5,8 @@ integrated by adaptive Dormand-Prince shooting at any complex lambda,
 together with the three L^2 moment integrals needed for gamma-field Gram
 matrices.  The module exposes the explicit 2x2 Weyl data (M, B), the
 boundary-triplet coordinate map, gamma-fields, boundary-condition
-constructors from physical 2x4 matrices, Green's-function solves, and the
-weak-degeneracy scan.
+constructors from physical 2x4 matrices, Green's-function solves, the
+resolvent-identity check, and the weak-degeneracy scan.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import cumulative_simpson, solve_ivp
+from scipy.integrate import cumulative_simpson, simpson, solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.linalg import null_space
 
@@ -508,6 +508,39 @@ def solve_bvp(p: SLProblem, bc: BoundaryCondition, lam, f, num: int = 2049):
     """Samples of (T_bc - lambda)^{-1} f on a uniform grid of [0, L]."""
     xs = np.linspace(0.0, p.length, num)
     return xs, _solve_bvp_rows(p, _bc_functional_rows_phys(bc), lam, f, xs)
+
+
+def resolvent_residual(p: SLProblem, bc: BoundaryCondition, lam: float, f,
+                       num: int = 2049) -> float:
+    """Relative L^2 residual of the Krein-type resolvent difference formula.
+
+    Compares (T_bc - lam)^{-1} f - (T_+ - lam)^{-1} f against
+    i gamma_+(lam) (B(lam)^{-1} U - I)^{-1} gamma_+(lam)* f.
+    """
+    if bc.chart_unitary is None:
+        raise ValidationError("resolvent_residual requires a chart-unitary condition")
+    lam = float(lam)
+    xs = np.linspace(0.0, p.length, num)
+    fv = np.asarray([f(x) for x in xs], dtype=complex) if callable(f) \
+        else np.asarray(f, dtype=complex)
+    y_bc = _solve_bvp_rows(p, _bc_functional_rows_phys(bc), lam, fv, xs)
+    y_plus = _solve_bvp_rows(p, GAMMA_PLUS_ROWS_PHYS, lam, fv, xs)
+    lhs = y_bc - y_plus
+
+    cv, _, sv, _ = _dense_cs(p, lam, xs)
+    C = np.linalg.inv(_gamma_system(fundamental(p, lam), +1))  # columns: coeffs of gamma_+ e_j
+    basis = [C[0, j] * cv + C[1, j] * sv for j in range(2)]
+    w = np.array([simpson(fv * np.conj(basis[j]), x=xs) for j in range(2)])
+    B = sl_weyl(p, lam)["B"]
+    T = np.linalg.solve(B, bc.chart_unitary) - np.eye(2)
+    coef = C @ np.linalg.solve(T, w)
+    rhs = 1j * (coef[0] * cv + coef[1] * sv)
+
+    num_int = simpson(np.abs(lhs - rhs) ** 2, x=xs)
+    den_int = simpson(np.abs(fv) ** 2, x=xs)
+    if den_int == 0:
+        return 0.0
+    return float(np.sqrt(num_int / den_int))
 
 
 def degeneracy_scan(p: SLProblem, grid=None) -> dict:

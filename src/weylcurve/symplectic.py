@@ -217,12 +217,9 @@ def transversality(P: GrassPoint, Q: GrassPoint) -> dict:
     sv = np.linalg.svd(stacked, compute_uv=False)
     rank = int(np.sum(sv > RANK_TOL * max(sv.max(), 1e-300)))
     dim_int = 2 * n - rank
-    dim_sum = rank
-    index = dim_int - (2 * n - dim_sum)
-    assert index == 0
     return {
         "dim_intersection": dim_int,
-        "dim_sum": dim_sum,
+        "dim_sum": rank,
         "transversal": dim_int == 0,
     }
 

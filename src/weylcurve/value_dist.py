@@ -16,7 +16,8 @@ import numpy as np
 from .curves import CurveProvider
 from .errors import NumericalError, ValidationError
 from .spectral import (BoundaryCondition, DegenerateBCError, char_function,
-                       eigenvalues_complex, eigenvalues_real, is_degenerate)
+                       counting_sums, eigenvalues_complex, eigenvalues_real,
+                       is_degenerate)
 
 TWO_PI = 2 * np.pi
 
@@ -170,17 +171,7 @@ def fmt_report(c: CurveProvider, bc: BoundaryCondition, r_grid) -> VDReport:
         evs = eigenvalues_complex(c, bc, (-1.05 * rmax, 1.05 * rmax,
                                           -1.05 * rmax, 1.05 * rmax))
     h = height_grid(c, radii)
-    moduli = np.array([abs(e.lam) for e in evs])
-    mults = np.array([e.multiplicity for e in evs], dtype=float)
-    zero_tol = 1e-8
-    N = np.empty_like(radii)
-    n_counts = np.empty(len(radii), dtype=int)
-    for i, r in enumerate(radii):
-        inside = moduli < r
-        n_counts[i] = int(mults[inside].sum())
-        vals = np.where(moduli[inside] < zero_tol, np.log(r),
-                        np.log(r / np.maximum(moduli[inside], zero_tol)))
-        N[i] = float((mults[inside] * vals).sum())
+    n_counts, N = map(np.array, zip(*(counting_sums(evs, r) for r in radii)))
     m = np.array([proximity(c, bc, r) for r in radii])
     resid = h - m - N
     phase_p = np.array([total_phase(c, r) for r in radii])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 import weylcurve as wc
 from weylcurve.spectral import char_scale
@@ -107,6 +109,67 @@ def test_complex_zeros_exponential_curve(c_exp):
     assert len(lams) == 2
     for got, want in zip(lams, expect):
         assert abs(got - want) < 1e-8
+
+
+def _boundary_distance(z, x0, x1, y0, y1):
+    """Distance from each point of z to the boundary of the rectangle."""
+    dx = np.maximum.reduce([x0 - z.real, z.real - x1, np.zeros_like(z.real)])
+    dy = np.maximum.reduce([y0 - z.imag, z.imag - y1, np.zeros_like(z.imag)])
+    inner = np.minimum.reduce([z.real - x0, x1 - z.real, z.imag - y0, y1 - z.imag])
+    return np.where((dx > 0) | (dy > 0), np.hypot(dx, dy), inner)
+
+
+@given(st.floats(-3.0, 3.0), st.floats(-np.pi, np.pi), st.floats(-60.0, 50.0),
+       st.floats(0.5, 100.0), st.floats(-5.0, 4.0), st.floats(0.5, 8.0))
+@example(np.log(abs(0.5 + 0.2j)), np.angle(0.5 + 0.2j), -30.0, 60.0, -2.0, 5.0)
+@example(np.log(abs(0.5 + 0.2j)), np.angle(0.5 + 0.2j), -20.0, 40.0, -3.0, 6.0)
+def test_complex_zeros_exponential_chart(c_exp, log_mod, arg, x0, width, y0, height):
+    # det(B - Y) with B = e^{i lam}: zeros at arg Y + 2 pi k - i ln|Y|; the
+    # examples are rectangles holding 9 and 7 zeros
+    x1, y1 = x0 + width, y0 + height
+    Y = np.exp(log_mod + 1j * arg)
+    k = np.arange(np.floor((x0 - arg) / (2 * np.pi)) - 1, np.ceil((x1 - arg) / (2 * np.pi)) + 2)
+    zeros = arg + 2 * np.pi * k - 1j * log_mod
+    assume(np.all(_boundary_distance(zeros, x0, x1, y0, y1) > 1e-3))
+    inside = zeros[(zeros.real > x0) & (zeros.real < x1) & (zeros.imag > y0) & (zeros.imag < y1)]
+    evs = wc.eigenvalues_complex(c_exp, wc.bc_from_chart(np.array([[Y]])), (x0, x1, y0, y1))
+    assert all(e.multiplicity == 1 for e in evs)
+    got = np.array([e.lam for e in evs])
+    assert len(got) == len(inside)
+    assert np.abs(got - np.sort_complex(inside)).max(initial=0.0) < 1e-8
+
+
+def test_robin_complex_eigenvalues_q0(c_q0):
+    # y(0) = 0, y'(pi) = alpha y(pi): eigenvalues lam = k^2 with
+    # k cos(k pi) = alpha sin(k pi); k = 0 is no zero of f(k) / k
+    alpha = 0.5 + 1j
+    bc = wc.bc_from_physical(np.array([[1, 0, 0, 0], [0, 0, -alpha, 1]]), "functional")
+    evs = wc.eigenvalues_complex(c_q0, bc, (-5.0, 60.0, -4.0, 4.0))
+    assert len(evs) == 8
+    assert all(e.multiplicity == 1 for e in evs)
+    for e in evs:
+        k = np.sqrt(e.lam)
+        for _ in range(50):
+            f = k * np.cos(k * np.pi) - alpha * np.sin(k * np.pi)
+            df = np.cos(k * np.pi) - k * np.pi * np.sin(k * np.pi) - alpha * np.pi * np.cos(k * np.pi)
+            k -= f / df
+        assert abs(k * k - e.lam) < 1e-8 * (1 + abs(e.lam))
+    lams = np.array([e.lam for e in evs])
+    assert np.min(np.abs(lams[:, None] - lams[None, :]) + np.eye(8)) > 1e-3
+
+
+def test_complex_zeros_on_the_contour_dilate(c_exp):
+    # the zeros i ln 2 and 2 pi + i ln 2 sit on the top edge: the search
+    # retries on the rectangle dilated by 1 % and finds both
+    bc = wc.bc_from_chart(np.array([[0.5]]))
+    evs = wc.eigenvalues_complex(c_exp, bc, (-1.0, 8.0, -2.0, np.log(2)))
+    expect = [np.log(2) * 1j, 2 * np.pi + np.log(2) * 1j]
+    assert len(evs) == 2
+    for e, want in zip(evs, expect):
+        assert abs(e.lam - want) < 1e-8
+    # a zero on the multiplicity square is a typed error
+    with pytest.raises(wc.NumericalError):
+        wc.multiplicity(c_exp, bc, (np.log(2) + 0.1) * 1j, rho=0.1)
 
 
 def test_multiplicity_analytic_and_geometric(c_q0, bc_periodic):

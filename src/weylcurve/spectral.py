@@ -212,7 +212,7 @@ def _step_roots(c, U, u0, B0, u1, B1, dphi, out):
             z = x if u == x[0] else y if u == y[0] else sample(u)
             return float(z[2].min()) if count(x, z) else float(z[2].max()) - TWO_PI
 
-        root = brentq(psi, x[0], y[0], xtol=1e-10 * (1 + abs(y[0])),
+        root = brentq(psi, x[0], y[0], xtol=1e-12 * (1 + abs(y[0])),
                       rtol=4 * np.finfo(float).eps)
         out.append((float(root), m))
 
@@ -350,25 +350,33 @@ def _children(c, bc, rect, edges, xm, ym):
 
 
 def _refine_newton(c, bc, lam0, mult, box_size):
+    """Newton with the multiplicity factor on secant slopes: one F per step
+    (the first slope is a forward difference), each step at most 2 box_size.
+    Two steps in a row that do not lower |F| mean the noise floor or a split
+    cluster is reached; the iterate with the least |F| is returned then."""
     lam = complex(lam0)
-    h0 = 1e-6
+    F = char_function(c, bc, lam)
+    prev = lam + 1e-6 * (1 + abs(lam))
+    F_prev = char_function(c, bc, prev)
+    best, best_abs, stale = lam, abs(F), 0
     for _ in range(60):
-        F = char_function(c, bc, lam)
-        h = h0 * (1 + abs(lam))
-        fp = char_function(c, bc, lam + h)
-        fm = char_function(c, bc, lam - h)
-        gp = char_function(c, bc, lam + 1j * h)
-        gm = char_function(c, bc, lam - 1j * h)
-        dF = ((fp - fm) - 1j * (gp - gm)) / (4 * h)
-        if dF == 0:
+        if F == F_prev:
             break
-        step = mult * F / dF
+        step = mult * F * (lam - prev) / (F - F_prev)
         if abs(step) > 2 * box_size:
             step *= 2 * box_size / abs(step)
+        prev, F_prev = lam, F
         lam = lam - step
         if abs(step) < 1e-10 * (1 + abs(lam)):
-            break
-    return lam
+            return lam
+        F = char_function(c, bc, lam)
+        if abs(F) < best_abs:
+            best, best_abs, stale = lam, abs(F), 0
+        else:
+            stale += 1
+            if stale == 2:
+                break
+    return best
 
 
 def eigenvalues_complex(c: CurveProvider, bc: BoundaryCondition, rectangle):

@@ -1,23 +1,33 @@
 """Sturm-Liouville backend: L = -d^2/dx^2 + q(x) on [0, pi].
 
 Fundamental solutions c (y(0)=1, y'(0)=0) and s (y(0)=0, y'(0)=1) are
-integrated by adaptive Dormand-Prince shooting at any complex lambda,
-together with the three L^2 moment integrals needed for gamma-field Gram
-matrices.  The module exposes the explicit 2x2 Weyl data (M, B), the
-boundary-triplet coordinate map, gamma-fields, boundary-condition
-constructors from physical 2x4 matrices, Green's-function solves, the
-resolvent-identity check, and the weak-degeneracy scan.
+propagated at any complex lambda by a panel method.  q is sampled once per
+problem at fixed Gauss nodes of N uniform panels; each panel's transfer
+matrix is the fourth-order Magnus exponential (Iserles & Norsett 1999) of
+a traceless 2x2 matrix, in closed form, which is exact for constant q; a
+Hillis-Steele scan of these products gives the fundamental matrix at every
+panel start.  The three L^2 moment integrals needed for gamma-field Gram
+matrices are Gauss quadratures of the panel-local solutions, reached by
+fourth-order partial Magnus steps, and the difference w = c - s' is the
+panel sum of its variation-of-constants integrals.  N is a power of two
+set by the ODE tolerance, the size of q' and |lambda|; the tests check the
+result against DOP853 at rtol 1e-13.
+
+The module exposes the explicit 2x2 Weyl data (M, B), the boundary-triplet
+coordinate map, gamma-fields, boundary-condition constructors from physical
+2x4 matrices, Green's-function solves, the resolvent-identity check, and
+the weak-degeneracy scan.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import cumulative_simpson, simpson, solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.linalg import null_space
 
@@ -70,29 +80,30 @@ class Potential:
         return cls(kind="table", x=x, q=q)
 
     def evaluator(self, length: float):
+        """Vectorised evaluator of q: an array of points to an array of values."""
         if self.kind == "zero":
-            return lambda x: 0.0
+            return lambda x: np.zeros(np.shape(x))
         if self.kind == "polynomial":
             coeffs = np.asarray(self.coeffs, dtype=float)
-            return lambda x: float(npoly.polyval(x, coeffs))
+            return lambda x: npoly.polyval(np.asarray(x, dtype=float), coeffs)
         if self.kind == "table":
             if self.x[0] > 0.0 or self.x[-1] < length:
                 raise ValidationError("table grid must cover the interval")
             spl = CubicSpline(np.asarray(self.x), np.asarray(self.q), bc_type="natural")
-            return lambda x: float(spl(x))
+            return lambda x: spl(np.asarray(x, dtype=float))
         raise ValidationError(f"unknown potential kind {self.kind!r}")
 
     def deriv_evaluator(self, length: float):
-        """Pointwise evaluator of q' (needed by the c - s' difference ODE)."""
+        """Vectorised evaluator of q' (the forcing of w = c - s')."""
         if self.kind == "zero":
-            return lambda x: 0.0
+            return lambda x: np.zeros(np.shape(x))
         if self.kind == "polynomial":
             dcoeffs = npoly.polyder(np.asarray(self.coeffs, dtype=float))
-            return lambda x: float(npoly.polyval(x, dcoeffs))
+            return lambda x: npoly.polyval(np.asarray(x, dtype=float), dcoeffs)
         if self.kind == "table":
             spl = CubicSpline(np.asarray(self.x), np.asarray(self.q),
                               bc_type="natural").derivative()
-            return lambda x: float(spl(x))
+            return lambda x: spl(np.asarray(x, dtype=float))
         raise ValidationError(f"unknown potential kind {self.kind!r}")
 
     def to_json(self) -> dict:
@@ -128,10 +139,10 @@ class FundamentalData:
     m_cc: complex  # integral |c|^2
     m_cs: complex  # integral c * conj(s)
     m_ss: complex  # integral |s|^2
-    # the difference w = c - s' integrated as its own ODE component: both
-    # solutions grow like e^{pi sqrt(-lam)} on the negative axis while their
-    # difference can stay O(1) (it is exactly 0 for constant q), so forming
-    # it from the separately integrated endpoints loses all precision there
+    # the difference w = c - s' from its own variation-of-constants sum:
+    # both solutions grow like e^{pi sqrt(-lam)} on the negative axis while
+    # their difference stays far smaller (it is exactly 0 for constant q),
+    # so forming it from the separate endpoints loses all precision there
     w: complex = 0j
     wp: complex = 0j  # endpoint derivative of w (its magnitude envelope)
 
@@ -145,11 +156,13 @@ class SLProblem:
     potential: Potential
     length: float = float(np.pi)
     ode_rtol: float = 1e-10
-    ode_atol: float = 1e-12
+    ode_atol: float = 1e-12  # validated, unused: the panel errors are relative
 
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, compare=False, repr=False)
     _qfun_cache: list = field(default_factory=list, compare=False, repr=False)
+    # q samples per panel count, and (max |q|, max |q'|) under key "scale"
+    _panel_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.length <= 0:
@@ -169,13 +182,146 @@ class SLProblem:
         return self._qfun_cache[1]
 
 
-def fundamental(p: SLProblem, lam) -> FundamentalData:
-    """Shoot the fundamental system across [0, L] at complex lambda.
+# Fourth-order Magnus: the two Gauss nodes of a step, as fractions of it
+_MAGNUS_NODES = np.array([0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6])
+_MAGNUS_SKEW = np.sqrt(3) / 12
+# Gauss-Legendre nodes (fractions of a panel) and weights of the moment and
+# w quadratures
+_QUAD_X, _QUAD_W = np.polynomial.legendre.leggauss(4)
+_QUAD_NODES, _QUAD_WEIGHTS = (_QUAD_X + 1) / 2, _QUAD_W / 2
+# relative error of that quadrature on a panel is about QUAD_ERR (k h)^8 for
+# solutions growing like e^{k x}
+_QUAD_ERR = 2.9e-7
+_MIN_PANELS = 16
 
-    State: (c, c', s, s', m_cc, m_cs, m_ss, w, w'); the moment components
-    share the integrator's error control.  w = c - s' obeys
-    w'' = (q - lam) w - q' s and is carried separately so that the
-    difference keeps full relative accuracy where c and s' both explode.
+
+@dataclass(frozen=True)
+class _Panels:
+    """q sampled for one panel count: what a Magnus step needs is the mean
+    of q at its two nodes and sqrt(3)/12 step^2 (q(first) - q(second))."""
+
+    h: float
+    mean: np.ndarray       # (N,) whole panels
+    skew: np.ndarray
+    sub_mean: np.ndarray   # (N, J) partial steps from a panel start to its
+    sub_skew: np.ndarray   # quadrature nodes
+    forcing: np.ndarray    # (N, J) -q' at the nodes times h times the weights
+
+
+def _magnus_terms(q, x0, step):
+    """(mean, skew) of Magnus steps of length step from x0; one evaluator call."""
+    t = np.asarray(x0)[..., None] + np.asarray(step)[..., None] * _MAGNUS_NODES
+    qt = q(t)
+    return qt.mean(axis=-1), _MAGNUS_SKEW * step ** 2 * (qt[..., 0] - qt[..., 1])
+
+
+def _sample_panels(p: SLProblem, n: int) -> _Panels:
+    h = p.length / n
+    x0 = h * np.arange(n)
+    sub = h * _QUAD_NODES
+    # one evaluator call samples the whole-panel and the partial-step nodes
+    mean, skew = _magnus_terms(p._qfun(), np.concatenate([x0, np.repeat(x0, sub.size)]),
+                               np.concatenate([np.full(n, h), np.tile(sub, n)]))
+    qd = p._qdfun()(x0[:, None] + sub)
+    return _Panels(h=h, mean=mean[:n], skew=skew[:n],
+                   sub_mean=mean[n:].reshape(n, -1), sub_skew=skew[n:].reshape(n, -1),
+                   forcing=-qd * (h * _QUAD_WEIGHTS))
+
+
+def _panel_count(p: SLProblem, lam: complex) -> int:
+    """Smallest power of two (at least 16) of panels whose step h meets both
+    error models at ode_rtol: the Magnus error, about q_1 h^4 with q_1 the
+    largest |q'|, and the quadrature error, about QUAD_ERR (k h)^8 with
+    k^2 = 1 + |lambda| + max |q|.  tests/test_sturm.py checks the result
+    against DOP853 at rtol 1e-13."""
+    scale = p._panel_cache.get("scale")
+    if scale is None:
+        xs = np.linspace(0.0, p.length, 1025)
+        scale = p._panel_cache["scale"] = (float(np.max(np.abs(p._qfun()(xs)))),
+                                           float(np.max(np.abs(p._qdfun()(xs)))))
+    q_max, qd_max = scale
+    h = (p.ode_rtol / _QUAD_ERR) ** 0.125 / math.sqrt(1.0 + abs(lam) + q_max)
+    if qd_max > 0:
+        h = min(h, (p.ode_rtol / qd_max) ** 0.25)
+    return max(_MIN_PANELS, 1 << math.ceil(math.log2(p.length / h)))
+
+
+def _panels(p: SLProblem, lam: complex) -> _Panels:
+    n = _panel_count(p, lam)
+    pan = p._panel_cache.get(n)
+    if pan is None:
+        pan = p._panel_cache[n] = _sample_panels(p, n)
+    return pan
+
+
+def _magnus_exp(skew, step, mean, lam):
+    """Entries (e00, e01, e10, e11) of exp M, M = [[a, b], [c, -a]] with
+    a = skew, b = step and c = step (mean - lam), in closed form:
+    cosh d I + (sinh d / d) M with d^2 = a^2 + bc.  lam is complex."""
+    c = step * (mean - lam)
+    d = np.sqrt(skew * skew + step * c)
+    ch = np.cosh(d)
+    nz = d != 0
+    d1 = np.where(nz, d, 1.0)
+    sh = np.where(nz, np.sinh(d1) / d1, 1.0)
+    return ch + sh * skew, sh * step, sh * c, ch - sh * skew
+
+
+def _mul(x, y):
+    """Entrywise 2x2 product x @ y of entry tuples (e00, e01, e10, e11)."""
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+
+def _prefix(E) -> np.ndarray:
+    """Fundamental matrix (c, s, c', s') at every panel start x_0 .. x_N:
+    the prefix products of the panel factors by a Hillis-Steele scan."""
+    n = E[0].size
+    out = np.empty((4, n + 1), dtype=complex)
+    out[:, 0] = (1, 0, 0, 1)
+    out[:, 1:] = E
+    m = out[:, 1:]
+    shift = 1
+    while shift < n:
+        m[:, shift:] = _mul(m[:, shift:], m[:, :-shift])
+        shift *= 2
+    return out
+
+
+def _carry(E, P):
+    """y_N of the recurrence y_{k+1} = E_k y_k + P_k from y_0 = 0, by
+    composing neighbouring affine maps pairwise (N is a power of two)."""
+    while P[0].size > 1:
+        lo = [e[0::2] for e in E]
+        hi = [e[1::2] for e in E]
+        P = (hi[0] * P[0][0::2] + hi[1] * P[1][0::2] + P[0][1::2],
+             hi[2] * P[0][0::2] + hi[3] * P[1][0::2] + P[1][1::2])
+        E = _mul(hi, lo)
+    return P[0][0], P[1][0]
+
+
+def _propagate(p: SLProblem, lam: complex):
+    """Panel set, panel factors and prefix products at one lambda."""
+    pan = _panels(p, lam)
+    E = _magnus_exp(pan.skew, pan.h, pan.mean, lam)
+    return pan, E, _prefix(E)
+
+
+def _overflow(lam: complex, what: str) -> NumericalError:
+    return NumericalError(f"{what} overflow at lambda = {lam:g}: the solutions grow "
+                          "like e^(pi sqrt(-lambda)) and leave the floating-point range")
+
+
+def fundamental(p: SLProblem, lam) -> FundamentalData:
+    """Fundamental system across [0, L] at complex lambda, by panels.
+
+    The endpoint values are the last prefix product.  The moments are
+    4-point Gauss sums of the solutions at the quadrature nodes of every
+    panel, reached by partial Magnus steps.  w = c - s' obeys
+    w'' = (q - lam) w - q' s from zero data, so it is the sum over panels of
+    the variation-of-constants integral of the forcing -q' s, each carried
+    to the panel end by that panel's own propagators and then across the
+    rest of the interval; it never forms c - s'.
     """
     lam = complex(lam)
     if abs(lam) > LAMBDA_MAX:
@@ -184,25 +330,23 @@ def fundamental(p: SLProblem, lam) -> FundamentalData:
     hit = p._memo.get(key)
     if hit is not None:
         return hit
-    q = p._qfun()
-    qd = p._qdfun()
-
-    def rhs(x, y):
-        qq = q(x) - lam
-        return [y[1], qq * y[0], y[3], qq * y[2],
-                y[0] * np.conj(y[0]), y[0] * np.conj(y[2]), y[2] * np.conj(y[2]),
-                y[8], qq * y[7] - qd(x) * y[2]]
-
-    y0 = np.array([1, 0, 0, 1, 0, 0, 0, 0, 0], dtype=complex)
-    sol = solve_ivp(rhs, (0.0, p.length), y0, method="DOP853",
-                    rtol=p.ode_rtol, atol=p.ode_atol)
-    if not sol.success:
-        raise NumericalError(f"fundamental integration failed: {sol.message}")
-    yf = sol.y[:, -1]
-    if not np.all(np.isfinite(yf.view(float))):
-        raise NumericalError("fundamental solutions overflowed (lambda too negative)")
-    fd = FundamentalData(lam=lam, c=yf[0], cp=yf[1], s=yf[2], sp=yf[3],
-                         m_cc=yf[4], m_cs=yf[5], m_ss=yf[6], w=yf[7], wp=yf[8])
+    with np.errstate(all="ignore"):
+        pan, E, Y = _propagate(p, lam)
+        al, be, _, _ = _magnus_exp(pan.sub_skew, _QUAD_NODES * pan.h, pan.sub_mean, lam)
+        cn = al * Y[0, :-1, None] + be * Y[2, :-1, None]
+        sn = al * Y[1, :-1, None] + be * Y[3, :-1, None]
+        wq = pan.h * _QUAD_WEIGHTS
+        m_cc = np.sum(wq * (cn.real ** 2 + cn.imag ** 2))
+        m_cs = np.sum(wq * cn * sn.conj())
+        m_ss = np.sum(wq * (sn.real ** 2 + sn.imag ** 2))
+        # forcing at each node carried to the panel end: E_k E_kj^{-1} (0, f)
+        f = pan.forcing * sn
+        v0, v1 = np.sum(-be * f, axis=1), np.sum(al * f, axis=1)
+        w, wp = _carry(E, (E[0] * v0 + E[1] * v1, E[2] * v0 + E[3] * v1))
+        vals = np.array([Y[0, -1], Y[2, -1], Y[1, -1], Y[3, -1], m_cc, m_cs, m_ss, w, wp])
+    if not np.all(np.isfinite(vals.view(float))):
+        raise _overflow(lam, "fundamental moment")
+    fd = FundamentalData(lam, *(complex(v) for v in vals))
     with p._lock:
         p._memo[key] = fd
     return fd
@@ -409,22 +553,23 @@ def gamma_plus_gram(p: SLProblem, lam) -> np.ndarray:
 
 
 def solution_values(p: SLProblem, lam, xs) -> tuple:
-    """Dense samples (c(x), c'(x), s(x), s'(x)) for independent quadrature."""
+    """Samples (c(x), c'(x), s(x), s'(x)) at the points xs of [0, L]: the
+    prefix product at the start of each point's panel, then one partial
+    Magnus step to the point."""
     lam = complex(lam)
-    q = p._qfun()
-
-    def rhs(x, y):
-        qq = q(x) - lam
-        return [y[1], qq * y[0], y[3], qq * y[2]]
-
     xs = np.asarray(xs, dtype=float)
-    sol = solve_ivp(rhs, (0.0, p.length), np.array([1, 0, 0, 1], dtype=complex),
-                    method="DOP853", rtol=p.ode_rtol, atol=p.ode_atol,
-                    dense_output=True)
-    if not sol.success:
-        raise NumericalError(f"dense integration failed: {sol.message}")
-    vals = sol.sol(xs)
-    return vals[0], vals[1], vals[2], vals[3]
+    with np.errstate(all="ignore"):
+        pan, _, Y = _propagate(p, lam)
+        k = np.clip(np.floor(xs / pan.h).astype(int), 0, Y.shape[1] - 2)
+        x0 = k * pan.h
+        tau = xs - x0
+        mean, skew = _magnus_terms(p._qfun(), x0, tau)
+        al, be, ga, de = _magnus_exp(skew, tau, mean, lam)
+        vals = (al * Y[0, k] + be * Y[2, k], ga * Y[0, k] + de * Y[2, k],
+                al * Y[1, k] + be * Y[3, k], ga * Y[1, k] + de * Y[3, k])
+    if not all(np.all(np.isfinite(v.view(float))) for v in vals):
+        raise _overflow(lam, "solution")
+    return vals
 
 
 # -- boundary conditions and solves ---------------------------------------
@@ -463,26 +608,24 @@ def _bc_functional_rows_phys(bc: BoundaryCondition) -> np.ndarray:
 GAMMA_PLUS_ROWS_PHYS = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=complex) @ TRIPLET_MAP
 
 
-def _dense_cs(p: SLProblem, lam, xs):
-    key = ("dense", complex(lam).real, complex(lam).imag, len(xs))
-    hit = p._memo.get(key)
-    if hit is None:
-        hit = solution_values(p, lam, xs)
-        with p._lock:
-            p._memo[key] = hit
-    return hit
-
-
-def _solve_bvp_rows(p: SLProblem, rows_phys, lam, f, xs):
-    """Variation-of-parameters solve of (-y'' + q y - lam y) = f with
-    boundary functionals rows_phys applied to (y(0), y'(0), y(pi), y'(pi))."""
-    lam = complex(lam)
-    xs = np.asarray(xs, dtype=float)
-    cv, cpv, sv, spv = _dense_cs(p, lam, xs)
+def _samples(f, xs) -> np.ndarray:
     fv = np.asarray([f(x) for x in xs], dtype=complex) if callable(f) \
         else np.asarray(f, dtype=complex)
     if fv.shape != xs.shape:
         raise ValidationError("f samples must match the quadrature grid")
+    return fv
+
+
+def _solve_bvp_rows(rows_phys, xs, cs, fv):
+    """Variation-of-parameters solve of (-y'' + q y - lam y) = f with
+    boundary functionals rows_phys applied to (y(0), y'(0), y(pi), y'(pi));
+    cs = solution_values on xs and fv the samples of f there."""
+    # imported here: only the Green's-function solves need scipy.integrate,
+    # whose import adds about 2 MB that propagation alone should not pay
+    from scipy.integrate import cumulative_simpson
+
+    cv, cpv, sv, spv = cs
+
     def _cumsimp(vals):
         # cumulative_simpson mishandles complex input; integrate parts
         return cumulative_simpson(vals.real, x=xs, initial=0.0) + \
@@ -507,7 +650,8 @@ def _solve_bvp_rows(p: SLProblem, rows_phys, lam, f, xs):
 def solve_bvp(p: SLProblem, bc: BoundaryCondition, lam, f, num: int = 2049):
     """Samples of (T_bc - lambda)^{-1} f on a uniform grid of [0, L]."""
     xs = np.linspace(0.0, p.length, num)
-    return xs, _solve_bvp_rows(p, _bc_functional_rows_phys(bc), lam, f, xs)
+    return xs, _solve_bvp_rows(_bc_functional_rows_phys(bc), xs,
+                               solution_values(p, lam, xs), _samples(f, xs))
 
 
 def resolvent_residual(p: SLProblem, bc: BoundaryCondition, lam: float, f,
@@ -517,17 +661,19 @@ def resolvent_residual(p: SLProblem, bc: BoundaryCondition, lam: float, f,
     Compares (T_bc - lam)^{-1} f - (T_+ - lam)^{-1} f against
     i gamma_+(lam) (B(lam)^{-1} U - I)^{-1} gamma_+(lam)* f.
     """
+    from scipy.integrate import simpson
+
     if bc.chart_unitary is None:
         raise ValidationError("resolvent_residual requires a chart-unitary condition")
     lam = float(lam)
     xs = np.linspace(0.0, p.length, num)
-    fv = np.asarray([f(x) for x in xs], dtype=complex) if callable(f) \
-        else np.asarray(f, dtype=complex)
-    y_bc = _solve_bvp_rows(p, _bc_functional_rows_phys(bc), lam, fv, xs)
-    y_plus = _solve_bvp_rows(p, GAMMA_PLUS_ROWS_PHYS, lam, fv, xs)
+    fv = _samples(f, xs)
+    cs = solution_values(p, lam, xs)
+    y_bc = _solve_bvp_rows(_bc_functional_rows_phys(bc), xs, cs, fv)
+    y_plus = _solve_bvp_rows(GAMMA_PLUS_ROWS_PHYS, xs, cs, fv)
     lhs = y_bc - y_plus
 
-    cv, _, sv, _ = _dense_cs(p, lam, xs)
+    cv, _, sv, _ = cs
     C = np.linalg.inv(_gamma_system(fundamental(p, lam), +1))  # columns: coeffs of gamma_+ e_j
     basis = [C[0, j] * cv + C[1, j] * sv for j in range(2)]
     w = np.array([simpson(fv * np.conj(basis[j]), x=xs) for j in range(2)])

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from hypothesis import example, given, settings, strategies as st
+from scipy.integrate import simpson, solve_ivp
 
 import weylcurve as wc
 from weylcurve.sturm import (
@@ -9,7 +12,8 @@ from weylcurve.sturm import (
 )
 
 from conftest import (
-    DIRICHLET_ROWS, DEGENERATE_ROWS_SPAN, LENGTH,
+    DIRICHLET_ROWS, DEGENERATE_ROWS_SPAN, LENGTH, _cos_potential,
+    _mixed_table_potential,
 )
 
 rng = np.random.default_rng(5521)
@@ -65,6 +69,140 @@ def test_conjugation_symmetry(p_qtable):
 def test_lambda_range_guard(p_q0):
     with pytest.raises(wc.ValidationError):
         fundamental(p_q0, 1e7)
+
+
+# -- the panel propagator against DOP853 ----------------------------------------
+
+ORACLE_POTENTIALS = {"q0": wc.Potential.zero(), "cos": _cos_potential(),
+                     "x": wc.Potential.polynomial([0.0, 1.0]),
+                     "table": _mixed_table_potential()}
+# a fresh problem per potential, so that every panel count is sampled here
+ORACLE_PROBLEMS = {k: wc.SLProblem(potential=v) for k, v in ORACLE_POTENTIALS.items()}
+# errors are relative to the scale of each quantity (below) and may reach
+# ten times the ODE tolerance of the problem
+ORACLE_TOL = 10 * wc.SLProblem(potential=wc.Potential.zero()).ode_rtol
+LAM_RE = st.floats(-1e4, 1e4)
+LAM_IM = st.floats(-50.0, 50.0)
+# a uniform grid and random points between its nodes
+DENSE_XS = np.sort(np.concatenate([np.linspace(0.0, LENGTH, 101),
+                                   np.random.default_rng(7).uniform(0.0, LENGTH, 60)]))
+
+
+def _scalar_q(pot):
+    """Scalar q and q' for the oracle's right-hand side (Horner for polynomials)."""
+    if pot.kind == "zero":
+        return (lambda x: 0.0), (lambda x: 0.0)
+    if pot.kind == "polynomial":
+        a = [float(v) for v in pot.coeffs]
+        da = [k * v for k, v in enumerate(a)][1:] or [0.0]
+
+        def horner(cs):
+            def f(x):
+                acc = 0.0
+                for v in reversed(cs):
+                    acc = acc * x + v
+                return acc
+            return f
+        return horner(a), horner(da)
+    q, qd = pot.evaluator(LENGTH), pot.deriv_evaluator(LENGTH)
+    return (lambda x: float(q(x))), (lambda x: float(qd(x)))
+
+
+def _dop853(pot, lam, moments=True, xs=None):
+    """DOP853 at rtol 1e-13 on (c, c', s, s'), with the moment integrals and
+    w = c - s' (w'' = (q - lam) w - q' s) as extra components if asked."""
+    q, qd = _scalar_q(pot)
+
+    def rhs(x, y):
+        v = q(x) - lam
+        out = [y[1], v * y[0], y[3], v * y[2]]
+        if moments:
+            out += [y[0] * np.conj(y[0]), y[0] * np.conj(y[2]), y[2] * np.conj(y[2]),
+                    y[8], v * y[7] - qd(x) * y[2]]
+        return out
+
+    y0 = np.array([1, 0, 0, 1, 0, 0, 0, 0, 0][:9 if moments else 4], dtype=complex)
+    sol = solve_ivp(rhs, (0.0, LENGTH), y0, method="DOP853", rtol=1e-13, atol=1e-15,
+                    t_eval=xs)
+    assert sol.success
+    return sol.y if xs is not None else sol.y[:, -1]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_POTENTIALS))
+@settings(max_examples=8)
+@given(re=LAM_RE, im=LAM_IM)
+@example(re=-1e4, im=-50.0)
+@example(re=1e4, im=50.0)
+def test_fundamental_matches_dop853(name, re, im):
+    lam = complex(re, im)
+    pot = ORACLE_POTENTIALS[name]
+    fd = fundamental(ORACLE_PROBLEMS[name], lam)
+    c, cp, s, sp, m_cc, m_cs, m_ss, w, wp = _dop853(pot, lam)
+    k = np.sqrt(1.0 + abs(lam))
+    # the oracle's own w loses digits where q' is rough (a spline table);
+    # c - s' from the same run is the better reference wherever that
+    # subtraction keeps all but three digits
+    if abs(c - sp) >= 1e-3 * (abs(c) + abs(sp)):
+        w, wp = c - sp, cp - (_scalar_q(pot)[0](LENGTH) - lam) * s
+    env_c, env_s = abs(c) + abs(cp) / k, abs(s) + abs(sp) / k
+    pairs = [(fd.c, c, env_c), (fd.cp, cp, k * env_c), (fd.s, s, env_s),
+             (fd.sp, sp, k * env_s), (fd.m_cc, m_cc, abs(m_cc)),
+             (fd.m_cs, m_cs, np.sqrt(abs(m_cc)) * np.sqrt(abs(m_ss))),
+             (fd.m_ss, m_ss, abs(m_ss))]
+    if name == "q0":
+        assert fd.w == 0 and fd.wp == 0  # exact for constant q
+    else:
+        env_w = abs(w) + abs(wp) / k
+        pairs += [(fd.w, w, env_w), (fd.wp, wp, k * env_w)]
+    errs = [abs(got - ref) / scale for got, ref, scale in pairs]
+    assert max(errs) <= ORACLE_TOL, errs
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_POTENTIALS))
+@settings(max_examples=6)
+@given(re=LAM_RE, im=LAM_IM)
+def test_solution_values_match_dense_dop853(name, re, im):
+    lam = complex(re, im)
+    got = solution_values(ORACLE_PROBLEMS[name], lam, DENSE_XS)
+    ref = _dop853(ORACLE_POTENTIALS[name], lam, moments=False, xs=DENSE_XS)
+    k = np.sqrt(1.0 + abs(lam))
+    for (y, yp), (ry, ryp) in (((got[0], got[1]), (ref[0], ref[1])),
+                               ((got[2], got[3]), (ref[2], ref[3]))):
+        env = abs(ry) + abs(ryp) / k
+        assert np.all(np.abs(y - ry) <= ORACLE_TOL * env)
+        assert np.all(np.abs(yp - ryp) <= ORACLE_TOL * k * env)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_POTENTIALS))
+@given(re=LAM_RE, im=LAM_IM)
+def test_wronskian_is_one(name, re, im):
+    fd = fundamental(ORACLE_PROBLEMS[name], complex(re, im))
+    scale = max(abs(fd.c * fd.sp), abs(fd.cp * fd.s), 1.0)
+    assert abs(fd.wronskian - 1.0) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_POTENTIALS))
+@given(re=LAM_RE, im=st.floats(0.05, 50.0))
+def test_B_at_conjugate_is_inverse_adjoint(name, re, im):
+    # B(conj lam) = (B(lam)^*)^{-1}
+    p = ORACLE_PROBLEMS[name]
+    lam = complex(re, im)
+    B = wc.sl_weyl(p, lam)["B"]
+    Bc = wc.sl_weyl(p, np.conj(lam))["B"]
+    dev = np.linalg.norm(Bc @ B.conj().T - np.eye(2), 2)
+    assert dev <= 1e-9 * np.linalg.norm(Bc, 2)
+
+
+@pytest.mark.parametrize("lam", [-13000.0, -20000.0])
+def test_overflow_is_a_typed_error_without_warnings(p_qcos, lam):
+    # the moments pass the floating-point range near lambda = -12,750
+    p = wc.SLProblem(potential=p_qcos.potential)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(wc.NumericalError, match="moment overflow") as err:
+            fundamental(p, lam)
+        assert f"{lam:g}" in str(err.value)
+        assert np.isfinite(fundamental(p, -12000.0).m_cc)
 
 
 # -- Weyl functions -----------------------------------------------------------

@@ -323,7 +323,7 @@ def cmd_fmt(cfg, p, c, bcs):
     summaries = []
     for bc in bcs:
         rep = value_dist.fmt_report(c, bc, r_grid)
-        dd = value_dist.defects(c, bc, r_grid)
+        dd = value_dist.report_defects(rep)
         ot = value_dist.order_type(c, r_grid) if max(r_grid) / min(r_grid) >= 100 else None
         for i, r in enumerate(rep.r_grid):
             rows.append([bc.label, float(r), float(rep.phase_plus[i]),

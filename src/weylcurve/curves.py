@@ -36,9 +36,10 @@ class CurveProvider:
         of the upper branch, e.g. the constant curve).
 
     Optional capabilities: speed_fn(u) is the exact phase speed at real u;
-    section_fn(point, lam) -> (F, scale) and lognorm_fn(point, lam) are
-    cancellation-safe forms of the Schubert section and of its log norm,
-    both taken against the provider's frame.  phase_path holds the real-axis
+    section_fn(point, lam) -> (F, scale) is a cancellation-safe form of the
+    Schubert section at one lambda, and lognorm_fn(point, lams) maps an
+    array of lambdas to the array of its log norms (-inf at zeros), both
+    taken against the provider's frame.  phase_path holds the real-axis
     phase of det B shared by the spectral and value-distribution layers.
     """
 
@@ -313,26 +314,23 @@ def shifted_identity(a: float = 1.0, n: int = 1) -> CurveProvider:
 def exponential() -> CurveProvider:
     """The entire curve B(lambda) = e^{i lambda}, n = 1."""
 
-    def lognorm(point, lam):
-        # ln |det[V | (1; B)]| - ln vol(1; B) with B = e^{i lam}, computed
-        # in the log domain so deep lower-half-plane points (|B| ~ e^{r})
-        # do not overflow the frame volume
-        lam = complex(lam)
+    def lognorm(point, lams):
+        # ln |det[V | (1; B)]| - ln vol(1; B) with B = e^{i lam} at each
+        # lambda; deep in the lower half-plane (L = -Im lam > 300, |B| ~ e^L)
+        # in the log domain, so the frame volume does not overflow
+        lam = np.asarray(lams, dtype=complex)
         v1, v2 = complex(point.frame[0, 0]), complex(point.frame[1, 0])
         L = -lam.imag
-        if L <= 300.0:
-            B = np.exp(1j * lam)
-            det = v1 * B - v2
-            if det == 0:
-                return float("-inf")
-            return float(np.log(abs(det)) - 0.5 * np.log1p(abs(B) ** 2))
-        ph = np.exp(1j * lam.real)
-        det_scaled = v1 * ph - v2 * np.exp(-L)
-        if det_scaled == 0:
-            return float("-inf")
-        num = L + float(np.log(abs(det_scaled)))
-        den = L + 0.5 * float(np.log1p(np.exp(-2.0 * L)))
-        return num - den
+        deep = L > 300.0
+        out = np.empty(lam.shape)
+        with np.errstate(divide="ignore"):
+            B = np.exp(1j * lam[~deep])
+            out[~deep] = np.log(np.abs(v1 * B - v2)) - 0.5 * np.log1p(np.abs(B) ** 2)
+            Ld = L[deep]
+            det_scaled = v1 * np.exp(1j * lam[deep].real) - v2 * np.exp(-Ld)
+            out[deep] = (Ld + np.log(np.abs(det_scaled))) \
+                - (Ld + 0.5 * np.log1p(np.exp(-2.0 * Ld)))
+        return out
 
     return CurveProvider(
         1, "entire",
@@ -464,8 +462,9 @@ def reparameterize(c: CurveProvider, g) -> CurveProvider:
     a, b, cc, d = g[0, 0], g[0, 1], g[1, 0], g[1, 1]
 
     def m(lam):
+        # lam is one lambda or an array of them (composed log norms)
         den = -cc * lam + a
-        if abs(den) < 1e-13 * (1 + abs(lam)):
+        if np.any(np.abs(den) < 1e-13 * (1 + np.abs(lam))):
             raise DomainError("Moebius reparameterization pole at this lambda")
         return (d * lam - b) / den
 

@@ -120,12 +120,21 @@ def char_function(c: CurveProvider, bc: BoundaryCondition, lam) -> complex:
     return schubert_section(bc.point, c.frame(lam))
 
 
-def char_scale(c: CurveProvider, bc: BoundaryCondition, lam) -> float:
-    """Hadamard scale of F: the noise ambient the value should be compared to."""
+def char_section(c: CurveProvider, bc: BoundaryCondition, lam) -> tuple:
+    """(F, scale) from one evaluation of the curve: F as char_function, and
+    its Hadamard scale, the noise ambient the value should be compared to."""
     if c.section_fn is not None:
-        return max(c.section_fn(bc.point, lam)[1], 1e-300)
-    m = np.hstack([bc.point.frame, c.frame(lam)])
-    return float(np.prod(np.linalg.norm(m, axis=0)))
+        F, scale = c.section_fn(bc.point, lam)
+        return F, max(scale, 1e-300)
+    frame = c.frame(lam)
+    scale = float(np.prod(np.linalg.norm(np.hstack([bc.point.frame, frame]), axis=0)))
+    return schubert_section(bc.point, frame), max(scale, 1e-300)
+
+
+def _residual(c: CurveProvider, bc: BoundaryCondition, lam) -> float:
+    """|F| over its scale at a computed eigenvalue."""
+    F, scale = char_section(c, bc, lam)
+    return float(abs(F) / scale)
 
 
 def is_degenerate(c: CurveProvider, bc: BoundaryCondition, samples=None) -> bool:
@@ -135,7 +144,8 @@ def is_degenerate(c: CurveProvider, bc: BoundaryCondition, samples=None) -> bool
         im = np.linspace(-5.0, 5.0, 8)
         samples = [complex(a, b) for a in re for b in im]
     for lam in samples:
-        if abs(char_function(c, bc, lam)) > DEGEN_TOL * char_scale(c, bc, lam):
+        F, scale = char_section(c, bc, lam)
+        if abs(F) > DEGEN_TOL * scale:
             return False
     return True
 
@@ -246,9 +256,8 @@ def eigenvalues_real(c: CurveProvider, bc: BoundaryCondition, interval):
             merged.append([lam, mult])
     evs = []
     for lam, mult in merged:
-        res = abs(char_function(c, bc, lam)) / max(char_scale(c, bc, lam), 1e-300)
         evs.append(Eigenvalue(lam=complex(lam), multiplicity=int(mult),
-                              residual=float(res), method="real_scan"))
+                              residual=_residual(c, bc, lam), method="real_scan"))
     return evs
 
 
@@ -261,8 +270,8 @@ class _EdgeHit(NumericalError):
 
 def _sample(c, bc, z):
     """(z, F(z)); a value below the noise floor means a zero on the contour."""
-    F = char_function(c, bc, z)
-    if abs(F) < 1e-11 * char_scale(c, bc, z):
+    F, scale = char_section(c, bc, z)
+    if abs(F) < 1e-11 * scale:
         raise _EdgeHit(f"characteristic function vanishes on the contour at {z}")
     return z, F
 
@@ -416,8 +425,7 @@ def _subdivide(c, bc, rect, edges, found):
     size = max(x1 - x0, y1 - y0)
     if (w <= M_MAX and (w == 1 or size <= 1.0)) or size <= SIZE_TOL:
         lam = _refine_newton(c, bc, s1 / w, w, max(size, SIZE_TOL))
-        res = abs(char_function(c, bc, lam)) / max(char_scale(c, bc, lam), 1e-300)
-        found.append(Eigenvalue(lam=lam, multiplicity=w, residual=float(res),
+        found.append(Eigenvalue(lam=lam, multiplicity=w, residual=_residual(c, bc, lam),
                                 method="contour"))
         return
     before = len(found)

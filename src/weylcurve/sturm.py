@@ -21,6 +21,7 @@ the weak-degeneracy scan.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -246,8 +247,7 @@ def _panel_count(p: SLProblem, lam: complex) -> int:
     return max(_MIN_PANELS, 1 << math.ceil(math.log2(p.length / h)))
 
 
-def _panels(p: SLProblem, lam: complex) -> _Panels:
-    n = _panel_count(p, lam)
+def _panels(p: SLProblem, n: int) -> _Panels:
     pan = p._panel_cache.get(n)
     if pan is None:
         pan = p._panel_cache[n] = _sample_panels(p, n)
@@ -257,7 +257,8 @@ def _panels(p: SLProblem, lam: complex) -> _Panels:
 def _magnus_exp(skew, step, mean, lam):
     """Entries (e00, e01, e10, e11) of exp M, M = [[a, b], [c, -a]] with
     a = skew, b = step and c = step (mean - lam), in closed form:
-    cosh d I + (sinh d / d) M with d^2 = a^2 + bc.  lam is complex."""
+    cosh d I + (sinh d / d) M with d^2 = a^2 + bc.  lam is complex and
+    broadcasts against the panel data."""
     c = step * (mean - lam)
     d = np.sqrt(skew * skew + step * c)
     ch = np.cosh(d)
@@ -274,46 +275,39 @@ def _mul(x, y):
 
 
 def _prefix(E) -> np.ndarray:
-    """Fundamental matrix (c, s, c', s') at every panel start x_0 .. x_N:
-    the prefix products of the panel factors by a Hillis-Steele scan."""
-    n = E[0].size
-    out = np.empty((4, n + 1), dtype=complex)
-    out[:, 0] = (1, 0, 0, 1)
-    out[:, 1:] = E
-    m = out[:, 1:]
+    """Fundamental matrix (c, s, c', s') at every panel start x_0 .. x_N: the
+    prefix products of the panel factors along their last axis (an axis
+    before it holds the lambdas of a batch) by a Hillis-Steele scan."""
+    n = E[0].shape[-1]
+    out = np.empty((4,) + E[0].shape[:-1] + (n + 1,), dtype=complex)
+    out[..., 0] = 0
+    out[0, ..., 0] = out[3, ..., 0] = 1
+    out[..., 1:] = E
+    m = out[..., 1:]
     shift = 1
     while shift < n:
-        m[:, shift:] = _mul(m[:, shift:], m[:, :-shift])
+        m[..., shift:] = _mul(m[..., shift:], m[..., :-shift])
         shift *= 2
     return out
 
 
 def _carry(E, P):
-    """y_N of the recurrence y_{k+1} = E_k y_k + P_k from y_0 = 0, by
-    composing neighbouring affine maps pairwise (N is a power of two)."""
-    while P[0].size > 1:
-        lo = [e[0::2] for e in E]
-        hi = [e[1::2] for e in E]
-        P = (hi[0] * P[0][0::2] + hi[1] * P[1][0::2] + P[0][1::2],
-             hi[2] * P[0][0::2] + hi[3] * P[1][0::2] + P[1][1::2])
+    """y_N of the recurrence y_{k+1} = E_k y_k + P_k from y_0 = 0 along the
+    last axis, by composing neighbouring affine maps pairwise (N is a power
+    of two)."""
+    while P[0].shape[-1] > 1:
+        lo = [e[..., 0::2] for e in E]
+        hi = [e[..., 1::2] for e in E]
+        P = (hi[0] * P[0][..., 0::2] + hi[1] * P[1][..., 0::2] + P[0][..., 1::2],
+             hi[2] * P[0][..., 0::2] + hi[3] * P[1][..., 0::2] + P[1][..., 1::2])
         E = _mul(hi, lo)
-    return P[0][0], P[1][0]
+    return P[0][..., 0], P[1][..., 0]
 
 
-def _propagate(p: SLProblem, lam: complex):
-    """Panel set, panel factors and prefix products at one lambda."""
-    pan = _panels(p, lam)
-    E = _magnus_exp(pan.skew, pan.h, pan.mean, lam)
-    return pan, E, _prefix(E)
-
-
-def _overflow(lam: complex, what: str) -> NumericalError:
-    return NumericalError(f"{what} overflow at lambda = {lam:g}: the solutions grow "
-                          "like e^(pi sqrt(-lambda)) and leave the floating-point range")
-
-
-def fundamental(p: SLProblem, lam) -> FundamentalData:
-    """Fundamental system across [0, L] at complex lambda, by panels.
+def _solve(pan: _Panels, lam: np.ndarray) -> np.ndarray:
+    """The nine FundamentalData fields (c, c', s, s', m_cc, m_cs, m_ss, w,
+    w') at one lambda (lam 0-d: shape (9,)) or at the lambdas of a column
+    (lam of shape (K, 1): shape (9, K)) that share the panel set pan.
 
     The endpoint values are the last prefix product.  The moments are
     4-point Gauss sums of the solutions at the quadrature nodes of every
@@ -321,35 +315,93 @@ def fundamental(p: SLProblem, lam) -> FundamentalData:
     w'' = (q - lam) w - q' s from zero data, so it is the sum over panels of
     the variation-of-constants integral of the forcing -q' s, each carried
     to the panel end by that panel's own propagators and then across the
-    rest of the interval; it never forms c - s'.
+    rest of the interval; it never forms c - s'.  A lambda's fields come
+    from the same elementwise operations and per-lambda sums whatever the
+    batch, so they do not depend on it.
     """
-    lam = complex(lam)
-    if abs(lam) > LAMBDA_MAX:
-        raise ValidationError(f"|lambda| exceeds the supported range {LAMBDA_MAX:g}")
-    key = (lam.real, lam.imag)
-    hit = p._memo.get(key)
-    if hit is not None:
-        return hit
+    E = _magnus_exp(pan.skew, pan.h, pan.mean, lam)
+    Y = _prefix(E)
+    al, be, _, _ = _magnus_exp(pan.sub_skew, _QUAD_NODES * pan.h, pan.sub_mean, lam[..., None])
+    cn = al * Y[0, ..., :-1, None] + be * Y[2, ..., :-1, None]
+    sn = al * Y[1, ..., :-1, None] + be * Y[3, ..., :-1, None]
+    wq = pan.h * _QUAD_WEIGHTS
+
+    def total(v):  # over the panels and their nodes
+        return np.sum(v.reshape(v.shape[:-2] + (-1,)), axis=-1)
+
+    m_cc = total(wq * (cn.real ** 2 + cn.imag ** 2))
+    m_cs = total(wq * cn * sn.conj())
+    m_ss = total(wq * (sn.real ** 2 + sn.imag ** 2))
+    # forcing at each node carried to the panel end: E_k E_kj^{-1} (0, f)
+    f = pan.forcing * sn
+    v0, v1 = np.sum(-be * f, axis=-1), np.sum(al * f, axis=-1)
+    w, wp = _carry(E, (E[0] * v0 + E[1] * v1, E[2] * v0 + E[3] * v1))
+    return np.array([Y[0, ..., -1], Y[2, ..., -1], Y[1, ..., -1], Y[3, ..., -1],
+                     m_cc, m_cs, m_ss, w, wp])
+
+
+def _overflow(lam: complex, what: str) -> NumericalError:
+    return NumericalError(f"{what} overflow at lambda = {lam:g}: the solutions grow "
+                          "like e^(pi sqrt(-lambda)) and leave the floating-point range")
+
+
+# lambdas times panels in one propagation pass: larger passes leave the cache
+# and cost more per lambda than one pass per lambda
+_BATCH_PANELS = 4096
+
+
+def fundamental_many(p: SLProblem, lams) -> list:
+    """FundamentalData at each lambda of lams, in their order, by panels.
+
+    Memoized lambdas are read from the problem's memo.  The others are
+    grouped by panel count (all nodes of a circle share one) and each group
+    is propagated in passes of K lambdas with K N <= 4096, one broadcast
+    pass per chunk; a repeated lambda is solved once.  The fields are
+    bitwise those of a one-lambda solve.  The first lambda in node order
+    whose data leave the floating-point range raises NumericalError, and
+    nothing of the batch is memoized then.
+    """
+    lams = np.ravel(np.asarray(lams, dtype=complex)).tolist()
+    for lam in lams:
+        if abs(lam) > LAMBDA_MAX:
+            raise ValidationError(f"|lambda| exceeds the supported range {LAMBDA_MAX:g}")
+    keys = [(lam.real, lam.imag) for lam in lams]
+    out = [p._memo.get(key) for key in keys]
+    groups = {}
+    for lam, key, fd in zip(lams, keys, out):
+        if fd is None:
+            groups.setdefault(_panel_count(p, lam), {})[key] = lam
+    solved, overflowed = {}, set()
     with np.errstate(all="ignore"):
-        pan, E, Y = _propagate(p, lam)
-        al, be, _, _ = _magnus_exp(pan.sub_skew, _QUAD_NODES * pan.h, pan.sub_mean, lam)
-        cn = al * Y[0, :-1, None] + be * Y[2, :-1, None]
-        sn = al * Y[1, :-1, None] + be * Y[3, :-1, None]
-        wq = pan.h * _QUAD_WEIGHTS
-        m_cc = np.sum(wq * (cn.real ** 2 + cn.imag ** 2))
-        m_cs = np.sum(wq * cn * sn.conj())
-        m_ss = np.sum(wq * (sn.real ** 2 + sn.imag ** 2))
-        # forcing at each node carried to the panel end: E_k E_kj^{-1} (0, f)
-        f = pan.forcing * sn
-        v0, v1 = np.sum(-be * f, axis=1), np.sum(al * f, axis=1)
-        w, wp = _carry(E, (E[0] * v0 + E[1] * v1, E[2] * v0 + E[3] * v1))
-        vals = np.array([Y[0, -1], Y[2, -1], Y[1, -1], Y[3, -1], m_cc, m_cs, m_ss, w, wp])
-    if not np.all(np.isfinite(vals.view(float))):
-        raise _overflow(lam, "fundamental moment")
-    fd = FundamentalData(lam, *(complex(v) for v in vals))
+        for n, todo in groups.items():
+            pan, todo = _panels(p, n), list(todo.items())
+            step = max(1, _BATCH_PANELS // n)
+            for i in range(0, len(todo), step):
+                chunk = todo[i:i + step]
+                # one lambda runs on 1-D panel arrays, where numpy's cost per
+                # call is lowest; a batch adds a leading lambda axis
+                at = np.array(chunk[0][1]) if len(chunk) == 1 \
+                    else np.array([[lam] for _, lam in chunk])
+                vals = _solve(pan, at).reshape(9, -1)
+                for (key, lam), v, ok in zip(chunk, vals.T.tolist(),
+                                             np.isfinite(vals).all(axis=0)):
+                    solved[key] = FundamentalData(lam, *v)
+                    if not ok:
+                        overflowed.add(key)
+    for lam, key in zip(lams, keys):
+        if key in overflowed:
+            raise _overflow(lam, "fundamental moment")
     with p._lock:
-        p._memo[key] = fd
-    return fd
+        p._memo.update(solved)
+    return [fd if fd is not None else solved[key] for fd, key in zip(out, keys)]
+
+
+def fundamental(p: SLProblem, lam) -> FundamentalData:
+    """Fundamental system across [0, L] at complex lambda: the one-lambda
+    call of fundamental_many, after a look in the memo."""
+    lam = complex(lam)
+    hit = p._memo.get((lam.real, lam.imag))
+    return hit if hit is not None else fundamental_many(p, [lam])[0]
 
 
 def _pole_tol(lam: complex) -> float:
@@ -389,21 +441,58 @@ _MINOR_SIGNS = (1, -1, 1, 1, -1, 1)
 _COEFF_SNAP = 1e-13
 
 
-def _section_cofactors(point: GrassPoint):
-    """Cofactors q_ij of det[V | T P] against the row-pair minors of the
-    physical fundamental frame P, with the unitary coordinate map factored
-    onto the boundary-condition block."""
-    A = TRIPLET_MAP.conj().T @ point.frame
+@functools.lru_cache(maxsize=256)
+def _section_cofactors(frame: bytes) -> tuple:
+    """Coefficients (const, q_02, alpha, q_03, q_13) of the section's minor
+    expansion (see stable_section) for the boundary condition whose 4 x 2
+    complex frame has these bytes: computed once per condition, keyed by the
+    frame's values.
+
+    q_ij are the cofactors of det[V | T P] against the row-pair minors of
+    the physical fundamental frame P, with the unitary coordinate map
+    factored onto the boundary-condition block.
+    """
+    A = TRIPLET_MAP.conj().T @ np.frombuffer(frame, dtype=complex).reshape(4, -1)
     q = {}
     for sgn, (i, j) in zip(_MINOR_SIGNS, _MINOR_PAIRS):
         comp = [k for k in range(4) if k not in (i, j)]
         q[(i, j)] = sgn * complex(np.linalg.det(A[comp, :]))
     top = max(abs(v) for v in q.values())
-    return {k: _snap(v, top) for k, v in q.items()}
+    q = {k: _snap(v, top) for k, v in q.items()}
+    const = _snap(q[(0, 1)] + q[(2, 3)], abs(q[(0, 1)]) + abs(q[(2, 3)]))
+    alpha = _snap(q[(0, 3)] - q[(1, 2)], abs(q[(0, 3)]) + abs(q[(1, 2)]))
+    return const, q[(0, 2)], alpha, q[(0, 3)], q[(1, 3)]
 
 
 def _snap(v: complex, scale: float) -> complex:
     return 0j if abs(v) < _COEFF_SNAP * scale else v
+
+
+def _section(p: SLProblem, point: GrassPoint, lams) -> tuple:
+    """Arrays (F, scale, (c, c', s, s', w, w')) of the section at each
+    lambda of lams."""
+    lams = np.ravel(np.asarray(lams, dtype=complex))
+    f = np.array([(fd.c, fd.cp, fd.s, fd.sp, fd.w, fd.wp)
+                  for fd in fundamental_many(p, lams)]).T
+    c_, cp_, s_, sp_, w_, wp_ = f
+    const, q02, alpha, q03, q13 = _section_cofactors(
+        np.ascontiguousarray(point.frame, dtype=complex).tobytes())
+    terms = (const, q02 * s_, alpha * c_, -q03 * w_, -q13 * cp_)
+    value = _DET_TRIPLET * sum(terms)
+    # roundoff floor per term: ODE error in a fundamental entry is at the
+    # level rtol * envelope of that solution over [0, pi], so a term whose
+    # endpoint value vanishes (e.g. s at an eigenvalue) still carries noise
+    # ~ |coef| * envelope.  The envelope of y is ~ max(|y(pi)|, |y'(pi)|/k)
+    # with k the local wavenumber scale.
+    k = np.sqrt(1.0 + np.abs(lams))
+    env_c = np.maximum(np.abs(c_), np.abs(cp_) / k)
+    env_s = np.maximum(np.abs(s_), np.abs(sp_) / k)
+    env_w = np.maximum(np.abs(w_), np.abs(wp_) / k)
+    envs = (1.0, env_s, env_c, env_w, k * env_c)
+    coefs = (const, q02, alpha, q03, q13)
+    scale = np.maximum(sum(np.abs(t) for t in terms),
+                       sum(abs(cf) * e for cf, e in zip(coefs, envs)))
+    return value, scale, f
 
 
 def stable_section(p: SLProblem, point: GrassPoint, lam) -> tuple:
@@ -415,44 +504,25 @@ def stable_section(p: SLProblem, point: GrassPoint, lam) -> tuple:
     on the far negative axis are performed in exact arithmetic.  The scale
     is the matching Hadamard bound of the surviving terms.
     """
-    fd = fundamental(p, lam)
-    q = _section_cofactors(point)
-    const = _snap(q[(0, 1)] + q[(2, 3)], abs(q[(0, 1)]) + abs(q[(2, 3)]))
-    alpha = _snap(q[(0, 3)] - q[(1, 2)], abs(q[(0, 3)]) + abs(q[(1, 2)]))
-    terms = (const, q[(0, 2)] * fd.s, alpha * fd.c,
-             -q[(0, 3)] * fd.w, -q[(1, 3)] * fd.cp)
-    value = _DET_TRIPLET * sum(terms)
-    # roundoff floor per term: ODE error in a fundamental entry is at the
-    # level rtol * envelope of that solution over [0, pi], so a term whose
-    # endpoint value vanishes (e.g. s at an eigenvalue) still carries noise
-    # ~ |coef| * envelope.  The envelope of y is ~ max(|y(pi)|, |y'(pi)|/k)
-    # with k the local wavenumber scale.
-    k = np.sqrt(1.0 + abs(lam))
-    env_c = max(abs(fd.c), abs(fd.cp) / k)
-    env_s = max(abs(fd.s), abs(fd.sp) / k)
-    env_w = max(abs(fd.w), abs(fd.wp) / k)
-    envs = (1.0, env_s, env_c, env_w, k * env_c)
-    coefs = (const, q[(0, 2)], alpha, q[(0, 3)], q[(1, 3)])
-    scale = max(float(sum(abs(t) for t in terms)),
-                float(sum(abs(cf) * e for cf, e in zip(coefs, envs))))
-    return value, scale
+    value, scale, _ = _section(p, point, [lam])
+    return complex(value[0]), float(scale[0])
 
 
-def stable_section_lognorm(p: SLProblem, point: GrassPoint, lam) -> float:
-    """ln of |det[V | W]| / vol(W) via the cancellation-safe expansion.
+def stable_section_lognorm(p: SLProblem, point: GrassPoint, lams) -> np.ndarray:
+    """ln of |det[V | W]| / vol(W) via the cancellation-safe expansion, at
+    each lambda of the array lams (-inf at zeros of the section).
 
     vol(W)^2 = det(W* W) equals the sum of squared moduli of the frame
     minors (a sum of positive terms, stable where the Gram determinant
     itself cancels catastrophically).
     """
-    value, _ = stable_section(p, point, lam)
-    if value == 0:
-        return float("-inf")
-    fd = fundamental(p, lam)
-    mags = np.array([1.0, abs(fd.s), abs(fd.sp), abs(fd.c), abs(fd.cp), 1.0])
-    top = mags.max()
-    log_vol = np.log(top) + 0.5 * np.log(float(np.sum((mags / top) ** 2)))
-    return float(np.log(abs(value)) - log_vol)
+    value, _, (c_, cp_, s_, sp_, _, _) = _section(p, point, lams)
+    one = np.ones(value.shape)
+    mags = np.abs(np.array([one, s_, sp_, c_, cp_, one]))
+    top = mags.max(axis=0)
+    log_vol = np.log(top) + 0.5 * np.log(np.sum((mags / top) ** 2, axis=0))
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(value)) - log_vol
 
 
 def curve_provider(p: SLProblem) -> CurveProvider:
@@ -494,7 +564,7 @@ def curve_provider(p: SLProblem) -> CurveProvider:
                                "length": p.length}},
         h0=1e-3, speed_fn=speed,
         section_fn=lambda point, lam: stable_section(p, point, lam),
-        lognorm_fn=lambda point, lam: stable_section_lognorm(p, point, lam))
+        lognorm_fn=lambda point, lams: stable_section_lognorm(p, point, lams))
 
 
 # -- gamma-fields ---------------------------------------------------------
@@ -559,7 +629,8 @@ def solution_values(p: SLProblem, lam, xs) -> tuple:
     lam = complex(lam)
     xs = np.asarray(xs, dtype=float)
     with np.errstate(all="ignore"):
-        pan, _, Y = _propagate(p, lam)
+        pan = _panels(p, _panel_count(p, lam))
+        Y = _prefix(_magnus_exp(pan.skew, pan.h, pan.mean, lam))
         k = np.clip(np.floor(xs / pan.h).astype(int), 0, Y.shape[1] - 2)
         x0 = k * pan.h
         tau = xs - x0

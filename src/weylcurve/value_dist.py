@@ -92,17 +92,18 @@ def _adaptive_gl(f, edges, tol: float) -> float:
 
 
 def _neg_lognorm(c: CurveProvider, bc: BoundaryCondition, r: float, theta):
+    """-ln section norm at the nodes r e^{i theta}: one provider call for all
+    of them where the provider has a log norm, one frame per node otherwise."""
     from .symplectic import section_lognorm
-    vals = []
-    for th in np.atleast_1d(theta):
-        lam = r * np.exp(1j * th)
-        ln = c.lognorm_fn(bc.point, lam) if c.lognorm_fn is not None \
-            else section_lognorm(bc.point, c.frame(lam))
-        if not np.isfinite(ln):
-            raise NumericalError("section norm vanished on the circle "
-                                 "(eigenvalue at this radius)")
-        vals.append(-ln)
-    return np.asarray(vals)
+    lams = r * np.exp(1j * np.atleast_1d(theta))
+    if c.lognorm_fn is not None:
+        ln = np.asarray(c.lognorm_fn(bc.point, lams), dtype=float)
+    else:
+        ln = np.array([section_lognorm(bc.point, c.frame(lam)) for lam in lams])
+    if not np.all(np.isfinite(ln)):
+        raise NumericalError("section norm vanished on the circle "
+                             "(eigenvalue at this radius)")
+    return -ln
 
 
 def proximity(c: CurveProvider, bc: BoundaryCondition, r: float,
@@ -201,14 +202,25 @@ def order_type(c: CurveProvider, r_grid) -> dict:
     return {"rho": rho, "tau": tau}
 
 
-def defects(c: CurveProvider, bc: BoundaryCondition, r_grid) -> dict:
-    """Tail min/max of m/h, clamped to [0, 1]: defect estimates."""
-    radii = np.sort(np.asarray([float(r) for r in r_grid]))
-    h = height_grid(c, radii)
+def _tail_defects(radii, h, m_on) -> dict:
+    """Min and max of m/h over the upper half of the sorted radii, clamped to
+    [0, 1]; m_on(tail) gives m on the radii selected by the mask tail."""
     tail = radii >= radii[len(radii) // 2]
     if np.any(h[tail] < 1e-6):
         raise NumericalError("height too small on the tail; defects undefined")
-    ratios = np.array([proximity(c, bc, r) for r in radii[tail]]) / h[tail]
+    ratios = m_on(tail) / h[tail]
     lo = float(np.clip(ratios.min(), 0.0, 1.0))
     hi = float(np.clip(ratios.max(), 0.0, 1.0))
     return {"delta": lo, "Delta": hi}
+
+
+def defects(c: CurveProvider, bc: BoundaryCondition, r_grid) -> dict:
+    """Tail min/max of m/h, clamped to [0, 1]: defect estimates."""
+    radii = np.sort(np.asarray([float(r) for r in r_grid]))
+    return _tail_defects(radii, height_grid(c, radii),
+                         lambda tail: np.array([proximity(c, bc, r) for r in radii[tail]]))
+
+
+def report_defects(rep: VDReport) -> dict:
+    """The defect estimates of `defects` read off a report's h and m."""
+    return _tail_defects(rep.r_grid, rep.height, lambda tail: rep.proximity[tail])

@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import simpson
 
 import weylcurve as wc
-from weylcurve.spectral import char_scale
+from weylcurve.spectral import char_section
 from weylcurve.sturm import (
     GAMMA_PLUS_ROWS_PHYS, TRIPLET_MAP, fundamental, gamma_plus_gram,
     solution_values,
@@ -64,7 +64,7 @@ def test_criterion_02_periodic_multiplicities(c_q0, bc_periodic):
 def test_criterion_03_degenerate_condition(c_q0):
     bad = wc.bc_from_physical(DEGENERATE_ROWS_SPAN, "span", label="cond-I")
     worst = max(abs(wc.char_function(c_q0, bad, lam)) /
-                char_scale(c_q0, bad, lam) for lam in GRID_64)
+                char_section(c_q0, bad, lam)[1] for lam in GRID_64)
     detects = wc.is_degenerate(c_q0, bad)
     raises = False
     try:

@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 
@@ -123,6 +126,49 @@ def test_reparameterize_keeps_exact_speed_and_section(c_q0):
     bc = wc.bc_from_physical([[1, 0, 0, 0], [0, 0, 1, 0]], "functional")
     lams = [e.lam.real for e in wc.eigenvalues_real(cg, bc, (-1.5, 30.0))]
     assert lams == pytest.approx([k * k - 2.0 for k in range(1, 6)], abs=1e-7)
+
+
+def _exp_lognorm(point, lam):
+    """The exponential curve's log norm at one lambda, by the scalar formulas:
+    directly for L = -Im lam <= 300, in the log domain past it."""
+    v1, v2 = complex(point.frame[0, 0]), complex(point.frame[1, 0])
+    L = -lam.imag
+    if L <= 300.0:
+        B = cmath.exp(1j * lam)
+        return math.log(abs(v1 * B - v2)) - 0.5 * math.log1p(abs(B) ** 2)
+    det_scaled = v1 * cmath.exp(1j * lam.real) - v2 * math.exp(-L)
+    return (L + math.log(abs(det_scaled))) - (L + 0.5 * math.log1p(math.exp(-2.0 * L)))
+
+
+EXP_POINT = wc.bc_from_chart(np.array([[0.3 - 0.4j]])).point
+# both branches and their seam, on circles from 1 to 1e4
+EXP_LAMS = np.concatenate([r * np.exp(2j * np.pi * np.arange(24) / 24 + 0.05j)
+                           for r in (1.0, 299.0, 301.0, 1e4)] + [[-300j, 5 - 300.5j]])
+
+
+def test_exponential_lognorm_is_vectorised(c_exp):
+    got = c_exp.lognorm_fn(EXP_POINT, EXP_LAMS)
+    assert got.shape == EXP_LAMS.shape
+    assert np.sum(-EXP_LAMS.imag > 300) >= 10 and np.sum(-EXP_LAMS.imag <= 300) >= 10
+    ref = [_exp_lognorm(EXP_POINT, lam) for lam in EXP_LAMS]
+    assert got == pytest.approx(ref, rel=1e-13, abs=1e-13)
+    # against the generic frame form where the frame stays in range
+    small = np.abs(EXP_LAMS) < 10
+    gen = [wc.section_lognorm(EXP_POINT, c_exp.frame(lam)) for lam in EXP_LAMS[small]]
+    assert got[small] == pytest.approx(gen, abs=1e-12)
+
+
+def test_reparameterized_lognorm_takes_arrays(c_exp):
+    # m(lam) = (lam - 1) / (2 - lam): a pole at 2, and lam = 2 - 0.001i maps
+    # deep into the lower half-plane (Im m = -1000)
+    g = np.array([[2.0, 1.0], [1.0, 1.0]])
+    cg = wc.reparameterize(c_exp, g)
+    lams = np.concatenate([0.5 * np.exp(2j * np.pi * np.arange(8) / 8), [2 - 1e-3j, 2 + 1e-3j]])
+    got = cg.lognorm_fn(EXP_POINT, lams)
+    ref = [_exp_lognorm(EXP_POINT, complex((lam - 1) / (2 - lam))) for lam in lams]
+    assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
+    with pytest.raises(wc.DomainError):
+        cg.lognorm_fn(EXP_POINT, np.array([1.0, 2.0]))
 
 
 def test_reparameterize_rejects_non_sl2():

@@ -4,7 +4,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import weylcurve as wc
-from weylcurve.spectral import char_scale
+from weylcurve.spectral import char_section
 
 from conftest import (
     DEGENERATE_ROWS_SPAN, random_symmetric_unitary,
@@ -20,7 +20,7 @@ def test_char_function_zero_exactly_at_eigenvalues(c_q0, bc_dirichlet):
     # Dirichlet with q=0: eigenvalues k^2
     for lam, iszero in [(4.0, True), (9.0, True), (5.0, False)]:
         v = abs(wc.char_function(c_q0, bc_dirichlet, lam))
-        s = char_scale(c_q0, bc_dirichlet, lam)
+        s = char_section(c_q0, bc_dirichlet, lam)[1]
         if iszero:
             assert v < 1e-9 * s
         else:

@@ -1,3 +1,4 @@
+import cmath
 import warnings
 
 import numpy as np
@@ -7,8 +8,8 @@ from scipy.integrate import simpson, solve_ivp
 
 import weylcurve as wc
 from weylcurve.sturm import (
-    TRIPLET_MAP, fundamental, gamma_plus, gamma_minus, gamma_plus_gram,
-    solution_values, degeneracy_scan,
+    TRIPLET_MAP, fundamental, fundamental_many, gamma_plus, gamma_minus, gamma_plus_gram,
+    solution_values, degeneracy_scan, stable_section_lognorm,
 )
 
 from conftest import (
@@ -203,6 +204,53 @@ def test_overflow_is_a_typed_error_without_warnings(p_qcos, lam):
             fundamental(p, lam)
         assert f"{lam:g}" in str(err.value)
         assert np.isfinite(fundamental(p, -12000.0).m_cc)
+
+
+# -- the batch entry ------------------------------------------------------------
+
+# |lambda| from 0 to 1e4 in any direction: for q = 0 every panel count from
+# 16 to 1024, and more than one propagation pass at 1024 panels
+BATCH_LAMS = st.lists(st.builds(lambda r, t: r * cmath.exp(1j * t),
+                                st.floats(0.0, 1e4), st.floats(0.0, 2 * np.pi)),
+                      min_size=2, max_size=10)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_POTENTIALS))
+@settings(max_examples=10)
+@given(lams=BATCH_LAMS, memo=st.lists(st.booleans(), min_size=10, max_size=10))
+@example(lams=[0.0, 50.0j, -300.0, 1e4, 2e3 + 1j, 1e4 - 5j, -1e4, 7.0], memo=[False] * 10)
+def test_fundamental_many_is_bitwise_fundamental(name, lams, memo):
+    pot = ORACLE_POTENTIALS[name]
+    one, many = wc.SLProblem(potential=pot), wc.SLProblem(potential=pot)
+    ref = [fundamental(one, lam) for lam in lams]
+    for lam, hit in zip(lams, memo):
+        if hit:  # partly memoized
+            fundamental(many, lam)
+    got = fundamental_many(many, lams + [lams[0]])  # and one lambda repeated
+    assert got == ref + [ref[0]]
+    assert all(many._memo[(fd.lam.real, fd.lam.imag)] == fd for fd in ref)
+
+
+def test_fundamental_many_overflow_names_the_first_failing_lambda(p_qcos):
+    p = wc.SLProblem(potential=p_qcos.potential)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(wc.NumericalError, match="moment overflow") as err:
+            fundamental_many(p, [5.0, -13000.0, -12000.0, -20000.0])
+    assert f"{complex(-13000.0):g}" in str(err.value)
+    assert "-20000" not in str(err.value)
+
+
+def test_stable_lognorm_takes_arrays(p_qx, c_qx):
+    bc = wc.bc_from_physical([[1, 0, 0, 0], [0, 1, 0, -2]], "functional")
+    # near the positive axis, where the solutions stay small and the generic
+    # slogdet form of the frame keeps its digits
+    lams = 40.0 * np.exp(1j * np.linspace(-0.5, 0.5, 16))
+    got = stable_section_lognorm(p_qx, bc.point, lams)
+    assert got.shape == lams.shape
+    assert [stable_section_lognorm(p_qx, bc.point, [lam])[0] for lam in lams] == list(got)
+    ref = [wc.section_lognorm(bc.point, c_qx.frame(lam)) for lam in lams]
+    assert got == pytest.approx(ref, abs=1e-8)
 
 
 # -- Weyl functions -----------------------------------------------------------

@@ -96,6 +96,31 @@ def test_proximity_nonnegative(c_q0, bc_dirichlet):
         assert wc.proximity(c_q0, bc_dirichlet, r) >= 0.0
 
 
+def test_proximity_solves_each_rule_in_one_batch(monkeypatch, bc_dirichlet):
+    # a fresh problem, so that every node of every rule is a memo miss: each
+    # 16-node Gauss-Legendre rule is one call of the batch entry and one
+    # propagation pass, never a solve per node
+    from weylcurve import sturm, value_dist
+    c = wc.curve_provider(wc.SLProblem(potential=wc.Potential.zero()))
+    rules, entries, passes = [], [], []
+
+    def counted(log, fn, size):
+        def wrapped(*args):
+            log.append(size(*args))
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(value_dist, "_neg_lognorm", counted(
+        rules, value_dist._neg_lognorm, lambda c_, bc, r, theta: np.size(theta)))
+    monkeypatch.setattr(sturm, "fundamental_many", counted(
+        entries, sturm.fundamental_many, lambda p, lams: len(lams)))
+    monkeypatch.setattr(sturm, "_solve", counted(
+        passes, sturm._solve, lambda pan, lam: lam.shape[0]))
+    assert wc.proximity(c, bc_dirichlet, 50.37) >= 0.0
+    assert len(rules) >= 8 and set(rules) == {16}
+    assert entries == rules and passes == rules
+
+
 def test_proximity_exponential_omega_zero(c_exp):
     # section against Omega = 0 stays at distance: ln|det B| = 0 on |lam| = r
     # averaged over the circle gives m = h + O(1); here m(r) ~ r/pi

@@ -10,6 +10,7 @@ and the group actions (SL(2,R) reparameterization, U(n,n) congruence).
 from __future__ import annotations
 
 import bisect
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -36,16 +37,21 @@ class CurveProvider:
         of the upper branch, e.g. the constant curve).
 
     Optional capabilities: speed_fn(u) is the exact phase speed at real u;
-    section_fn(point, lam) -> (F, scale) is a cancellation-safe form of the
-    Schubert section at one lambda, and lognorm_fn(point, lams) maps an
-    array of lambdas to the array of its log norms (-inf at zeros), both
-    taken against the provider's frame.  phase_path holds the real-axis
-    phase of det B shared by the spectral and value-distribution layers.
+    many_fn(lams) maps a 1-D complex array of K lambdas to the (K, n, n)
+    stack of B at each of them, under the same branch rules as B, and
+    element k must equal B(lams[k]); B_many falls back to one B call per
+    lambda without it; exponential() supplies it together with its exact
+    speed, 1 everywhere.  section_fn(point, lam) -> (F, scale) is a
+    cancellation-safe form of the Schubert section at one lambda, and
+    lognorm_fn(point, lams) maps an array of lambdas to the array of its
+    log norms (-inf at zeros), both taken against the provider's frame.
+    phase_path holds the real-axis phase of det B shared by the spectral
+    and value-distribution layers.
     """
 
     def __init__(self, n, domain, eval_fn, deriv_fn=None, frame_fn=None,
                  provenance=None, h0=DEFAULT_H0, allow_real=False,
-                 speed_fn=None, section_fn=None, lognorm_fn=None):
+                 speed_fn=None, many_fn=None, section_fn=None, lognorm_fn=None):
         if domain not in ("entire", "upper_half_plane_pair"):
             raise ValidationError(f"unknown provider domain {domain!r}")
         self.n = int(n)
@@ -54,6 +60,7 @@ class CurveProvider:
         self._deriv_fn = deriv_fn
         self._frame_fn = frame_fn
         self.speed_fn = speed_fn
+        self.many_fn = many_fn
         self.section_fn = section_fn
         self.lognorm_fn = lognorm_fn
         self.provenance = provenance or {"kind": "custom", "params": {}}
@@ -87,6 +94,13 @@ class CurveProvider:
         if sv.min() <= 1e-14 * max(sv.max(), 1e-300):
             raise DomainError("branch reflection hit a kernel point of B")
         return np.linalg.inv(up.conj().T)
+
+    def B_many(self, lams) -> np.ndarray:
+        """B at every lambda of a 1-D array, as a (K, n, n) stack."""
+        lams = np.asarray(lams, dtype=complex)
+        if self.many_fn is not None:
+            return np.asarray(self.many_fn(lams), dtype=complex)
+        return np.array([self.B(lam) for lam in lams], dtype=complex).reshape(-1, self.n, self.n)
 
     def dB(self, lam) -> np.ndarray:
         lam = complex(lam)
@@ -124,6 +138,15 @@ class CurveProvider:
             return np.asarray(self._frame_fn(complex(lam)), dtype=complex)
         return np.vstack([np.eye(self.n), self.B(lam)])
 
+    def frame_many(self, lams) -> np.ndarray:
+        """The frames at every lambda of a 1-D array, as a (K, 2n, n) stack:
+        the chart stacks (I; B) from B_many, or one frame call per lambda
+        where the provider has its own frame."""
+        if self._frame_fn is not None:
+            return np.array([self.frame(lam) for lam in lams]).reshape(-1, 2 * self.n, self.n)
+        Bs = self.B_many(lams)
+        return np.concatenate([np.broadcast_to(np.eye(self.n), Bs.shape), Bs], axis=1)
+
     def descriptor(self) -> dict:
         return dict(self.provenance)
 
@@ -138,6 +161,8 @@ TWO_PI = 2 * np.pi
 # unambiguous branch for the step itself.
 STEP_TARGET = 2.2
 STEP_CAP = 3.0
+# most knots the march predicts ahead and evaluates in one B_many call
+_BLOCK_MAX = 64
 
 
 def _step_cap(u: float) -> float:
@@ -149,7 +174,7 @@ def _step_cap(u: float) -> float:
     """
     if u < 0:
         return 0.25 * (1.0 + abs(u))
-    return max(1.0, 0.6 * np.sqrt(1.0 + u))
+    return max(1.0, 0.6 * math.sqrt(1.0 + u))
 
 
 class PhasePath:
@@ -170,40 +195,83 @@ class PhasePath:
         self.us, self.Bs, self.dets, self.phis, self.speeds = [], [], [], [], []
         self._spline = None
 
-    def _eval(self, u):
-        B = self.c.B(u)
-        d = np.linalg.det(B)
-        if d == 0:
+    def _eval(self, us):
+        """(B, det B, phase speed) at each u of a 1-D array, as arrays."""
+        Bs = self.c.B_many(us)
+        dets = np.linalg.det(Bs)
+        if (dets == 0).any():
             raise NumericalError("det B vanished on the real axis; provider not entire here")
-        return B, d, max(float(self.c.phase_speed(u)), 0.0)
+        speeds = np.array([max(float(self.c.phase_speed(u)), 0.0) for u in us])
+        return Bs, dets, speeds
 
-    def _march(self, k, end, last=None):
+    def _march(self, k, end, land=False):
         """Knots after k = (u, B, det, phi, speed) toward end, the last one
-        at or past end; given `last`, the knot at end, the march lands on it."""
+        at or past end, or exactly at end if `land` is set.
+
+        The next knot lies min(STEP_TARGET / speed, _step_cap) past the last
+        one, and the step halves while the step rule rejects it.  A block of
+        knots is predicted at the speed of its left knot and evaluated in one
+        B_many call.  A predicted knot is kept only while every knot before
+        it is kept, the rule at its left knot, on that knot's own speed, puts
+        it exactly there, and its step passes, so the knots are bitwise those
+        of a march one knot at a time.  The block doubles, up to _BLOCK_MAX,
+        after a step whose two knots have the same speed, and drops to one
+        knot otherwise.
+        """
         u, _, d, phi, s = k
         sign = 1.0 if end > u else -1.0
         hmin = 1e-12 * (1 + abs(end - u))
-        out, h = [], None
+        out, h, block = [], None, 1
         while sign * (end - u) > 0:
-            if h is None:
-                h = min(STEP_TARGET / max(s, 1e-12), _step_cap(u))
-            u1 = u + sign * h
-            if last is not None and sign * (u1 - end) >= 0:
-                u1, B1, d1, s1 = end, last[1], last[2], last[4]
-            else:
-                B1, d1, s1 = self._eval(u1)
-            predicted = sign * abs(u1 - u) * 0.5 * (s + s1)
-            apparent = float(np.angle(d1 / d))
-            step = apparent + TWO_PI * round((predicted - apparent) / TWO_PI)
-            if max(abs(step), abs(predicted)) > STEP_CAP \
-                    or abs(step - predicted) > 0.4 * abs(predicted) + 0.2:
-                h = abs(u1 - u) / 2
-                if h < hmin:
-                    raise NumericalError("phase-tracking step underflow")
-                continue
-            u, d, phi, s = u1, d1, phi + step, s1
-            out.append((u, B1, d, phi, s))
+            # the block's positions and the caps at the left knots after the first
+            H = STEP_TARGET / max(s, 1e-12)
+            xs, caps, x = [], [], u
+            step = min(H, _step_cap(u)) if h is None else h
+            while True:
+                x = x + sign * step
+                if land and sign * (x - end) >= 0:
+                    x = end
+                xs.append(x)
+                if len(xs) == block or sign * (end - x) <= 0:
+                    break
+                caps.append(_step_cap(x))
+                step = min(H, caps[-1])
+            Bs, ds, ss = self._eval(xs)
+            # the left knot of each step
+            u0, xs = np.array([u] + xs[:-1]), np.array(xs)
+            s0, d0 = np.concatenate(([s], ss[:-1])), np.concatenate(([d], ds[:-1]))
+            predicted = sign * np.abs(xs - u0) * 0.5 * (s0 + ss)
+            q = ds / d0
+            apparent = np.arctan2(q.imag, q.real)
+            steps = apparent + TWO_PI * np.rint((predicted - apparent) / TWO_PI)
+            size = np.abs(predicted)
+            bad = (np.maximum(np.abs(steps), size) > STEP_CAP) \
+                | (np.abs(steps - predicted) > 0.4 * size + 0.2)
+            # knots the rule at their left knot, on its own speed, puts elsewhere
+            moved = np.zeros(len(xs), dtype=bool)
+            if caps:
+                ruled = xs[:-1] + sign * np.minimum(STEP_TARGET / np.maximum(ss[:-1], 1e-12), caps)
+                if land:
+                    ruled = np.where(sign * (ruled - end) >= 0, end, ruled)
+                moved[1:] = ruled != xs[1:]
+                bad |= moved
+            n = int(bad.argmax()) if bad.any() else len(xs)
+            if n:
+                phis = np.cumsum(np.concatenate(([phi], steps[:n])))[1:]
+                out += zip(xs[:n].tolist(), Bs[:n], ds[:n], phis.tolist(), ss[:n].tolist())
+                u, _, d, phi, s = out[-1]
             h = None
+            if n == len(xs):
+                # an unchanged speed predicts the following knots exactly
+                block = min(2 * block, _BLOCK_MAX) if s == s0[-1] else 1
+            else:
+                block = 1
+                if not moved[n]:
+                    # the knot after the kept ones is where the rule puts it,
+                    # and its step fails: halve that step
+                    h = abs(xs[n] - u) / 2
+                    if h < hmin:
+                        raise NumericalError("phase-tracking step underflow")
         return out
 
     def _grow(self, knots, end, sign):
@@ -212,8 +280,7 @@ class PhasePath:
         if sign * (end - u) <= 0:
             return knots
         if u != 0.0 and u * end <= 0:
-            B0, d0, s0 = self._eval(0.0)
-            knots = knots + self._march(knots[-1], 0.0, last=(0.0, B0, d0, 0.0, s0))
+            knots = knots + self._march(knots[-1], 0.0, land=True)
         return knots + self._march(knots[-1], end)
 
     def cover(self, a: float, b: float) -> None:
@@ -227,8 +294,8 @@ class PhasePath:
             return
         if not us or max(us[0] - b, a - us[-1]) > b - a:
             u0 = min(max(0.0, a), b)
-            B0, d0, s0 = self._eval(u0)
-            knots = [(u0, B0, d0, float(np.angle(d0)), s0)]
+            (B0,), (d0,), (s0,) = self._eval([u0])
+            knots = [(u0, B0, d0, float(np.angle(d0)), float(s0))]
         else:
             knots = list(zip(us, self.Bs, self.dets, self.phis, self.speeds))
         knots = self._grow(knots, b, 1.0)
@@ -265,11 +332,12 @@ class PhasePath:
         return B, self.phis[k] + float(np.angle(np.linalg.det(B) / self.dets[k]))
 
     def samples(self, a: float, b: float):
-        """(us, Bs, phis) on a covered [a, b]: a, the knots strictly inside, b."""
+        """(us, Bs, phis) on a covered [a, b]: a, the knots strictly inside, b,
+        with Bs stacked (K, n, n)."""
         us = self.us
         i, j = bisect.bisect_right(us, a), bisect.bisect_left(us, b)
         (Ba, pa), (Bb, pb) = self.sample(a), self.sample(b)
-        return (np.array([a] + us[i:j] + [b]), [Ba] + self.Bs[i:j] + [Bb],
+        return (np.array([a] + us[i:j] + [b]), np.array([Ba] + self.Bs[i:j] + [Bb]),
                 np.array([pa] + self.phis[i:j] + [pb]))
 
 
@@ -312,7 +380,8 @@ def shifted_identity(a: float = 1.0, n: int = 1) -> CurveProvider:
 
 
 def exponential() -> CurveProvider:
-    """The entire curve B(lambda) = e^{i lambda}, n = 1."""
+    """The entire curve B(lambda) = e^{i lambda}, n = 1, with batched values
+    and its exact phase speed, 1 everywhere."""
 
     def lognorm(point, lams):
         # ln |det[V | (1; B)]| - ln vol(1; B) with B = e^{i lam} at each
@@ -337,6 +406,7 @@ def exponential() -> CurveProvider:
         eval_fn=lambda lam: np.array([[np.exp(1j * lam)]]),
         deriv_fn=lambda lam: np.array([[1j * np.exp(1j * lam)]]),
         provenance={"kind": "builtin", "params": {"name": "exponential"}},
+        speed_fn=lambda u: 1.0, many_fn=lambda lams: np.exp(1j * lams)[:, None, None],
         lognorm_fn=lognorm)
 
 
@@ -453,8 +523,8 @@ def reparameterize(c: CurveProvider, g) -> CurveProvider:
     """Precompose with the inverse SL(2,R) Moebius action on lambda.
 
     With m(lambda) = (d lambda - b) / (a - c lambda) and m' = 1 / (a - c lambda)^2,
-    the frame, the section, its log norm and the exact phase speed of the
-    base curve carry over composed with m.
+    the batched values, the frame, the section, its log norm and the exact
+    phase speed of the base curve carry over composed with m.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (2, 2) or abs(np.linalg.det(g) - 1.0) > 1e-10:
@@ -480,12 +550,13 @@ def reparameterize(c: CurveProvider, g) -> CurveProvider:
     return CurveProvider(
         c.n, c.domain, eval_fn=lambda lam: c.B(m(lam)),
         deriv_fn=dv if c.derivative_kind == "exact" else None,
-        frame_fn=lambda lam: c.frame(m(lam)),
+        frame_fn=(lambda lam: c.frame(m(lam))) if c._frame_fn is not None else None,
         provenance={"kind": "transformed",
                     "params": {"base": c.descriptor(), "action": "sl2",
                                "g": [[float(x) for x in row] for row in g]}},
         h0=c.h0, allow_real=c.allow_real,
         speed_fn=speed if c.speed_fn is not None else None,
+        many_fn=(lambda lams: c.B_many(m(lams))) if c.many_fn is not None else None,
         section_fn=composed(c.section_fn), lognorm_fn=composed(c.lognorm_fn))
 
 
@@ -494,7 +565,8 @@ def congruence(c: CurveProvider, g) -> CurveProvider:
 
     The result keeps no frame, section, log norm or exact speed of c: those
     belong to the base chart, and the transformed curve's frame is the chart
-    stack (I; B_g) of its own values.
+    stack (I; B_g) of its own values.  It keeps no batched values either:
+    B_many calls B once per lambda.
     """
     if not isinstance(g, PseudoUnitary):
         g = PseudoUnitary(g)

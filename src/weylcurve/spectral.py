@@ -7,20 +7,22 @@ U* B(u) turns counterclockwise and their lifted sum is arg det B(u) less
 arg det U, so the eigenvalues in (a, b] number the unwrapped det B phase
 change less the change of the eigenphase sum in [0, 2 pi), over 2 pi; the
 spectrum is counted that way on each step of the curve's phase path and
-located by halving and one root solve per crossing.  General conditions
-use argument-principle winding with recursive quadrisection.  The module
-also implements the counting function, the interlacing and phase-count
-bounds, and the monotone phase margin.
+located by halving and one bracketed array root solve for all crossings.
+General conditions use argument-principle winding with recursive
+quadrisection.  The module also implements the counting function, the
+interlacing and phase-count bounds, and the monotone phase margin.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_root
 
 from .curves import CurveProvider
 from .errors import DegenerateBCError, NumericalError, ValidationError
@@ -122,19 +124,39 @@ def char_function(c: CurveProvider, bc: BoundaryCondition, lam) -> complex:
 
 def char_section(c: CurveProvider, bc: BoundaryCondition, lam) -> tuple:
     """(F, scale) from one evaluation of the curve: F as char_function, and
-    its Hadamard scale, the noise ambient the value should be compared to."""
-    if c.section_fn is not None:
-        F, scale = c.section_fn(bc.point, lam)
-        return F, max(scale, 1e-300)
-    frame = c.frame(lam)
-    scale = float(np.prod(np.linalg.norm(np.hstack([bc.point.frame, frame]), axis=0)))
-    return schubert_section(bc.point, frame), max(scale, 1e-300)
+    its Hadamard scale, the noise ambient the value should be compared to.
+
+    A sample whose F or scale leaves the floating-point range raises
+    NumericalError naming lambda."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if c.section_fn is not None:
+            F, scale = c.section_fn(bc.point, lam)
+        else:
+            frame = c.frame(lam)
+            scale = float(np.prod(np.linalg.norm(np.hstack([bc.point.frame, frame]), axis=0)))
+            F = schubert_section(bc.point, frame)
+    if not (cmath.isfinite(F) and math.isfinite(scale)):
+        raise NumericalError(f"the curve's frame overflows at lambda = {complex(lam)}; "
+                             "the characteristic function cannot be sampled there")
+    return F, max(scale, 1e-300)
 
 
 def _residual(c: CurveProvider, bc: BoundaryCondition, lam) -> float:
     """|F| over its scale at a computed eigenvalue."""
     F, scale = char_section(c, bc, lam)
     return float(abs(F) / scale)
+
+
+def _residuals(c: CurveProvider, bc: BoundaryCondition, lams) -> np.ndarray:
+    """_residual at each lambda of an array: one pass over the stacked frames,
+    or one section call per lambda where the provider has its own section."""
+    if c.section_fn is not None:
+        return np.array([_residual(c, bc, lam) for lam in lams])
+    frames = c.frame_many(lams)
+    V = np.broadcast_to(bc.point.frame, frames.shape)
+    M = np.concatenate([V, frames], axis=2)
+    scale = np.maximum(np.prod(np.linalg.norm(M, axis=1), axis=1), 1e-300)
+    return np.abs(np.linalg.det(M)) / scale
 
 
 def is_degenerate(c: CurveProvider, bc: BoundaryCondition, samples=None) -> bool:
@@ -155,76 +177,103 @@ def is_degenerate(c: CurveProvider, bc: BoundaryCondition, samples=None) -> bool
 
 def _real_samples(c: CurveProvider, a: float, b: float):
     """(us, Bs, phis) on [a, b] from the provider's phase path: a, the knots
-    inside, b.  Each step turns det B by less than pi."""
+    inside, b, with Bs stacked (K, n, n).  Each step turns det B by less
+    than pi."""
     c.phase_path.cover(a, b)
     return c.phase_path.samples(a, b)
 
 
-def _eigenphases(U, B) -> np.ndarray:
-    """The eigenphases of U* B, each taken in [0, 2 pi)."""
-    return np.angle(np.linalg.eigvals(U.conj().T @ B)) % TWO_PI
+def _eigenphases(U, Bs) -> np.ndarray:
+    """The eigenphases of U* B for each B of a (K, n, n) stack, each taken
+    in [0, 2 pi): a (K, n) array."""
+    return np.angle(np.linalg.eigvals(U.conj().T @ Bs)) % TWO_PI
 
 
-def _crossing_count(dphi: float, th0, th1) -> int:
-    """Eigenphase crossings of 1 between two samples of the real axis.
+def _crossings(dphi, th0, th1) -> np.ndarray:
+    """Eigenphase crossings of 1 between pairs of samples of the real axis.
 
     Every eigenphase of U* B(u) turns counterclockwise and their lifted sum
     is arg det B(u) less arg det U, so with dphi the unwrapped det B phase
     change and th0, th1 the eigenphases in [0, 2 pi) at the two samples,
-    the crossings number [dphi - (sum th1 - sum th0)] / 2 pi.
+    the crossings number [dphi - (sum th1 - sum th0)] / 2 pi.  Arrays of
+    pairs give an array of counts.
     """
-    k = (dphi - (float(np.sum(th1)) - float(np.sum(th0)))) / TWO_PI
-    n = round(k)
-    if n < 0 or abs(k - n) > COUNT_TOL:
-        raise NumericalError(f"eigenphase crossing count {k:.9f} is not a nonnegative integer")
-    return int(n)
+    k = (dphi - (np.sum(th1, axis=-1) - np.sum(th0, axis=-1))) / TWO_PI
+    n = np.round(k)
+    bad = ~((n >= 0) & (np.abs(k - n) <= COUNT_TOL))
+    if np.any(bad):
+        raise NumericalError(f"eigenphase crossing count {np.ravel(k[bad])[0]:.9f} "
+                             "is not a nonnegative integer")
+    return n.astype(int)
 
 
 def count_real(c: CurveProvider, bc: BoundaryCondition, a: float, b: float) -> int:
     """Eigenvalue count (with multiplicity) in (a, b] from the unwrapped det B phase."""
     if bc.chart_unitary is None:
         raise ValidationError("count_real requires a chart-unitary boundary condition")
-    U = bc.chart_unitary
     _, Bs, phis = _real_samples(c, a, b)
-    return _crossing_count(phis[-1] - phis[0], _eigenphases(U, Bs[0]), _eigenphases(U, Bs[-1]))
+    th = _eigenphases(bc.chart_unitary, Bs[[0, -1]])
+    return int(_crossings(phis[-1] - phis[0], th[0], th[1]))
 
 
-def _step_roots(c, U, u0, B0, u1, B1, dphi, out):
-    """Append (root, multiplicity) for the crossings in the path step (u0, u1],
-    over which det B turns by dphi < pi."""
-    d0 = np.linalg.det(B0)
+def _crossing_roots(c, U, us, Bs, phis):
+    """(roots, multiplicities) of the crossings in every step of a sampled
+    path (us, Bs, phis), each step turning det B by less than pi.
 
-    def sample(u, B=None, phi=None):
-        # (u, det B phase relative to u0, eigenphases)
-        B = c.B(u) if B is None else B
-        phi = float(np.angle(np.linalg.det(B) / d0)) if phi is None else phi
-        return u, phi, _eigenphases(U, B)
+    The end of a part of a step is (u, det B phase relative to the step's
+    left sample, eigenphases).  All parts with more than one crossing are
+    halved together until each holds one or is narrower than the cluster
+    tolerance; then every part is solved in one bracketed array root search
+    on the signed distance of the nearest eigenphase from 1.
+    """
+    d0 = np.linalg.det(Bs)[:-1]
+    th = _eigenphases(U, Bs)
+    x = (us[:-1], np.zeros(len(d0)), th[:-1])
+    y = (us[1:], np.diff(phis), th[1:])
+    step = np.arange(len(d0))
+    m = _crossings(y[1], x[2], y[2])
 
-    def count(x, y):
-        return _crossing_count(y[1] - x[1], x[2], y[2])
+    def sample(u, k):
+        # the end at each u of an array, in the steps k
+        B = c.B_many(u)
+        return u, np.angle(np.linalg.det(B) / d0[k]), _eigenphases(U, B)
 
-    lo, hi = sample(u0, B0, 0.0), sample(u1, B1, dphi)
-    parts = [(lo, hi, count(lo, hi))]
-    while parts:
-        x, y, m = parts.pop()
-        if m == 0:
-            continue
-        if m > 1 and y[0] - x[0] >= CLUSTER_TOL_BASE * (1 + abs(y[0])):
-            mid = sample(0.5 * (x[0] + y[0]))
-            m1 = count(x, mid)
-            parts += [(x, mid, m1), (mid, y, m - m1)]
-            continue
+    def cat(*ends):
+        return tuple(np.concatenate(vs) for vs in zip(*ends))
 
-        def psi(u):
-            # before the first crossing in (x, u]: minus the counterclockwise
-            # distance of the eigenphase nearest below 1; after it: the
-            # distance of the one nearest above; continuous through the root
-            z = x if u == x[0] else y if u == y[0] else sample(u)
-            return float(z[2].min()) if count(x, z) else float(z[2].max()) - TWO_PI
+    while True:
+        keep = m > 0
+        x, y = (tuple(v[keep] for v in e) for e in (x, y))
+        step, m = step[keep], m[keep]
+        split = (m > 1) & (y[0] - x[0] >= CLUSTER_TOL_BASE * (1 + np.abs(y[0])))
+        if not split.any():
+            break
+        xs, ys, xw, yw = (tuple(v[sel] for v in e)
+                          for sel in (split, ~split) for e in (x, y))
+        mid = sample(0.5 * (xs[0] + ys[0]), step[split])
+        m1 = _crossings(mid[1] - xs[1], xs[2], mid[2])
+        m2 = _crossings(ys[1] - mid[1], mid[2], ys[2])
+        x, y = cat(xw, xs, mid), cat(yw, mid, ys)
+        step = np.concatenate([step[~split], step[split], step[split]])
+        m = np.concatenate([m[~split], m1, m2])
+    if not len(m):
+        return np.empty(0), m
 
-        root = brentq(psi, x[0], y[0], xtol=1e-12 * (1 + abs(y[0])),
-                      rtol=4 * np.finfo(float).eps)
-        out.append((float(root), m))
+    def psi(u, i):
+        # before the first crossing in (x, u]: minus the counterclockwise
+        # distance of the eigenphase nearest below 1; after it: the
+        # distance of the one nearest above; continuous through the root
+        _, p, t = sample(u, step[i])
+        crossed = _crossings(p - x[1][i], x[2][i], t) > 0
+        return np.where(crossed, t.min(axis=-1), t.max(axis=-1) - TWO_PI)
+
+    res = find_root(psi, (x[0], y[0]), args=(np.arange(len(m)),),
+                    tolerances=dict(xatol=1e-12, xrtol=1e-12))
+    if not np.all(res.success):
+        k = np.flatnonzero(~res.success)[0]
+        raise NumericalError(f"crossing refinement failed in ({x[0][k]}, {y[0][k]}] "
+                             f"(status {int(res.status[k])})")
+    return res.x, m
 
 
 def eigenvalues_real(c: CurveProvider, bc: BoundaryCondition, interval):
@@ -240,25 +289,21 @@ def eigenvalues_real(c: CurveProvider, bc: BoundaryCondition, interval):
         raise ValidationError("empty interval")
     if is_degenerate(c, bc, samples=np.linspace(a, b, 16)):
         raise DegenerateBCError("characteristic function vanishes identically; spectrum = C")
-    us, Bs, phis = _real_samples(c, a, b)
-    roots = []
-    for k in range(len(us) - 1):
-        _step_roots(c, bc.chart_unitary, us[k], Bs[k], us[k + 1], Bs[k + 1],
-                    phis[k + 1] - phis[k], roots)
+    roots, mults = _crossing_roots(c, bc.chart_unitary, *_real_samples(c, a, b))
     # merge refined roots that belong to one cluster
-    roots.sort()
     merged = []
-    for lam, mult in roots:
+    for lam, mult in sorted(zip(roots.tolist(), mults.tolist())):
         tol = CLUSTER_TOL_BASE * (1 + abs(lam))
         if merged and lam - merged[-1][0] < tol:
             merged[-1][1] += mult
         else:
             merged.append([lam, mult])
-    evs = []
-    for lam, mult in merged:
-        evs.append(Eigenvalue(lam=complex(lam), multiplicity=int(mult),
-                              residual=_residual(c, bc, lam), method="real_scan"))
-    return evs
+    if not merged:
+        return []
+    lams = np.array([lam for lam, _ in merged])
+    return [Eigenvalue(lam=complex(lam), multiplicity=int(mult), residual=float(r),
+                       method="real_scan")
+            for (lam, mult), r in zip(merged, _residuals(c, bc, lams))]
 
 
 # -- contour search --------------------------------------------------------
@@ -532,10 +577,10 @@ def phase_count(c: CurveProvider, bc: BoundaryCondition, r: float) -> dict:
     """
     if not bc.selfadjoint or bc.chart_unitary is None:
         raise ValidationError("phase_count requires a self-adjoint chart condition")
-    U = bc.chart_unitary
     _, Bs, phis = _real_samples(c, -float(r), float(r))
     phase_integral = float(phis[-1] - phis[0]) / TWO_PI
-    n_T = _crossing_count(phis[-1] - phis[0], _eigenphases(U, Bs[0]), _eigenphases(U, Bs[-1]))
+    th = _eigenphases(bc.chart_unitary, Bs[[0, -1]])
+    n_T = int(_crossings(phis[-1] - phis[0], th[0], th[1]))
     gap = abs(phase_integral - n_T)
     if gap > c.n + 1.0:
         raise NumericalError(f"phase-count gap {gap:.3f} exceeds the theoretical bound")

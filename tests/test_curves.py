@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import weylcurve as wc
+from weylcurve import curves
 
 from conftest import random_contraction, random_pseudo_unitary
 
@@ -205,3 +208,135 @@ def test_stencil_derivative_matches_cauchy_riemann(c_qx):
     h = 1e-5
     fd = (c_qx.B(lam + h) - c_qx.B(lam - h)) / (2 * h)
     assert np.allclose(d, fd, atol=1e-5)
+
+
+# -- batched values and the phase path --------------------------------------
+
+
+def _batched_providers(c_q0):
+    g = np.array([[2.0, 0.5], [0.2, 0.55]])
+    return {
+        "exponential": wc.exponential(),
+        "reparameterized": wc.reparameterize(wc.exponential(), g),
+        "congruence": wc.congruence(wc.exponential(), random_pseudo_unitary(rng, 1)),
+        "constant": wc.constant([[0.3 + 0.2j]]),
+        "shifted_identity": wc.shifted_identity(1.0, 2),
+        "sturm_liouville": c_q0,
+    }
+
+
+@pytest.mark.parametrize("name", ["exponential", "reparameterized", "congruence",
+                                  "constant", "shifted_identity", "sturm_liouville"])
+@given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(0.1, 50.0), st.booleans()),
+                max_size=6))
+def test_B_many_equals_stacked_B(c_q0, name, points):
+    c = _batched_providers(c_q0)[name]
+    # both half-planes, at least 0.1 off the real axis (the half-plane
+    # providers are not evaluated on it)
+    lams = np.array([complex(x, y if up else -y) for x, y, up in points], dtype=complex)
+    got = c.B_many(lams)
+    assert got.shape == (len(lams), c.n, c.n)
+    assert np.array_equal(got, np.array([c.B(lam) for lam in lams]).reshape(got.shape))
+
+
+def test_B_many_takes_real_arrays():
+    c = wc.exponential()
+    us = np.linspace(-2e4, 2e4, 101)
+    assert np.array_equal(c.B_many(us), np.array([c.B(u) for u in us]))
+    assert [c.phase_speed(u) for u in us[:3]] == [1.0, 1.0, 1.0]
+
+
+def _march_one_knot_at_a_time(c, k, end, last=None):
+    """The phase path's step rule applied one knot at a time: knots
+    (u, det B, phase, speed) after k toward end; given last = (det B, speed)
+    at end, the march lands on end."""
+    u, d, phi, s = k
+    sign = 1.0 if end > u else -1.0
+    out, h = [], None
+    while sign * (end - u) > 0:
+        if h is None:
+            h = min(curves.STEP_TARGET / max(s, 1e-12), curves._step_cap(u))
+        u1 = u + sign * h
+        if last is not None and sign * (u1 - end) >= 0:
+            u1, (d1, s1) = end, last
+        else:
+            d1, s1 = np.linalg.det(c.B(u1)), max(float(c.phase_speed(u1)), 0.0)
+        predicted = sign * abs(u1 - u) * 0.5 * (s + s1)
+        apparent = float(np.angle(d1 / d))
+        step = apparent + 2 * np.pi * round((predicted - apparent) / (2 * np.pi))
+        if max(abs(step), abs(predicted)) > curves.STEP_CAP \
+                or abs(step - predicted) > 0.4 * abs(predicted) + 0.2:
+            h = abs(u1 - u) / 2
+            assert h > 1e-12 * (1 + abs(end - u))
+            continue
+        u, d, phi, s = u1, d1, phi + step, s1
+        out.append((u, d, phi, s))
+        h = None
+    return out
+
+
+def _knot(c, u):
+    d = np.linalg.det(c.B(u))
+    return u, d, float(np.angle(d)), max(float(c.phase_speed(u)), 0.0)
+
+
+def _path_knots(c):
+    path = c.phase_path
+    return [(u, d, phi, s) for u, d, phi, s in zip(path.us, path.dets, path.phis, path.speeds)]
+
+
+def _kinked():
+    # arg B(u) = u below 100 and 1.2 u - 20 above: blocks predicted at speed
+    # 1 run past the kink, where each step would pass the step rule but the
+    # rule at its left knot, at speed 1.2, puts the knot elsewhere
+    def arg(lam):
+        return np.where(np.real(lam) < 100.0, lam, 1.2 * lam - 20.0)
+
+    return wc.CurveProvider(1, "entire", eval_fn=lambda lam: np.array([[np.exp(1j * arg(lam))]]),
+                            many_fn=lambda lams: np.exp(1j * arg(lams))[:, None, None],
+                            speed_fn=lambda u: 1.0 if u < 100.0 else 1.2)
+
+
+@pytest.mark.parametrize("name, a, b", [("q0", -0.5, 450.0), ("q0", -60.0, 60.0),
+                                        ("cos24", -2.0, 150.0),
+                                        ("exponential", -2000.0, 3000.0),
+                                        ("kinked", -50.0, 400.0)])
+def test_phase_path_knots_are_those_of_a_march_one_knot_at_a_time(
+        p_q0, p_qcos, name, a, b):
+    c = {"q0": lambda: wc.curve_provider(p_q0), "cos24": lambda: wc.curve_provider(p_qcos),
+         "exponential": wc.exponential, "kinked": _kinked}[name]()
+    c.phase_path.cover(a, b)
+    k0 = _knot(c, min(max(0.0, a), b))
+    ref = _march_one_knot_at_a_time(c, k0, a)[::-1] + [k0] + _march_one_knot_at_a_time(c, k0, b)
+    assert _path_knots(c) == ref
+
+
+@pytest.mark.parametrize("name", ["q0", "exponential"])
+def test_phase_path_landing_on_zero_is_that_of_a_march_one_knot_at_a_time(p_q0, name):
+    # a path from 5 grown below 0 lands on the knot at 0, then goes on
+    c = wc.curve_provider(p_q0) if name == "q0" else wc.exponential()
+    c.phase_path.cover(5.0, 40.0)
+    c.phase_path.cover(-30.0, 40.0)
+    k5, k0 = _knot(c, 5.0), _knot(c, 0.0)
+    right = _march_one_knot_at_a_time(c, k5, 40.0)
+    down = _march_one_knot_at_a_time(c, k5, 0.0, last=k0[1::2])
+    left = _march_one_knot_at_a_time(c, down[-1], -30.0)
+    ref = (left[::-1] + down[::-1] + [k5] + right)
+    shift = 2 * np.pi * round((k0[2] - down[-1][2]) / (2 * np.pi))
+    ref = [(u, d, phi + shift, s) for u, d, phi, s in ref]
+    assert _path_knots(c) == ref
+
+
+def test_exponential_path_evaluates_knots_in_blocks(monkeypatch):
+    calls = []
+    many = curves.CurveProvider.B_many
+
+    def counted(self, lams):
+        calls.append(len(lams))
+        return many(self, lams)
+
+    monkeypatch.setattr(curves.CurveProvider, "B_many", counted)
+    c = wc.exponential()
+    c.phase_path.cover(-10501.0, 10501.0)
+    assert sum(calls) >= len(c.phase_path.us) > 9000
+    assert len(calls) <= 200 and max(calls) == curves._BLOCK_MAX

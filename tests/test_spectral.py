@@ -252,3 +252,45 @@ def test_resolvent_residual_random_f(p_qcos, bc_neumann):
         coef[2] * x * (np.pi - x) + coef[3]
     res = wc.resolvent_residual(p_qcos, bc_neumann, 1.7, f)
     assert res < 1e-6
+
+
+# -- the batched real axis ----------------------------------------------------
+
+
+@given(st.floats(0.0, 2 * np.pi, exclude_max=True), st.floats(-2e4, 2e4), st.floats(-2e4, 2e4))
+@example(0.3, -10501.0, 10501.0)
+def test_exponential_real_spectrum_closed_form(c_exp, theta, a, b):
+    # U = e^{i theta}: the eigenvalues are theta + 2 pi k, each simple
+    a, b = min(a, b), max(a, b)
+    assume(b - a > 1e-3)
+    k = np.arange(np.floor((a - theta) / (2 * np.pi)) - 1, np.ceil((b - theta) / (2 * np.pi)) + 2)
+    exact = theta + 2 * np.pi * k
+    assume(np.min(np.abs(exact - a)) > 1e-6 * (1 + abs(a)))
+    assume(np.min(np.abs(exact - b)) > 1e-6 * (1 + abs(b)))
+    exact = exact[(exact > a) & (exact <= b)]
+    bc = wc.bc_from_unitary([[np.exp(1j * theta)]])
+    evs = wc.eigenvalues_real(c_exp, bc, (a, b))
+    assert [e.multiplicity for e in evs] == [1] * len(exact)
+    got = np.array([e.lam for e in evs])
+    assert np.all(np.abs(got - exact) <= 1e-12 * (1 + np.abs(exact)))
+    assert wc.count_real(c_exp, bc, a, b) == len(exact)
+
+
+def test_real_sweep_refines_every_root_in_a_few_batched_calls(monkeypatch):
+    from weylcurve import curves, spectral
+    c = wc.exponential()
+    bc = wc.bc_from_unitary([[np.exp(0.3j)]])
+    c.phase_path.cover(-10501.0, 10501.0)
+    calls = []
+    many = curves.CurveProvider.B_many
+
+    def counted(self, lams):
+        calls.append(len(lams))
+        return many(self, lams)
+
+    monkeypatch.setattr(curves.CurveProvider, "B_many", counted)
+    evs = wc.eigenvalues_real(c, bc, (-10501.0, 10501.0))
+    assert len(evs) == 3343
+    # the bracket ends, the root iterations and the residuals
+    assert len(calls) <= 12
+    assert "brentq" not in vars(spectral)

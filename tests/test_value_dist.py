@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,18 @@ def test_fmt_report_exponential(c_exp):
     # FMT: h - m - N bounded with a small range relative to h(max)
     assert rep.residual_range <= 0.1 * rep.height[-1]
     assert abs(rep.drift_slope) <= 0.05
+
+
+def test_fmt_report_exponential_contour_overflow_is_typed():
+    # a chart without a unitary condition goes to the contour on +-1.05e4,
+    # where e^{i lambda} leaves the floating-point range: a plain
+    # NumericalError naming lambda, with no warning and no dilation retry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(wc.NumericalError, match=r"overflows at lambda = \(") as err:
+            wc.fmt_report(wc.exponential(), wc.bc_from_chart([[0.5 + 0.2j]]),
+                          [100.0, 1000.0, 10000.0])
+    assert type(err.value) is wc.NumericalError
 
 
 def test_fmt_report_rejects_degenerate(c_q0):

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import DomainError, NumericalError, ValidationError
 from .symplectic import PseudoUnitary, cayley, mobius_pu
@@ -309,11 +308,30 @@ class PhasePath:
                 self.phis = [phi + shift for phi in self.phis]
 
     def phase(self, u):
-        """The phase at u (scalar or array) inside the path, by the spline."""
+        """The phase at u (scalar or array) inside the path, by the spline:
+        on each step the cubic through the end phases with the end speeds as
+        slopes, in powers of the distance from the left knot."""
         if self._spline is None:
-            self._spline = CubicHermiteSpline(np.asarray(self.us), np.asarray(self.phis),
-                                              np.asarray(self.speeds))
-        return self._spline(u)
+            x, y, dy = (np.asarray(v) for v in (self.us, self.phis, self.speeds))
+            h = np.diff(x)
+            slope = np.diff(y) / h
+            t = (dy[:-1] + dy[1:] - 2 * slope) / h
+            # the last knot's own piece, so that every knot is hit exactly
+            self._spline = (x, np.arange(len(x), dtype=float), np.append(t / h, 0.0),
+                            np.append((slope - dy[:-1]) / h - t, 0.0), dy, y)
+        x, pieces, c3, c2, c1, c0 = self._spline
+        # the piece of the last knot at or below u, the first piece below
+        # x[0]; np.interp searches from the previous point's piece, so sorted
+        # points, as quadrature nodes come, cost one step each
+        i = np.interp(u, x, pieces).astype(np.intp)
+        s = u - x[i]
+        out = c3[i] * s
+        out += c2[i]
+        out *= s
+        out += c1[i]
+        out *= s
+        out += c0[i]
+        return out
 
     def knots(self, a: float, b: float) -> np.ndarray:
         """The knot positions inside [a, b]."""

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize.elementwise import find_root
 
 from .curves import CurveProvider
 from .errors import DegenerateBCError, NumericalError, ValidationError
-from .symplectic import GrassPoint, chart_convert, classify_subspace, graph_of, schubert_section
+from .symplectic import (GrassPoint, chart_convert, classify_subspace, graph_of, null_space,
+                         schubert_section)
 
 TWO_PI = 2 * np.pi
 MAX_STEP_PHASE = 0.45 * np.pi
@@ -35,6 +35,8 @@ COUNT_TOL = 1e-6
 DEGEN_TOL = 1e-9
 M_MAX = 4
 SIZE_TOL = 1e-8
+ROOT_TOL = 1e-12
+ROOT_MAXITER = 2046  # log2 of the range of normal doubles, as in scipy
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,6 @@ def bc_from_chart(Y, label: str = "") -> BoundaryCondition:
 
 def bc_from_canonical(rows, mode: str, label: str = "") -> BoundaryCondition:
     """Condition from a n x 2n matrix in canonical Gamma+- coordinates."""
-    from scipy.linalg import null_space
     rows = np.asarray(rows, dtype=complex)
     if rows.ndim != 2 or rows.shape[1] != 2 * rows.shape[0]:
         raise ValidationError("canonical rows must form an n x 2n matrix")
@@ -216,6 +217,63 @@ def count_real(c: CurveProvider, bc: BoundaryCondition, a: float, b: float) -> i
     return int(_crossings(phis[-1] - phis[0], th[0], th[1]))
 
 
+def _find_roots(f, a, b):
+    """Roots of f in the brackets [a_k, b_k] of two arrays, all at once, by
+    Chandrupatla's method (Adv. Eng. Softw. 28(3), 1997) with the update,
+    termination and step rules of scipy.optimize.elementwise.find_root, to
+    ROOT_TOL absolute and relative.
+
+    f(x, k) takes the points x of the brackets k still open and returns
+    f there.  Returns (roots, status), status 0 where a root was found,
+    -1 where f has one sign on the bracket, -2 where the iterations ran out,
+    -3 where a value is not finite.
+    """
+    x1, x2 = np.array(a, dtype=float), np.array(b, dtype=float)
+    k = np.arange(len(x1))
+    f1, f2 = f(x1, k), f(x2, k)
+    roots, status = np.full(len(x1), np.nan), np.full(len(x1), -2)
+    t = 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for nit in range(ROOT_MAXITER + 1):
+            if nit:
+                x = x1 + t * (x2 - x1)
+                fx = f(x, k)
+                # the bracket is (x, x2) or (x, x1), the third point the other end
+                same = np.sign(fx) == np.sign(f1)
+                x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+                x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+                x1, f1 = x, fx
+            # termination, in scipy's order of precedence
+            low = np.abs(f1) < np.abs(f2)
+            xmin, fmin = np.where(low, x1, x2), np.where(low, f1, f2)
+            code = np.ones(len(k), dtype=int)
+            code[np.abs(fmin) <= np.finfo(float).tiny] = 0
+            code[(code == 1) & (np.sign(f1) == np.sign(f2))] = -1
+            code[(code == 1) & (~(np.isfinite(x1) & np.isfinite(x2))
+                                | (np.isnan(f1) & np.isnan(f2)))] = -3
+            xmin = np.where(code < 0, np.nan, xmin)
+            dx = np.abs(x2 - x1)
+            tol = np.abs(xmin) * ROOT_TOL + ROOT_TOL
+            code[dx < tol] = 0
+            done = code < 1
+            roots[k[done]], status[k[done]] = xmin[done], code[done]
+            go = ~done
+            if not go.any():
+                break
+            k, x1, f1, x2, f2, dx, tol = (v[go] for v in (k, x1, f1, x2, f2, dx, tol))
+            if nit:
+                x3, f3 = x3[go], f3[go]
+                # inverse quadratic interpolation where it is safe, else bisection
+                xi = (x1 - x2) / (x3 - x2)
+                phi = (f1 - f2) / (f3 - f2)
+                alpha = (x3 - x1) / (x2 - x1)
+                iqi = ((1 - np.sqrt(1 - xi)) < phi) & (phi < np.sqrt(xi))
+                t = np.where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2)
+                             - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+                t = np.clip(t, 0.5 * tol / dx, 1 - 0.5 * tol / dx)
+    return roots, status
+
+
 def _crossing_roots(c, U, us, Bs, phis):
     """(roots, multiplicities) of the crossings in every step of a sampled
     path (us, Bs, phis), each step turning det B by less than pi.
@@ -267,13 +325,12 @@ def _crossing_roots(c, U, us, Bs, phis):
         crossed = _crossings(p - x[1][i], x[2][i], t) > 0
         return np.where(crossed, t.min(axis=-1), t.max(axis=-1) - TWO_PI)
 
-    res = find_root(psi, (x[0], y[0]), args=(np.arange(len(m)),),
-                    tolerances=dict(xatol=1e-12, xrtol=1e-12))
-    if not np.all(res.success):
-        k = np.flatnonzero(~res.success)[0]
+    roots, status = _find_roots(psi, x[0], y[0])
+    if np.any(status):
+        k = np.flatnonzero(status)[0]
         raise NumericalError(f"crossing refinement failed in ({x[0][k]}, {y[0][k]}] "
-                             f"(status {int(res.status[k])})")
-    return res.x, m
+                             f"(status {int(status[k])})")
+    return roots, m
 
 
 def eigenvalues_real(c: CurveProvider, bc: BoundaryCondition, interval):

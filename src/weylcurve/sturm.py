@@ -29,13 +29,11 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.interpolate import CubicSpline
-from scipy.linalg import null_space
 
 from .curves import CurveProvider
 from .errors import NumericalError, ValidationError
 from .spectral import BoundaryCondition, make_bc
-from .symplectic import GrassPoint
+from .symplectic import GrassPoint, null_space
 
 LAMBDA_MAX = 1e6
 SQRT2 = np.sqrt(2.0)
@@ -80,6 +78,11 @@ class Potential:
             raise ValidationError("table grid must be strictly increasing")
         return cls(kind="table", x=x, q=q)
 
+    def _table_spline(self):
+        # imported here: only tabulated potentials need scipy
+        from scipy.interpolate import CubicSpline
+        return CubicSpline(np.asarray(self.x), np.asarray(self.q), bc_type="natural")
+
     def evaluator(self, length: float):
         """Vectorised evaluator of q: an array of points to an array of values."""
         if self.kind == "zero":
@@ -90,7 +93,7 @@ class Potential:
         if self.kind == "table":
             if self.x[0] > 0.0 or self.x[-1] < length:
                 raise ValidationError("table grid must cover the interval")
-            spl = CubicSpline(np.asarray(self.x), np.asarray(self.q), bc_type="natural")
+            spl = self._table_spline()
             return lambda x: spl(np.asarray(x, dtype=float))
         raise ValidationError(f"unknown potential kind {self.kind!r}")
 
@@ -102,8 +105,7 @@ class Potential:
             dcoeffs = npoly.polyder(np.asarray(self.coeffs, dtype=float))
             return lambda x: npoly.polyval(np.asarray(x, dtype=float), dcoeffs)
         if self.kind == "table":
-            spl = CubicSpline(np.asarray(self.x), np.asarray(self.q),
-                              bc_type="natural").derivative()
+            spl = self._table_spline().derivative()
             return lambda x: spl(np.asarray(x, dtype=float))
         raise ValidationError(f"unknown potential kind {self.kind!r}")
 
@@ -691,8 +693,8 @@ def _solve_bvp_rows(rows_phys, xs, cs, fv):
     """Variation-of-parameters solve of (-y'' + q y - lam y) = f with
     boundary functionals rows_phys applied to (y(0), y'(0), y(pi), y'(pi));
     cs = solution_values on xs and fv the samples of f there."""
-    # imported here: only the Green's-function solves need scipy.integrate,
-    # whose import adds about 2 MB that propagation alone should not pay
+    # imported here: only the Green's-function solves need scipy, and the
+    # rest of the library runs on numpy alone
     from scipy.integrate import cumulative_simpson
 
     cv, cpv, sv, spv = cs

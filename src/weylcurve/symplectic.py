@@ -17,13 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ChartError, ValidationError
 
 RANK_TOL = 1e-10
 CLASS_TOL = 1e-9
 PU_TOL = 1e-8
+# LAPACK's threshold for recomputing a downdated column norm: sqrt(eps)
+_TOL3Z = np.sqrt(np.finfo(float).eps / 2)
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -48,19 +49,64 @@ def form_eval(x, y) -> complex:
     return 1j * np.vdot(y[:n], x[:n]) - 1j * np.vdot(y[n:], x[n:])
 
 
+def null_space(a) -> np.ndarray:
+    """Orthonormal basis of the null space of a, as columns: the right
+    singular vectors past the numerical rank, with the rank cut at
+    eps * max(shape) of the largest singular value."""
+    a = np.asarray(a)
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    tol = np.amax(s, initial=0.0) * (np.finfo(s.dtype).eps * max(a.shape))
+    return vh[np.sum(s > tol, dtype=int):].conj().T
+
+
+def _column_norms(a: np.ndarray) -> np.ndarray:
+    """2-norms of the columns, the squares summed in order in extended
+    precision as OpenBLAS's x86-64 norm kernel does, so that columns of
+    near-equal norm are ordered as LAPACK orders them."""
+    sq = np.stack([a.real, a.imag], axis=1).reshape(-1, a.shape[1]).astype(np.longdouble) ** 2
+    return np.sqrt(np.cumsum(sq, axis=0)[-1]).astype(float)
+
+
+def _pivot_order(a: np.ndarray) -> list:
+    """Column order of LAPACK's pivoted QR (geqp3) of a.
+
+    Each step takes the column of largest remaining norm, first on ties,
+    and swaps it with the column in its place; the other norms are then
+    downdated by the new row of R, or recomputed from R where the downdate
+    would cancel.
+    """
+    m, k = a.shape
+    perm = list(range(k))
+    vn1 = _column_norms(a)
+    vn2 = vn1.copy()
+    for i in range(min(m, k - 1)):
+        p = i + int(np.argmax(vn1[i:]))
+        perm[i], perm[p] = perm[p], perm[i]
+        vn1[p], vn2[p] = vn1[i], vn2[i]
+        r = np.linalg.qr(a[:, perm], mode="r")
+        for j in range(i + 1, k):
+            if vn1[j] == 0:
+                continue
+            temp = max(1.0 - (abs(r[i, j]) / vn1[j]) ** 2, 0.0)
+            if temp * (vn1[j] / vn2[j]) ** 2 <= _TOL3Z:
+                vn1[j] = vn2[j] = np.linalg.norm(r[i + 1:, j])
+            else:
+                vn1[j] *= np.sqrt(temp)
+    return perm
+
+
 def canonicalize(frame: np.ndarray) -> np.ndarray:
     """Orthonormalize a frame deterministically.
 
-    QR with column pivoting followed by a phase normalization making the
-    leading (largest-modulus, ties to lowest index) entry of each column
-    real positive.  The column span is unchanged.
+    QR with LAPACK's column pivoting followed by a phase normalization
+    making the leading (largest-modulus, ties to lowest index) entry of each
+    column real positive.  The column span is unchanged.
     """
     frame = _as_matrix(frame)
-    q, r, _ = scipy.linalg.qr(frame, mode="economic", pivoting=True)
+    q, r = np.linalg.qr(frame[:, _pivot_order(frame)])
     sv = np.abs(np.diag(r))
     if sv.size and sv.min() <= RANK_TOL * max(sv.max(), 1e-300):
         raise ValidationError("rank-deficient frame cannot be canonicalized")
-    q = np.ascontiguousarray(q)
     for j in range(q.shape[1]):
         col = q[:, j]
         lead = np.argmax(np.abs(col) > (1.0 - 1e-7) * np.abs(col).max())

@@ -340,3 +340,41 @@ def test_exponential_path_evaluates_knots_in_blocks(monkeypatch):
     c.phase_path.cover(-10501.0, 10501.0)
     assert sum(calls) >= len(c.phase_path.us) > 9000
     assert len(calls) <= 200 and max(calls) == curves._BLOCK_MAX
+
+
+# -- the phase spline -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, a, b", [("q0", -30.0, 450.0), ("cos24", -2.0, 150.0),
+                                        ("kinked", -50.0, 400.0)])
+def test_phase_spline_is_the_cubic_hermite_spline_of_scipy(p_q0, p_qcos, name, a, b):
+    from scipy.interpolate import CubicHermiteSpline
+
+    c = {"q0": lambda: wc.curve_provider(p_q0), "cos24": lambda: wc.curve_provider(p_qcos),
+         "kinked": _kinked}[name]()
+    path = c.phase_path
+    path.cover(a, b)
+    us, phis = np.array(path.us), np.array(path.phis)
+    ref = CubicHermiteSpline(us, phis, np.array(path.speeds))
+    # exact at the knots, scalar or array
+    assert np.array_equal(path.phase(us), phis)
+    assert path.phase(us[-1]) == phis[-1]
+    # between the knots: 7 Gauss points per step and 50 uniform points
+    mid, half = 0.5 * (us[1:] + us[:-1])[:, None], 0.5 * (us[1:] - us[:-1])[:, None]
+    gauss = mid + half * np.polynomial.legendre.leggauss(7)[0]
+    ts = np.concatenate([gauss.ravel(), np.random.default_rng(5).uniform(us[0], us[-1], 50)])
+    got, want = path.phase(ts), ref(ts)
+    assert np.all(np.abs(got - want) <= 1e-15 * (1 + np.abs(want)))
+    assert path.phase(ts[3]) == got[3]
+
+
+@given(st.lists(st.tuples(st.floats(0.01, 3.0), st.floats(-5.0, 5.0), st.floats(0.0, 4.0)),
+                min_size=2, max_size=30))
+def test_phase_spline_is_exact_at_every_knot(knots):
+    # a path set up from knots (step, phase, speed) directly
+    path = curves.PhasePath(wc.exponential())
+    path.us = np.cumsum([h for h, _, _ in knots]).tolist()
+    path.phis = [phi for _, phi, _ in knots]
+    path.speeds = [s for _, _, s in knots]
+    assert np.array_equal(path.phase(np.array(path.us)), path.phis)
+    assert [path.phase(u) for u in path.us] == path.phis

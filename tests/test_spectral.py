@@ -294,3 +294,66 @@ def test_real_sweep_refines_every_root_in_a_few_batched_calls(monkeypatch):
     # the bracket ends, the root iterations and the residuals
     assert len(calls) <= 12
     assert "brentq" not in vars(spectral)
+
+
+# -- the bracketed root search against scipy's -----------------------------------
+
+
+def _scipy_find_roots(f, a, b):
+    from scipy.optimize.elementwise import find_root
+
+    res = find_root(f, (a, b), args=(np.arange(len(a)),),
+                    tolerances=dict(xatol=1e-12, xrtol=1e-12))
+    return res.x, res.status
+
+
+@pytest.mark.parametrize("name, interval", [("q0", (-0.5, 450.0)), ("cos", (-2.0, 150.0)),
+                                            ("exp", (-10501.0, 10501.0))])
+def test_root_search_is_that_of_scipy_find_root(monkeypatch, c_q0, c_qcos, c_exp,
+                                                bc_dirichlet, name, interval):
+    from weylcurve import curves, spectral
+
+    c, bc = {"q0": (c_q0, bc_dirichlet), "cos": (c_qcos, bc_dirichlet),
+             "exp": (c_exp, wc.bc_from_unitary([[np.exp(0.3j)]]))}[name]
+    c.phase_path.cover(*interval)
+    calls = []
+    many = curves.CurveProvider.B_many
+
+    def counted(self, lams):
+        calls.append(len(lams))
+        return many(self, lams)
+
+    monkeypatch.setattr(curves.CurveProvider, "B_many", counted)
+    ours = np.array([e.lam.real for e in wc.eigenvalues_real(c, bc, interval)])
+    ours_calls, calls[:] = list(calls), []
+    monkeypatch.setattr(spectral, "_find_roots", _scipy_find_roots)
+    ref = np.array([e.lam.real for e in wc.eigenvalues_real(c, bc, interval)])
+    # the same roots from the same evaluations, batch by batch
+    assert len(ours) == len(ref) > 10
+    assert np.all(np.abs(ours - ref) <= 1e-13 * (1 + np.abs(ref)))
+    assert ours_calls == calls
+
+
+def test_root_search_flags_a_bracket_without_a_sign_change():
+    from weylcurve.spectral import _find_roots
+
+    def f(x, k):
+        return np.where(k == 1, 1.0 + x * x, np.cos(x))
+
+    a, b = np.array([0.0, 0.0, 3.0]), np.array([3.0, 3.0, 6.0])
+    roots, status = _find_roots(f, a, b)
+    ref_roots, ref_status = _scipy_find_roots(f, a, b)
+    assert status.tolist() == ref_status.tolist() == [0, -1, 0]
+    assert np.array_equal(roots, ref_roots, equal_nan=True)
+    assert roots[0] == pytest.approx(np.pi / 2, abs=1e-12)
+
+
+def test_failed_crossing_refinement_raises(monkeypatch, c_q0, bc_dirichlet):
+    from weylcurve import spectral
+
+    search = spectral._find_roots
+    # a search on |psi| sees no sign change in any bracket
+    monkeypatch.setattr(spectral, "_find_roots",
+                        lambda f, a, b: search(lambda x, k: np.abs(f(x, k)), a, b))
+    with pytest.raises(wc.NumericalError, match=r"crossing refinement failed .*\(status -1\)"):
+        wc.eigenvalues_real(c_q0, bc_dirichlet, (0.5, 10.0))

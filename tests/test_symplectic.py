@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import weylcurve as wc
-from weylcurve.symplectic import canonicalize, section_lognorm
+from weylcurve.symplectic import canonicalize, null_space, section_lognorm
 
 from conftest import random_contraction, random_pseudo_unitary, _haar_unitary
 
@@ -138,3 +142,120 @@ def test_section_lognorm_matches_norm():
         rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
     w = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     assert np.exp(section_lognorm(v, w)) == pytest.approx(wc.section_norm(v, w))
+
+
+# -- the numpy QR and null space against scipy ------------------------------
+
+
+@st.composite
+def frames(draw):
+    """2n x k complex frames, n = 1..3: plain, with one column scaled by 1e-3,
+    with orthonormal columns, or the graph (I; U) of a unitary U; the last
+    two have columns of equal norm up to rounding."""
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["plain", "scaled", "orthonormal", "graph"]))
+    k = n if kind == "graph" else draw(st.integers(1, 2 * n))
+    re, im = draw(arrays(float, (2, 2 * n, k), elements=st.floats(-1.0, 1.0)))
+    f = re + 1j * im
+    if kind == "scaled":
+        f[:, draw(st.integers(0, k - 1))] *= 1e-3
+    elif kind == "orthonormal":
+        f = np.linalg.qr(f)[0]
+    elif kind == "graph":
+        f = np.vstack([np.eye(n), np.linalg.qr(f[:n])[0]])
+    return f
+
+
+def _canonicalize_by_scipy(frame):
+    """canonicalize as written on scipy's pivoted QR: the oracle."""
+    q, r, _ = scipy.linalg.qr(frame, mode="economic", pivoting=True)
+    sv = np.abs(np.diag(r))
+    if sv.size and sv.min() <= wc.symplectic.RANK_TOL * max(sv.max(), 1e-300):
+        raise wc.ValidationError("rank-deficient frame cannot be canonicalized")
+    q = np.ascontiguousarray(q)
+    for j in range(q.shape[1]):
+        col = q[:, j]
+        lead = np.argmax(np.abs(col) > (1.0 - 1e-7) * np.abs(col).max())
+        ph = col[lead]
+        if abs(ph) > 0:
+            q[:, j] = col * (abs(ph) / ph)
+    return q
+
+
+@settings(max_examples=300)
+@given(frames())
+def test_canonicalize_is_bitwise_that_of_scipy_pivoted_qr(f):
+    try:
+        ref = _canonicalize_by_scipy(f)
+    except wc.ValidationError:
+        with pytest.raises(wc.ValidationError):
+            canonicalize(f)
+        return
+    assert np.array_equal(canonicalize(f), ref)
+
+
+def test_canonicalize_keeps_lapack_pivots_on_exact_ties():
+    # norms 1, 1, 2: the first pivot moves column 0 into slot 2, and the tie
+    # between columns 1 and 0 then goes to column 1, which is first in place
+    f = np.zeros((6, 3), dtype=complex)
+    f[0, 0], f[1, 1], f[2, 2] = 1.0, 1.0, 2.0
+    assert np.array_equal(canonicalize(f), _canonicalize_by_scipy(f))
+    assert np.array_equal(np.abs(canonicalize(f)), np.abs(f[:, [2, 1, 0]]) / [2, 1, 1])
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 3), st.data())
+def test_null_space_is_that_of_scipy(n, data):
+    re, im = data.draw(arrays(float, (2, n, 2 * n), elements=st.floats(-1.0, 1.0)))
+    rows = re + 1j * im
+    if data.draw(st.booleans()):
+        rows[-1] = rows[0]  # rank deficient
+    assert np.array_equal(null_space(rows), scipy.linalg.null_space(rows))
+
+
+# -- properties of the frames and the group actions --------------------------
+
+
+@given(frames())
+def test_canonicalize_properties(f):
+    try:
+        q = canonicalize(f)
+    except wc.ValidationError:
+        return
+    assert q.shape == (f.shape[0], min(f.shape))
+    # orthonormal, the leading entry of each column real positive
+    assert np.allclose(q.conj().T @ q, np.eye(q.shape[1]), atol=1e-12)
+    a = np.abs(q)
+    lead = q[np.argmax(a > (1.0 - 1e-7) * a.max(axis=0), axis=0), np.arange(q.shape[1])]
+    assert np.all(lead.real > 0) and np.all(np.abs(lead.imag) <= 1e-15 * lead.real)
+    # idempotent up to the order of the columns: the columns of an
+    # orthonormal frame have equal norms up to rounding, which picks the pivots
+    q2 = canonicalize(q)
+    perm = np.argmax(np.abs(q2.conj().T @ q), axis=1)
+    assert sorted(perm) == list(range(q.shape[1]))
+    assert np.allclose(q2, q[:, perm], atol=1e-12)
+    # the span is kept
+    if np.linalg.cond(f) < 1e6 and f.shape[1] <= f.shape[0]:
+        assert np.allclose(q @ q.conj().T, f @ np.linalg.pinv(f), atol=1e-9)
+
+
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_cayley_round_trips(n, seed):
+    r = np.random.default_rng(seed)
+    B = random_contraction(r, n)
+    M = wc.cayley(B, "to_M")
+    assert np.allclose(wc.cayley(M, "to_B"), B, atol=1e-10)
+    assert np.allclose(wc.cayley(wc.cayley(M, "to_B"), "to_M"), M,
+                       atol=1e-9 * (1 + np.abs(M).max()))
+
+
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_mobius_round_trip_and_group_law(n, seed):
+    r = np.random.default_rng(seed)
+    B = random_contraction(r, n)
+    g1, g2 = random_pseudo_unitary(r, n), random_pseudo_unitary(r, n)
+    J = wc.form_gram(n)
+    g1_inv = wc.PseudoUnitary(np.linalg.inv(J) @ g1.g.conj().T @ J)
+    assert np.allclose(wc.mobius_pu(g1_inv, wc.mobius_pu(g1, B)), B, atol=1e-9)
+    assert np.allclose(wc.mobius_pu(g2.g @ g1.g, B), wc.mobius_pu(g2, wc.mobius_pu(g1, B)),
+                       atol=1e-9)

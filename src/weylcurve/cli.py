@@ -304,7 +304,7 @@ def cmd_height(cfg, p, c, bcs):
         pm = value_dist.total_phase(c, -r)
         rows.append([float(r), pp, pm, float(hv)])
         recs.append({"r": r, "phase_plus": pp, "phase_minus": pm, "h": float(hv)})
-    ot = value_dist.order_type(c, radii) if radii[-1] / radii[0] >= 100 else None
+    ot = value_dist.order_type_of_heights(radii, hs) if radii[-1] / radii[0] >= 100 else None
     payload = {"command": "height", "table": recs}
     if ot:
         payload["order_estimate"] = ot["rho"]
@@ -321,10 +321,12 @@ def cmd_fmt(cfg, p, c, bcs):
         raise ValidationError("fmt needs at least one boundary condition")
     rows = []
     summaries = []
-    for bc in bcs:
-        rep = value_dist.fmt_report(c, bc, r_grid)
+    reps = [value_dist.fmt_report(c, bc, r_grid) for bc in bcs]
+    # the heights do not depend on the condition
+    ot = value_dist.order_type_of_heights(reps[0].r_grid, reps[0].height) \
+        if max(r_grid) / min(r_grid) >= 100 else None
+    for bc, rep in zip(bcs, reps):
         dd = value_dist.report_defects(rep)
-        ot = value_dist.order_type(c, r_grid) if max(r_grid) / min(r_grid) >= 100 else None
         for i, r in enumerate(rep.r_grid):
             rows.append([bc.label, float(r), float(rep.phase_plus[i]),
                          float(rep.phase_minus[i]), float(rep.height[i]),

@@ -40,7 +40,12 @@ class CurveProvider:
     stack of B at each of them, under the same branch rules as B, and
     element k must equal B(lams[k]); B_many falls back to one B call per
     lambda without it; exponential() supplies it together with its exact
-    speed, 1 everywhere.  section_fn(point, lam) -> (F, scale) is a
+    speed, 1 everywhere.  prefetch_fn(lams) readies the work that B and
+    frame will need at each lambda of a 1-D complex array, in one batch:
+    without many_fn, B_many and frame_many call it once with the whole
+    array and then B or frame once per lambda, which then read what it
+    stored; the Sturm-Liouville provider solves every lambda of the array
+    in one fundamental_many call.  section_fn(point, lam) -> (F, scale) is a
     cancellation-safe form of the Schubert section at one lambda, and
     lognorm_fn(point, lams) maps an array of lambdas to the array of its
     log norms (-inf at zeros), both taken against the provider's frame.
@@ -50,7 +55,8 @@ class CurveProvider:
 
     def __init__(self, n, domain, eval_fn, deriv_fn=None, frame_fn=None,
                  provenance=None, h0=DEFAULT_H0, allow_real=False,
-                 speed_fn=None, many_fn=None, section_fn=None, lognorm_fn=None):
+                 speed_fn=None, many_fn=None, prefetch_fn=None, section_fn=None,
+                 lognorm_fn=None):
         if domain not in ("entire", "upper_half_plane_pair"):
             raise ValidationError(f"unknown provider domain {domain!r}")
         self.n = int(n)
@@ -60,6 +66,7 @@ class CurveProvider:
         self._frame_fn = frame_fn
         self.speed_fn = speed_fn
         self.many_fn = many_fn
+        self.prefetch_fn = prefetch_fn
         self.section_fn = section_fn
         self.lognorm_fn = lognorm_fn
         self.provenance = provenance or {"kind": "custom", "params": {}}
@@ -99,7 +106,12 @@ class CurveProvider:
         lams = np.asarray(lams, dtype=complex)
         if self.many_fn is not None:
             return np.asarray(self.many_fn(lams), dtype=complex)
+        self._prefetch(lams)
         return np.array([self.B(lam) for lam in lams], dtype=complex).reshape(-1, self.n, self.n)
+
+    def _prefetch(self, lams) -> None:
+        if self.prefetch_fn is not None:
+            self.prefetch_fn(lams)
 
     def dB(self, lam) -> np.ndarray:
         lam = complex(lam)
@@ -139,9 +151,10 @@ class CurveProvider:
 
     def frame_many(self, lams) -> np.ndarray:
         """The frames at every lambda of a 1-D array, as a (K, 2n, n) stack:
-        the chart stacks (I; B) from B_many, or one frame call per lambda
-        where the provider has its own frame."""
+        the chart stacks (I; B) from B_many, or, where the provider has its
+        own frame, one prefetch of the array and one frame call per lambda."""
         if self._frame_fn is not None:
+            self._prefetch(np.asarray(lams, dtype=complex))
             return np.array([self.frame(lam) for lam in lams]).reshape(-1, 2 * self.n, self.n)
         Bs = self.B_many(lams)
         return np.concatenate([np.broadcast_to(np.eye(self.n), Bs.shape), Bs], axis=1)
@@ -541,8 +554,8 @@ def reparameterize(c: CurveProvider, g) -> CurveProvider:
     """Precompose with the inverse SL(2,R) Moebius action on lambda.
 
     With m(lambda) = (d lambda - b) / (a - c lambda) and m' = 1 / (a - c lambda)^2,
-    the batched values, the frame, the section, its log norm and the exact
-    phase speed of the base curve carry over composed with m.
+    the batched values, the prefetch, the frame, the section, its log norm
+    and the exact phase speed of the base curve carry over composed with m.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (2, 2) or abs(np.linalg.det(g) - 1.0) > 1e-10:
@@ -575,6 +588,7 @@ def reparameterize(c: CurveProvider, g) -> CurveProvider:
         h0=c.h0, allow_real=c.allow_real,
         speed_fn=speed if c.speed_fn is not None else None,
         many_fn=(lambda lams: c.B_many(m(lams))) if c.many_fn is not None else None,
+        prefetch_fn=(lambda lams: c.prefetch_fn(m(lams))) if c.prefetch_fn is not None else None,
         section_fn=composed(c.section_fn), lognorm_fn=composed(c.lognorm_fn))
 
 
@@ -584,7 +598,8 @@ def congruence(c: CurveProvider, g) -> CurveProvider:
     The result keeps no frame, section, log norm or exact speed of c: those
     belong to the base chart, and the transformed curve's frame is the chart
     stack (I; B_g) of its own values.  It keeps no batched values either:
-    B_many calls B once per lambda.
+    B_many calls B once per lambda, after the base curve's prefetch, since
+    B_g(lambda) reads B(lambda).
     """
     if not isinstance(g, PseudoUnitary):
         g = PseudoUnitary(g)
@@ -607,4 +622,4 @@ def congruence(c: CurveProvider, g) -> CurveProvider:
         deriv_fn=dv if c.derivative_kind == "exact" else None,
         provenance={"kind": "transformed",
                     "params": {"base": c.descriptor(), "action": "congruence"}},
-        h0=c.h0, allow_real=c.allow_real)
+        h0=c.h0, allow_real=c.allow_real, prefetch_fn=c.prefetch_fn)

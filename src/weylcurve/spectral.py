@@ -217,20 +217,21 @@ def count_real(c: CurveProvider, bc: BoundaryCondition, a: float, b: float) -> i
     return int(_crossings(phis[-1] - phis[0], th[0], th[1]))
 
 
-def _find_roots(f, a, b):
+def _find_roots(f, a, b, fa, fb):
     """Roots of f in the brackets [a_k, b_k] of two arrays, all at once, by
     Chandrupatla's method (Adv. Eng. Softw. 28(3), 1997) with the update,
     termination and step rules of scipy.optimize.elementwise.find_root, to
     ROOT_TOL absolute and relative.
 
     f(x, k) takes the points x of the brackets k still open and returns
-    f there.  Returns (roots, status), status 0 where a root was found,
-    -1 where f has one sign on the bracket, -2 where the iterations ran out,
-    -3 where a value is not finite.
+    f there; fa and fb are f at the bracket ends, which the caller holds.
+    Returns (roots, status), status 0 where a root was found, -1 where f
+    has one sign on the bracket, -2 where the iterations ran out, -3 where
+    a value is not finite.
     """
     x1, x2 = np.array(a, dtype=float), np.array(b, dtype=float)
     k = np.arange(len(x1))
-    f1, f2 = f(x1, k), f(x2, k)
+    f1, f2 = np.array(fa, dtype=float), np.array(fb, dtype=float)
     roots, status = np.full(len(x1), np.nan), np.full(len(x1), -2)
     t = 0.5
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -282,7 +283,8 @@ def _crossing_roots(c, U, us, Bs, phis):
     left sample, eigenphases).  All parts with more than one crossing are
     halved together until each holds one or is narrower than the cluster
     tolerance; then every part is solved in one bracketed array root search
-    on the signed distance of the nearest eigenphase from 1.
+    on the signed distance of the nearest eigenphase from 1, whose values
+    at the part ends are read off the eigenphases held there.
     """
     d0 = np.linalg.det(Bs)[:-1]
     th = _eigenphases(U, Bs)
@@ -325,7 +327,9 @@ def _crossing_roots(c, U, us, Bs, phis):
         crossed = _crossings(p - x[1][i], x[2][i], t) > 0
         return np.where(crossed, t.min(axis=-1), t.max(axis=-1) - TWO_PI)
 
-    roots, status = _find_roots(psi, x[0], y[0])
+    # no crossing yet at a part's left end, its crossings all made at the right
+    roots, status = _find_roots(psi, x[0], y[0], x[2].max(axis=-1) - TWO_PI,
+                                y[2].min(axis=-1))
     if np.any(status):
         k = np.flatnonzero(status)[0]
         raise NumericalError(f"crossing refinement failed in ({x[0][k]}, {y[0][k]}] "

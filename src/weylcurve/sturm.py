@@ -256,17 +256,32 @@ def _panels(p: SLProblem, n: int) -> _Panels:
     return pan
 
 
+def _cosh_sinhc(z):
+    """(cosh d, sinh d / d) with d^2 = z, elementwise.  Complex z takes the
+    principal root.  Real z stays real: cosh and sinh of sqrt(z) where
+    z > 0, cos and sin of sqrt(-z) where z < 0, and (1, 1) at 0."""
+    if np.iscomplexobj(z):
+        d = np.sqrt(z)
+        nz = d != 0
+        d1 = np.where(nz, d, 1.0)
+        return np.cosh(d), np.where(nz, np.sinh(d1) / d1, 1.0)
+    pos = z > 0
+    d = np.sqrt(np.abs(z))
+    nz = d != 0
+    d1 = np.where(nz, d, 1.0)
+    # times the reciprocal, as numpy's complex division divides, so that
+    # sinh d / d has the complex path's bits wherever sinh and sin do
+    return (np.where(pos, np.cosh(d), np.cos(d)),
+            np.where(nz, np.where(pos, np.sinh(d1), np.sin(d1)) * (1.0 / d1), 1.0))
+
+
 def _magnus_exp(skew, step, mean, lam):
     """Entries (e00, e01, e10, e11) of exp M, M = [[a, b], [c, -a]] with
     a = skew, b = step and c = step (mean - lam), in closed form:
-    cosh d I + (sinh d / d) M with d^2 = a^2 + bc.  lam is complex and
-    broadcasts against the panel data."""
+    cosh d I + (sinh d / d) M with d^2 = a^2 + bc.  lam broadcasts against
+    the panel data; a real lam gives real entries."""
     c = step * (mean - lam)
-    d = np.sqrt(skew * skew + step * c)
-    ch = np.cosh(d)
-    nz = d != 0
-    d1 = np.where(nz, d, 1.0)
-    sh = np.where(nz, np.sinh(d1) / d1, 1.0)
+    ch, sh = _cosh_sinhc(skew * skew + step * c)
     return ch + sh * skew, sh * step, sh * c, ch - sh * skew
 
 
@@ -281,7 +296,7 @@ def _prefix(E) -> np.ndarray:
     prefix products of the panel factors along their last axis (an axis
     before it holds the lambdas of a batch) by a Hillis-Steele scan."""
     n = E[0].shape[-1]
-    out = np.empty((4,) + E[0].shape[:-1] + (n + 1,), dtype=complex)
+    out = np.empty((4,) + E[0].shape[:-1] + (n + 1,), dtype=np.result_type(*E))
     out[..., 0] = 0
     out[0, ..., 0] = out[3, ..., 0] = 1
     out[..., 1:] = E
@@ -319,7 +334,8 @@ def _solve(pan: _Panels, lam: np.ndarray) -> np.ndarray:
     to the panel end by that panel's own propagators and then across the
     rest of the interval; it never forms c - s'.  A lambda's fields come
     from the same elementwise operations and per-lambda sums whatever the
-    batch, so they do not depend on it.
+    batch, so they do not depend on it.  Real lambdas (a float lam) run in
+    float64 throughout and give real fields.
     """
     E = _magnus_exp(pan.skew, pan.h, pan.mean, lam)
     Y = _prefix(E)
@@ -331,6 +347,8 @@ def _solve(pan: _Panels, lam: np.ndarray) -> np.ndarray:
     def total(v):  # over the panels and their nodes
         return np.sum(v.reshape(v.shape[:-2] + (-1,)), axis=-1)
 
+    # squared before they are weighted, so a real lambda's moments overflow
+    # where a complex one's do
     m_cc = total(wq * (cn.real ** 2 + cn.imag ** 2))
     m_cs = total(wq * cn * sn.conj())
     m_ss = total(wq * (sn.real ** 2 + sn.imag ** 2))
@@ -356,12 +374,14 @@ def fundamental_many(p: SLProblem, lams) -> list:
     """FundamentalData at each lambda of lams, in their order, by panels.
 
     Memoized lambdas are read from the problem's memo.  The others are
-    grouped by panel count (all nodes of a circle share one) and each group
-    is propagated in passes of K lambdas with K N <= 4096, one broadcast
-    pass per chunk; a repeated lambda is solved once.  The fields are
-    bitwise those of a one-lambda solve.  The first lambda in node order
-    whose data leave the floating-point range raises NumericalError, and
-    nothing of the batch is memoized then.
+    grouped by panel count (all nodes of a circle share one) and by whether
+    they are real, and each group is propagated in passes of K lambdas with
+    K N <= 4096, one broadcast pass per chunk; a repeated lambda is solved
+    once.  Real lambdas run in float64 (q is real, so every field is) and
+    are stored as complex like the others.  The fields are bitwise those of
+    a one-lambda solve.  The first lambda in node order whose data leave
+    the floating-point range raises NumericalError, and nothing of the
+    batch is memoized then.
     """
     lams = np.ravel(np.asarray(lams, dtype=complex)).tolist()
     for lam in lams:
@@ -372,19 +392,19 @@ def fundamental_many(p: SLProblem, lams) -> list:
     groups = {}
     for lam, key, fd in zip(lams, keys, out):
         if fd is None:
-            groups.setdefault(_panel_count(p, lam), {})[key] = lam
+            groups.setdefault((_panel_count(p, lam), lam.imag == 0), {})[key] = lam
     solved, overflowed = {}, set()
     with np.errstate(all="ignore"):
-        for n, todo in groups.items():
+        for (n, real), todo in groups.items():
             pan, todo = _panels(p, n), list(todo.items())
             step = max(1, _BATCH_PANELS // n)
             for i in range(0, len(todo), step):
                 chunk = todo[i:i + step]
+                col = [[lam.real if real else lam] for _, lam in chunk]
                 # one lambda runs on 1-D panel arrays, where numpy's cost per
                 # call is lowest; a batch adds a leading lambda axis
-                at = np.array(chunk[0][1]) if len(chunk) == 1 \
-                    else np.array([[lam] for _, lam in chunk])
-                vals = _solve(pan, at).reshape(9, -1)
+                at = np.array(col[0][0] if len(chunk) == 1 else col)
+                vals = _solve(pan, at).reshape(9, -1).astype(complex, copy=False)
                 for (key, lam), v, ok in zip(chunk, vals.T.tolist(),
                                              np.isfinite(vals).all(axis=0)):
                     solved[key] = FundamentalData(lam, *v)
@@ -565,6 +585,9 @@ def curve_provider(p: SLProblem) -> CurveProvider:
                     "params": {"potential": p.potential.to_json(),
                                "length": p.length}},
         h0=1e-3, speed_fn=speed,
+        # one batched solve ahead of the per-lambda B and frame calls of
+        # B_many and frame_many, which then read the memo
+        prefetch_fn=lambda lams: fundamental_many(p, lams),
         section_fn=lambda point, lam: stable_section(p, point, lam),
         lognorm_fn=lambda point, lams: stable_section_lognorm(p, point, lams))
 

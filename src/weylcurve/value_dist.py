@@ -189,9 +189,14 @@ def fmt_report(c: CurveProvider, bc: BoundaryCondition, r_grid) -> VDReport:
 def order_type(c: CurveProvider, r_grid) -> dict:
     """Finite-r Weyl order and type estimates from the top decade of h."""
     radii = np.sort(np.asarray([float(r) for r in r_grid]))
+    return order_type_of_heights(radii, height_grid(c, radii))
+
+
+def order_type_of_heights(radii, h) -> dict:
+    """order_type read off the heights h already computed on the sorted radii."""
+    radii, h = np.asarray(radii, dtype=float), np.asarray(h, dtype=float)
     if radii[-1] / radii[0] < 100 * (1 - 1e-9):
         raise ValidationError("order_type needs a grid spanning >= 2 decades")
-    h = height_grid(c, radii)
     if h[-1] <= 1e-9:
         return {"rho": 0.0, "tau": float(max(h.max(), 0.0))}
     top = radii >= radii[-1] / 10

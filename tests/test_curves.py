@@ -174,6 +174,27 @@ def test_reparameterized_lognorm_takes_arrays(c_exp):
         cg.lognorm_fn(EXP_POINT, np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("transform", ["reparameterize", "congruence"])
+def test_transformed_sl_curves_prefetch_through_the_base(monkeypatch, transform):
+    from weylcurve import sturm
+
+    p = wc.SLProblem(potential=wc.Potential.zero())
+    base = wc.curve_provider(p)
+    if transform == "reparameterize":
+        cg = wc.reparameterize(base, np.array([[2.0, 0.5], [0.2, 0.55]]))
+    else:
+        cg = wc.congruence(base, random_pseudo_unitary(np.random.default_rng(3), 2))
+    lams = np.array([0.5, 3.0, 7.25 + 1j, 40.0])
+    calls = []
+    many = sturm.fundamental_many
+    monkeypatch.setattr(sturm, "fundamental_many", lambda q, ls: calls.append(len(ls)) or many(q, ls))
+    got = cg.B_many(lams)
+    # one batch solves every lambda that the per-lambda B calls then read
+    assert calls == [4] and len(p._memo) == 4
+    assert np.array_equal(got, np.array([cg.B(lam) for lam in lams]))
+    assert calls == [4] and len(p._memo) == 4
+
+
 def test_reparameterize_rejects_non_sl2():
     with pytest.raises(wc.ValidationError):
         wc.reparameterize(wc.exponential(), np.array([[2.0, 0.0], [0.0, 2.0]]))

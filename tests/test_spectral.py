@@ -296,10 +296,45 @@ def test_real_sweep_refines_every_root_in_a_few_batched_calls(monkeypatch):
     assert "brentq" not in vars(spectral)
 
 
+def test_sl_sweep_solves_each_B_many_batch_in_one_call(monkeypatch, bc_dirichlet):
+    # each batch of B on a Sturm-Liouville curve is solved by one
+    # fundamental_many call ahead of its per-lambda B calls, which stay
+    from weylcurve import curves, sturm
+
+    c = wc.curve_provider(wc.SLProblem(potential=wc.Potential.zero()))
+    count = {"many": 0, "B": 0}
+    batches = []
+    many, B, B_many = sturm.fundamental_many, curves.CurveProvider.B, curves.CurveProvider.B_many
+
+    def counted_many(p, lams):
+        count["many"] += 1
+        return many(p, lams)
+
+    def counted_B(self, lam):
+        count["B"] += 1
+        return B(self, lam)
+
+    def counted_B_many(self, lams):
+        before = dict(count)
+        out = B_many(self, lams)
+        batches.append((len(lams), count["many"] - before["many"], count["B"] - before["B"]))
+        return out
+
+    monkeypatch.setattr(sturm, "fundamental_many", counted_many)
+    monkeypatch.setattr(curves.CurveProvider, "B", counted_B)
+    monkeypatch.setattr(curves.CurveProvider, "B_many", counted_B_many)
+    evs = wc.eigenvalues_real(c, bc_dirichlet, (0.5, 10.0))
+    assert [e.lam.real for e in evs] == pytest.approx([1.0, 4.0, 9.0], abs=1e-9)
+    assert [(many_calls, b_calls) for k, many_calls, b_calls in batches] \
+        == [(1, k) for k, _, _ in batches]
+    assert max(k for k, _, _ in batches) > 1
+
+
 # -- the bracketed root search against scipy's -----------------------------------
 
 
-def _scipy_find_roots(f, a, b):
+def _scipy_find_roots(f, a, b, *ends):
+    # scipy evaluates f at the bracket ends itself
     from scipy.optimize.elementwise import find_root
 
     res = find_root(f, (a, b), args=(np.arange(len(a)),),
@@ -328,10 +363,11 @@ def test_root_search_is_that_of_scipy_find_root(monkeypatch, c_q0, c_qcos, c_exp
     ours_calls, calls[:] = list(calls), []
     monkeypatch.setattr(spectral, "_find_roots", _scipy_find_roots)
     ref = np.array([e.lam.real for e in wc.eigenvalues_real(c, bc, interval)])
-    # the same roots from the same evaluations, batch by batch
+    # the same roots from the same evaluations, batch by batch, less scipy's
+    # two evaluations of the bracket ends, whose values the sweep holds
     assert len(ours) == len(ref) > 10
     assert np.all(np.abs(ours - ref) <= 1e-13 * (1 + np.abs(ref)))
-    assert ours_calls == calls
+    assert ours_calls == calls[2:]
 
 
 def test_root_search_flags_a_bracket_without_a_sign_change():
@@ -341,7 +377,8 @@ def test_root_search_flags_a_bracket_without_a_sign_change():
         return np.where(k == 1, 1.0 + x * x, np.cos(x))
 
     a, b = np.array([0.0, 0.0, 3.0]), np.array([3.0, 3.0, 6.0])
-    roots, status = _find_roots(f, a, b)
+    k = np.arange(len(a))
+    roots, status = _find_roots(f, a, b, f(a, k), f(b, k))
     ref_roots, ref_status = _scipy_find_roots(f, a, b)
     assert status.tolist() == ref_status.tolist() == [0, -1, 0]
     assert np.array_equal(roots, ref_roots, equal_nan=True)
@@ -354,6 +391,7 @@ def test_failed_crossing_refinement_raises(monkeypatch, c_q0, bc_dirichlet):
     search = spectral._find_roots
     # a search on |psi| sees no sign change in any bracket
     monkeypatch.setattr(spectral, "_find_roots",
-                        lambda f, a, b: search(lambda x, k: np.abs(f(x, k)), a, b))
+                        lambda f, a, b, fa, fb: search(lambda x, k: np.abs(f(x, k)), a, b,
+                                                       np.abs(fa), np.abs(fb)))
     with pytest.raises(wc.NumericalError, match=r"crossing refinement failed .*\(status -1\)"):
         wc.eigenvalues_real(c_q0, bc_dirichlet, (0.5, 10.0))

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import simpson, solve_ivp
 
 import weylcurve as wc
+from weylcurve import sturm
 from weylcurve.sturm import (
     TRIPLET_MAP, fundamental, fundamental_many, gamma_plus, gamma_minus, gamma_plus_gram,
     solution_values, degeneracy_scan, stable_section_lognorm,
@@ -136,8 +137,14 @@ def _dop853(pot, lam, moments=True, xs=None):
 @example(re=1e4, im=50.0)
 def test_fundamental_matches_dop853(name, re, im):
     lam = complex(re, im)
-    pot = ORACLE_POTENTIALS[name]
     fd = fundamental(ORACLE_PROBLEMS[name], lam)
+    errs = _dop853_errors(name, lam, fd)
+    assert max(errs) <= ORACLE_TOL, errs
+
+
+def _dop853_errors(name, lam, fd):
+    """The errors of fd's fields against DOP853, each relative to its scale."""
+    pot = ORACLE_POTENTIALS[name]
     c, cp, s, sp, m_cc, m_cs, m_ss, w, wp = _dop853(pot, lam)
     k = np.sqrt(1.0 + abs(lam))
     # the oracle's own w loses digits where q' is rough (a spline table);
@@ -155,8 +162,7 @@ def test_fundamental_matches_dop853(name, re, im):
     else:
         env_w = abs(w) + abs(wp) / k
         pairs += [(fd.w, w, env_w), (fd.wp, wp, k * env_w)]
-    errs = [abs(got - ref) / scale for got, ref, scale in pairs]
-    assert max(errs) <= ORACLE_TOL, errs
+    return [abs(got - ref) / scale for got, ref, scale in pairs]
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_POTENTIALS))
@@ -239,6 +245,76 @@ def test_fundamental_many_overflow_names_the_first_failing_lambda(p_qcos):
             fundamental_many(p, [5.0, -13000.0, -12000.0, -20000.0])
     assert f"{complex(-13000.0):g}" in str(err.value)
     assert "-20000" not in str(err.value)
+
+
+# -- the float64 kernel on the real axis ------------------------------------------
+
+
+def _field_scales(v, lam):
+    """The scale of each of the nine fields (c, c', s, s', m_cc, m_cs, m_ss,
+    w, w') of one solve, as in the DOP853 comparison."""
+    c, cp, s, sp, m_cc, _, m_ss, w, wp = np.abs(v)
+    k = np.sqrt(1.0 + abs(lam))
+    env_c, env_s, env_w = c + cp / k, s + sp / k, w + wp / k
+    return np.array([env_c, k * env_c, env_s, k * env_s, m_cc, np.sqrt(m_cc) * np.sqrt(m_ss),
+                     m_ss, env_w, k * env_w])
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_POTENTIALS))
+@settings(max_examples=8)
+@given(lam=st.floats(-1e4, 1e4))
+@example(lam=-1e4)
+@example(lam=0.0)
+@example(lam=1e4)
+def test_real_kernel_matches_the_complex_kernel_and_dop853(name, lam):
+    p = ORACLE_PROBLEMS[name]
+    n = sturm._panel_count(p, lam)
+    pan = sturm._panels(p, n)
+    got = sturm._solve(pan, np.array(lam))
+    ref = sturm._solve(pan, np.array(complex(lam)))
+    assert got.dtype == float and ref.dtype == complex
+    # fundamental runs the real kernel and stores its fields as complex
+    fd = fundamental(p, lam)
+    assert [fd.c, fd.cp, fd.s, fd.sp, fd.m_cc, fd.m_cs, fd.m_ss, fd.w, fd.wp] == got.tolist()
+    assert all(isinstance(v, complex) for v in (fd.c, fd.m_cs, fd.wp))
+    # the two kernels round differently by about an ulp per panel factor
+    # (numpy's float64 cosh is not its complex one), and N factors carry it
+    # to about N ulps, twice that in the moments
+    scale = _field_scales(ref, lam)
+    assert np.all(np.abs(got - ref) <= 4 * n * np.finfo(float).eps * scale)
+    errs = _dop853_errors(name, complex(lam), fd)
+    assert max(errs) <= ORACLE_TOL, errs
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_POTENTIALS))
+@settings(max_examples=10)
+@given(lams=st.lists(st.one_of(st.floats(-1e4, 1e4),
+                               st.builds(complex, st.floats(-1e4, 1e4), st.floats(-50.0, 50.0))),
+                     min_size=2, max_size=12))
+@example(lams=[3.0, 3.0 + 1e-9j, -7.5, 1e4, 1e4 + 5j, 0.0, -0.0, 450.0])
+def test_fundamental_many_mixing_real_and_complex_is_bitwise_fundamental(name, lams):
+    pot = ORACLE_POTENTIALS[name]
+    one, many = wc.SLProblem(potential=pot), wc.SLProblem(potential=pot)
+    ref = [fundamental(one, lam) for lam in lams]
+    assert fundamental_many(many, lams) == ref
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_POTENTIALS))
+def test_real_and_complex_kernels_overflow_at_the_same_lambda(name):
+    # the moments leave the double range near lambda = -12,750
+    p = ORACLE_PROBLEMS[name]
+    lams = np.arange(-12900.0, -12600.0, 5.0)
+    with np.errstate(all="ignore"):
+        finite = [[np.isfinite(sturm._solve(sturm._panels(p, sturm._panel_count(p, lam)),
+                                            np.array(x))).all() for x in (lam, complex(lam))]
+                  for lam in lams]
+    assert [r for r, _ in finite] == [c for _, c in finite]
+    assert not finite[0][0] and finite[-1][0]
+    fresh = wc.SLProblem(potential=p.potential)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(wc.NumericalError, match="moment overflow at lambda = -13000"):
+            fundamental(fresh, -13000.0)
 
 
 def test_stable_lognorm_takes_arrays(p_qx, c_qx):

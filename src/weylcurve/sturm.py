@@ -3,15 +3,15 @@
 Fundamental solutions c (y(0)=1, y'(0)=0) and s (y(0)=0, y'(0)=1) are
 propagated at any complex lambda by a panel method.  q is sampled once per
 problem at fixed Gauss nodes of N uniform panels; each panel's transfer
-matrix is the fourth-order Magnus exponential (Iserles & Norsett 1999) of
-a traceless 2x2 matrix, in closed form, which is exact for constant q; a
-Hillis-Steele scan of these products gives the fundamental matrix at every
-panel start.  The three L^2 moment integrals needed for gamma-field Gram
-matrices are Gauss quadratures of the panel-local solutions, reached by
-fourth-order partial Magnus steps, and the difference w = c - s' is the
-panel sum of its variation-of-constants integrals.  N is a power of two
-set by the ODE tolerance, the size of q' and |lambda|; the tests check the
-result against DOP853 at rtol 1e-13.
+matrix is the sixth-order Magnus exponential (Blanes, Casas & Ros 2000) of
+a traceless 2x2 matrix affine in lambda, in closed form, which is exact for
+constant q; a Hillis-Steele scan of these products gives the fundamental
+matrix at every panel start.  The three L^2 moment integrals needed for
+gamma-field Gram matrices are 6-point Gauss quadratures of the panel-local
+solutions, reached by partial Magnus steps, and the difference w = c - s'
+is the panel sum of its variation-of-constants integrals.  N is a power of
+two set by the ODE tolerance, the size of q' and |lambda|; the tests check
+the result against DOP853 at rtol 1e-13.
 
 The module exposes the explicit 2x2 Weyl data (M, B), the boundary-triplet
 coordinate map, gamma-fields, boundary-condition constructors from physical
@@ -185,37 +185,67 @@ class SLProblem:
         return self._qfun_cache[1]
 
 
-# Fourth-order Magnus: the two Gauss nodes of a step, as fractions of it
-_MAGNUS_NODES = np.array([0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6])
-_MAGNUS_SKEW = np.sqrt(3) / 12
+# Sixth-order Magnus (Blanes, Casas & Ros 2000): the three Gauss nodes of a
+# step, as fractions of it
+_MAGNUS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15) / 10
+_MAGNUS_SKEW = np.sqrt(15) / 540
 # Gauss-Legendre nodes (fractions of a panel) and weights of the moment and
 # w quadratures
-_QUAD_X, _QUAD_W = np.polynomial.legendre.leggauss(4)
+_QUAD_X, _QUAD_W = np.polynomial.legendre.leggauss(6)
 _QUAD_NODES, _QUAD_WEIGHTS = (_QUAD_X + 1) / 2, _QUAD_W / 2
-# relative error of that quadrature on a panel is about QUAD_ERR (k h)^8 for
-# solutions growing like e^{k x}
-_QUAD_ERR = 2.9e-7
+# error models of a panel set, with k^2 = 1 + |lambda| + max |q|
+# (_panel_count): the relative error of that quadrature on a panel is about
+# QUAD_ERR (k h)^12 for solutions growing like e^{k x}, twice the
+# Gauss-Legendre remainder 7.7e-13 (k h)^12; the Magnus error of the fields
+# measured on the test potentials is at most about 8.6e-4 max|q'| h^6 k^3
+# (q = x near lambda = 1), and MAGNUS_ERR is three times that coefficient
+_QUAD_ERR = 1.5e-12
+_MAGNUS_ERR = 2.7e-3
 _MIN_PANELS = 16
 
 
 @dataclass(frozen=True)
 class _Panels:
-    """q sampled for one panel count: what a Magnus step needs is the mean
-    of q at its two nodes and sqrt(3)/12 step^2 (q(first) - q(second))."""
+    """q sampled for one panel count.  The exponent of a sixth-order Magnus
+    step is affine in lambda, [[a0 + lam a1, b], [c0 + lam c1, -(a0 + lam a1)]],
+    and each step is stored as those five coefficients (see _magnus_coeffs)."""
 
     h: float
-    mean: np.ndarray       # (N,) whole panels
-    skew: np.ndarray
-    sub_mean: np.ndarray   # (N, J) partial steps from a panel start to its
-    sub_skew: np.ndarray   # quadrature nodes
+    step: tuple            # five (N,) arrays: the whole panels
+    sub: tuple             # five (N, J) arrays: the partial steps from a panel
+                           # start to its quadrature nodes
     forcing: np.ndarray    # (N, J) -q' at the nodes times h times the weights
 
 
+def _magnus_coeffs(q1, q2, q3, step):
+    """(a0, a1, b, c0, c1) of the sixth-order Magnus exponent of one step of
+    y' = [[0, 1], [q - lam, 0]] y from q at its three Gauss nodes.
+
+    The Blanes-Casas-Ros exponent alpha1 + alpha3/12 + [-20 alpha1 - alpha3
+    + C1, alpha2 + C2]/240 in closed form, with D = q1 - q3 and
+    S = q1 - 2 q2 + q3: the lambda^2 terms cancel,
+      a = sqrt(15) h^2 D (15 - h^2 ((q1 + 10 q2 + q3)/12 - lam)) / 540,
+      b = h (1 - h^2 S/54 + h^4 D^2/2160),
+      c = (q2 - lam) h (1 + h^2 S/54 + h^4 D^2/2160)
+          + h (5 S/18 + h^2 (S^2/324 - D^2/72)).
+    For constant q this is the exact exponent h [[0, 1], [q - lam, 0]]."""
+    h2 = step * step
+    d, s = q1 - q3, q1 - 2 * q2 + q3
+    d2 = h2 * h2 * (d * d) / 2160
+    s1 = h2 * s / 54
+    c1 = -step * (1 + s1 + d2)
+    skew = _MAGNUS_SKEW * h2 * d
+    a0 = skew * (15 - h2 * ((q1 + 10 * q2 + q3) / 12))
+    c0 = -c1 * q2 + step * (5 * s / 18 + h2 * (s * s / 324 - d * d / 72))
+    return a0, skew * h2, step * (1 - s1 + d2), c0, c1
+
+
 def _magnus_terms(q, x0, step):
-    """(mean, skew) of Magnus steps of length step from x0; one evaluator call."""
-    t = np.asarray(x0)[..., None] + np.asarray(step)[..., None] * _MAGNUS_NODES
-    qt = q(t)
-    return qt.mean(axis=-1), _MAGNUS_SKEW * step ** 2 * (qt[..., 0] - qt[..., 1])
+    """Magnus coefficients of steps of length step from x0; one evaluator
+    call."""
+    step = np.asarray(step)
+    qt = q(np.asarray(x0)[..., None] + step[..., None] * _MAGNUS_NODES)
+    return _magnus_coeffs(qt[..., 0], qt[..., 1], qt[..., 2], step)
 
 
 def _sample_panels(p: SLProblem, n: int) -> _Panels:
@@ -223,29 +253,33 @@ def _sample_panels(p: SLProblem, n: int) -> _Panels:
     x0 = h * np.arange(n)
     sub = h * _QUAD_NODES
     # one evaluator call samples the whole-panel and the partial-step nodes
-    mean, skew = _magnus_terms(p._qfun(), np.concatenate([x0, np.repeat(x0, sub.size)]),
-                               np.concatenate([np.full(n, h), np.tile(sub, n)]))
+    coef = _magnus_terms(p._qfun(), np.concatenate([x0, np.repeat(x0, sub.size)]),
+                         np.concatenate([np.full(n, h), np.tile(sub, n)]))
     qd = p._qdfun()(x0[:, None] + sub)
-    return _Panels(h=h, mean=mean[:n], skew=skew[:n],
-                   sub_mean=mean[n:].reshape(n, -1), sub_skew=skew[n:].reshape(n, -1),
+    return _Panels(h=h, step=tuple(v[:n] for v in coef),
+                   sub=tuple(v[n:].reshape(n, -1) for v in coef),
                    forcing=-qd * (h * _QUAD_WEIGHTS))
 
 
 def _panel_count(p: SLProblem, lam: complex) -> int:
     """Smallest power of two (at least 16) of panels whose step h meets both
-    error models at ode_rtol: the Magnus error, about q_1 h^4 with q_1 the
-    largest |q'|, and the quadrature error, about QUAD_ERR (k h)^8 with
-    k^2 = 1 + |lambda| + max |q|.  tests/test_sturm.py checks the result
-    against DOP853 at rtol 1e-13."""
+    error models at ode_rtol, with k^2 = 1 + |lambda| + max |q|: the Magnus
+    error, about MAGNUS_ERR q_1 h^6 k^3 with q_1 the largest |q'| (zero for
+    constant q, whose steps are exact), and the quadrature error, about
+    QUAD_ERR (k h)^12.  At rtol 1e-10 that is 128 to 256 panels for q = cos x
+    and q = x on [-2, 450], 1,024 at |lambda| = 1e4, and 16 to 64 for q = 0 at
+    |lambda| <= 450.  tests/test_sturm.py checks the result against DOP853 at
+    rtol 1e-13."""
     scale = p._panel_cache.get("scale")
     if scale is None:
         xs = np.linspace(0.0, p.length, 1025)
         scale = p._panel_cache["scale"] = (float(np.max(np.abs(p._qfun()(xs)))),
                                            float(np.max(np.abs(p._qdfun()(xs)))))
     q_max, qd_max = scale
-    h = (p.ode_rtol / _QUAD_ERR) ** 0.125 / math.sqrt(1.0 + abs(lam) + q_max)
+    k = math.sqrt(1.0 + abs(lam) + q_max)
+    h = (p.ode_rtol / _QUAD_ERR) ** (1 / 12) / k
     if qd_max > 0:
-        h = min(h, (p.ode_rtol / qd_max) ** 0.25)
+        h = min(h, (p.ode_rtol / (_MAGNUS_ERR * qd_max * k ** 3)) ** (1 / 6))
     return max(_MIN_PANELS, 1 << math.ceil(math.log2(p.length / h)))
 
 
@@ -259,7 +293,8 @@ def _panels(p: SLProblem, n: int) -> _Panels:
 def _cosh_sinhc(z):
     """(cosh d, sinh d / d) with d^2 = z, elementwise.  Complex z takes the
     principal root.  Real z stays real: cosh and sinh of sqrt(z) where
-    z > 0, cos and sin of sqrt(-z) where z < 0, and (1, 1) at 0."""
+    z > 0, cos and sin of sqrt(-z) where z < 0, and (1, 1) at 0; a call
+    whose nodes share one sign evaluates that branch only."""
     if np.iscomplexobj(z):
         d = np.sqrt(z)
         nz = d != 0
@@ -269,20 +304,29 @@ def _cosh_sinhc(z):
     d = np.sqrt(np.abs(z))
     nz = d != 0
     d1 = np.where(nz, d, 1.0)
+    if pos.all():
+        ch, sh = np.cosh(d), np.sinh(d1)
+    elif not pos.any():
+        ch, sh = np.cos(d), np.sin(d1)
+    else:
+        ch = np.where(pos, np.cosh(d), np.cos(d))
+        sh = np.where(pos, np.sinh(d1), np.sin(d1))
     # times the reciprocal, as numpy's complex division divides, so that
     # sinh d / d has the complex path's bits wherever sinh and sin do
-    return (np.where(pos, np.cosh(d), np.cos(d)),
-            np.where(nz, np.where(pos, np.sinh(d1), np.sin(d1)) * (1.0 / d1), 1.0))
+    return ch, np.where(nz, sh * (1.0 / d1), 1.0)
 
 
-def _magnus_exp(skew, step, mean, lam):
-    """Entries (e00, e01, e10, e11) of exp M, M = [[a, b], [c, -a]] with
-    a = skew, b = step and c = step (mean - lam), in closed form:
-    cosh d I + (sinh d / d) M with d^2 = a^2 + bc.  lam broadcasts against
-    the panel data; a real lam gives real entries."""
-    c = step * (mean - lam)
-    ch, sh = _cosh_sinhc(skew * skew + step * c)
-    return ch + sh * skew, sh * step, sh * c, ch - sh * skew
+def _magnus_exp(coef, lam):
+    """Entries (e00, e01, e10, e11) of exp M for the Magnus exponents
+    M = [[a, b], [c, -a]] with a = a0 + lam a1 and c = c0 + lam c1, coef =
+    (a0, a1, b, c0, c1), in closed form: cosh d I + (sinh d / d) M with
+    d^2 = a^2 + bc.  lam broadcasts against the panel data; a real lam gives
+    real entries."""
+    a0, a1, b, c0, c1 = coef
+    a = a0 + lam * a1
+    c = c0 + lam * c1
+    ch, sh = _cosh_sinhc(a * a + b * c)
+    return ch + sh * a, sh * b, sh * c, ch - sh * a
 
 
 def _mul(x, y):
@@ -327,8 +371,8 @@ def _solve(pan: _Panels, lam: np.ndarray) -> np.ndarray:
     (lam of shape (K, 1): shape (9, K)) that share the panel set pan.
 
     The endpoint values are the last prefix product.  The moments are
-    4-point Gauss sums of the solutions at the quadrature nodes of every
-    panel, reached by partial Magnus steps.  w = c - s' obeys
+    6-point Gauss sums of the solutions at the quadrature nodes of every
+    panel, reached by partial sixth-order Magnus steps.  w = c - s' obeys
     w'' = (q - lam) w - q' s from zero data, so it is the sum over panels of
     the variation-of-constants integral of the forcing -q' s, each carried
     to the panel end by that panel's own propagators and then across the
@@ -337,9 +381,9 @@ def _solve(pan: _Panels, lam: np.ndarray) -> np.ndarray:
     batch, so they do not depend on it.  Real lambdas (a float lam) run in
     float64 throughout and give real fields.
     """
-    E = _magnus_exp(pan.skew, pan.h, pan.mean, lam)
+    E = _magnus_exp(pan.step, lam)
     Y = _prefix(E)
-    al, be, _, _ = _magnus_exp(pan.sub_skew, _QUAD_NODES * pan.h, pan.sub_mean, lam[..., None])
+    al, be, _, _ = _magnus_exp(pan.sub, lam[..., None])
     cn = al * Y[0, ..., :-1, None] + be * Y[2, ..., :-1, None]
     sn = al * Y[1, ..., :-1, None] + be * Y[3, ..., :-1, None]
     wq = pan.h * _QUAD_WEIGHTS
@@ -655,12 +699,11 @@ def solution_values(p: SLProblem, lam, xs) -> tuple:
     xs = np.asarray(xs, dtype=float)
     with np.errstate(all="ignore"):
         pan = _panels(p, _panel_count(p, lam))
-        Y = _prefix(_magnus_exp(pan.skew, pan.h, pan.mean, lam))
+        Y = _prefix(_magnus_exp(pan.step, lam))
         k = np.clip(np.floor(xs / pan.h).astype(int), 0, Y.shape[1] - 2)
         x0 = k * pan.h
         tau = xs - x0
-        mean, skew = _magnus_terms(p._qfun(), x0, tau)
-        al, be, ga, de = _magnus_exp(skew, tau, mean, lam)
+        al, be, ga, de = _magnus_exp(_magnus_terms(p._qfun(), x0, tau), lam)
         vals = (al * Y[0, k] + be * Y[2, k], ga * Y[0, k] + de * Y[2, k],
                 al * Y[1, k] + be * Y[3, k], ga * Y[1, k] + de * Y[3, k])
     if not all(np.all(np.isfinite(v.view(float))) for v in vals):

@@ -135,6 +135,8 @@ def _dop853(pot, lam, moments=True, xs=None):
 @given(re=LAM_RE, im=LAM_IM)
 @example(re=-1e4, im=-50.0)
 @example(re=1e4, im=50.0)
+@example(re=1e5, im=0.0)
+@example(re=1e5, im=50.0)
 def test_fundamental_matches_dop853(name, re, im):
     lam = complex(re, im)
     fd = fundamental(ORACLE_PROBLEMS[name], lam)
@@ -212,10 +214,92 @@ def test_overflow_is_a_typed_error_without_warnings(p_qcos, lam):
         assert np.isfinite(fundamental(p, -12000.0).m_cc)
 
 
+# -- the sixth-order Magnus step -----------------------------------------------------
+
+
+def _commutator_exponent(q1, q2, q3, h, lam):
+    """The Blanes-Casas-Ros sixth-order Magnus exponent of one step of
+    y' = [[0, 1], [q - lam, 0]] y, by the generic 2x2 commutator formula."""
+    A1, A2, A3 = (np.array([[0, 1], [q - lam, 0]], dtype=complex) for q in (q1, q2, q3))
+
+    def com(x, y):
+        return x @ y - y @ x
+
+    a1 = h * A2
+    a2 = np.sqrt(15) * h / 3 * (A3 - A1)
+    a3 = 10 * h / 3 * (A3 - 2 * A2 + A1)
+    c1 = com(a1, a2)
+    c2 = -com(a1, 2 * a3 + c1) / 60
+    return a1 + a3 / 12 + com(-20 * a1 - a3 + c1, a2 + c2) / 240
+
+
+@settings(max_examples=200)
+@given(qs=st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3), h=st.floats(1e-3, 0.5),
+       re=st.floats(-1e5, 1e5), im=st.one_of(st.just(0.0), st.floats(-50.0, 50.0)))
+@example(qs=[0.0, 0.0, 0.0], h=0.3, re=7.0, im=0.0)
+@example(qs=[-3.0, 40.0, 12.0], h=0.5, re=-1e5, im=50.0)
+def test_magnus_coefficients_match_the_commutator_formula(qs, h, re, im):
+    # the closed-form exponent is affine in lambda: its lambda^2 terms cancel
+    lam = complex(re, im)
+    a0, a1, b, c0, c1 = (float(v) for v in sturm._magnus_coeffs(*np.array(qs), np.array(h)))
+    ref = _commutator_exponent(*qs, h, lam)
+    got = np.array([[a0 + lam * a1, b], [c0 + lam * c1, -(a0 + lam * a1)]])
+    # the commutators carry products some h^2 |lambda| times larger than the
+    # exponent, which cancel; so does their rounding
+    tol = 1e-14 * (1 + h * h * abs(lam)) * np.abs(ref).max()
+    assert np.abs(got - ref).max() <= tol, (got, ref)
+
+
+def test_magnus_step_is_exact_for_constant_q():
+    # the exponent of a constant q is h [[0, 1], [q - lam, 0]]: for q = 0,
+    # b = h, c = -lam h and a = 0 bitwise
+    h = np.pi / 64
+    a0, a1, b, c0, c1 = sturm._magnus_coeffs(*np.zeros((3, 5)), np.full(5, h))
+    assert np.all(a0 == 0) and np.all(a1 == 0) and np.all(c0 == 0)
+    assert np.all(b == h) and np.all(c1 == -h)
+    q = 2.5
+    a0, a1, b, c0, c1 = sturm._magnus_coeffs(q, q, q, h)
+    assert (a0, a1, b, c1) == (0, 0, h, -h) and c0 == pytest.approx(q * h, rel=1e-15)
+
+
+def test_magnus_step_is_sixth_order(p_qcos):
+    # halving the step divides the error of (c, c', s, s') by about 2^6 = 64
+    ref = sturm._solve(sturm._panels(p_qcos, 1024), np.array(1.0))[:4]
+    errs = [np.abs(sturm._solve(sturm._panels(p_qcos, n), np.array(1.0))[:4] - ref).max()
+            for n in (8, 16, 32, 64)]
+    ratios = [a / b for a, b in zip(errs, errs[1:])]
+    assert all(40 <= r <= 90 for r in ratios), (errs, ratios)
+
+
+@pytest.mark.parametrize("name, lams, most", [
+    ("cos", np.linspace(-2.0, 450.0, 227), 256),
+    ("x", np.linspace(-2.0, 450.0, 227), 256),
+    # q = 0 depends on |lambda| alone
+    ("q0", 450.0 * np.exp(1j * np.linspace(0.0, 2 * np.pi, 64)), 64),
+    ("q0", np.linspace(-450.0, 450.0, 181), 64),
+])
+def test_panel_counts_at_the_default_tolerance(name, lams, most):
+    p = ORACLE_PROBLEMS[name]
+    assert p.ode_rtol == 1e-10
+    counts = {sturm._panel_count(p, lam) for lam in lams}
+    assert max(counts) <= most, sorted(counts)
+
+
+@pytest.mark.parametrize("z", [np.linspace(0.5, 40.0, 50), -np.linspace(0.0, 40.0, 50)])
+def test_one_signed_cosh_sinhc_is_bitwise_the_mixed_one(z):
+    # nodes that share a sign evaluate one branch; a node of the other sign
+    # makes the call select per node, with the same values on the others
+    other = np.array([1.0 if z[-1] <= 0 else -1.0])
+    one = sturm._cosh_sinhc(z)
+    mixed = sturm._cosh_sinhc(np.concatenate([z, other]))
+    assert all(np.array_equal(a, b[:-1]) for a, b in zip(one, mixed))
+
+
 # -- the batch entry ------------------------------------------------------------
 
-# |lambda| from 0 to 1e4 in any direction: for q = 0 every panel count from
-# 16 to 1024, and more than one propagation pass at 1024 panels
+# |lambda| from 0 to 1e4 in any direction: every panel count from 16 to 256
+# for q = 0 and from 128 to 1024 for the other potentials; the second example
+# takes those through more than one propagation pass at 1024 panels
 BATCH_LAMS = st.lists(st.builds(lambda r, t: r * cmath.exp(1j * t),
                                 st.floats(0.0, 1e4), st.floats(0.0, 2 * np.pi)),
                       min_size=2, max_size=10)
@@ -225,6 +309,8 @@ BATCH_LAMS = st.lists(st.builds(lambda r, t: r * cmath.exp(1j * t),
 @settings(max_examples=10)
 @given(lams=BATCH_LAMS, memo=st.lists(st.booleans(), min_size=10, max_size=10))
 @example(lams=[0.0, 50.0j, -300.0, 1e4, 2e3 + 1j, 1e4 - 5j, -1e4, 7.0], memo=[False] * 10)
+@example(lams=[1e4, -1e4, 9e3, -9e3, 8e3 + 1j, 9.5e3, -8.5e3, 1e4 - 5j, 3.0, -1e4 + 50j],
+         memo=[False] * 10)
 def test_fundamental_many_is_bitwise_fundamental(name, lams, memo):
     pot = ORACLE_POTENTIALS[name]
     one, many = wc.SLProblem(potential=pot), wc.SLProblem(potential=pot)
@@ -266,6 +352,7 @@ def _field_scales(v, lam):
 @example(lam=-1e4)
 @example(lam=0.0)
 @example(lam=1e4)
+@example(lam=1e5)
 def test_real_kernel_matches_the_complex_kernel_and_dop853(name, lam):
     p = ORACLE_PROBLEMS[name]
     n = sturm._panel_count(p, lam)

@@ -146,8 +146,7 @@ def build_problem(cfg):
         pot = sturm.Potential.from_json(sl.get("potential", {"kind": "zero"}))
         p = sturm.SLProblem(potential=pot,
                             length=float(sl.get("interval", np.pi)),
-                            ode_rtol=float(sl.get("rtol", 1e-10)),
-                            ode_atol=float(sl.get("atol", 1e-12)))
+                            ode_rtol=float(sl.get("rtol", 1e-10)))
         return p, sturm.curve_provider(p)
     if "builtin_curve" in prob:
         b = prob["builtin_curve"]

@@ -45,18 +45,19 @@ class CurveProvider:
     without many_fn, B_many and frame_many call it once with the whole
     array and then B or frame once per lambda, which then read what it
     stored; the Sturm-Liouville provider solves every lambda of the array
-    in one fundamental_many call.  section_fn(point, lam) -> (F, scale) is a
-    cancellation-safe form of the Schubert section at one lambda, and
-    lognorm_fn(point, lams) maps an array of lambdas to the array of its
-    log norms (-inf at zeros), both taken against the provider's frame.
+    in one fundamental_many call.  section_fn(point, lams) is the Schubert
+    section against the provider's frame, in a cancellation-safe form: it
+    maps a 1-D complex array of lambdas to three arrays, the section F, its
+    Hadamard scale (the noise ambient F should be compared to) and
+    ln |F| / vol(frame), -inf at zeros; without it spectral.sections reads
+    the section off frame_many.
     phase_path holds the real-axis phase of det B shared by the spectral
     and value-distribution layers.
     """
 
     def __init__(self, n, domain, eval_fn, deriv_fn=None, frame_fn=None,
                  provenance=None, h0=DEFAULT_H0, allow_real=False,
-                 speed_fn=None, many_fn=None, prefetch_fn=None, section_fn=None,
-                 lognorm_fn=None):
+                 speed_fn=None, many_fn=None, prefetch_fn=None, section_fn=None):
         if domain not in ("entire", "upper_half_plane_pair"):
             raise ValidationError(f"unknown provider domain {domain!r}")
         self.n = int(n)
@@ -68,7 +69,6 @@ class CurveProvider:
         self.many_fn = many_fn
         self.prefetch_fn = prefetch_fn
         self.section_fn = section_fn
-        self.lognorm_fn = lognorm_fn
         self.provenance = provenance or {"kind": "custom", "params": {}}
         self.h0 = float(h0)
         self.allow_real = bool(allow_real)
@@ -411,26 +411,29 @@ def shifted_identity(a: float = 1.0, n: int = 1) -> CurveProvider:
 
 
 def exponential() -> CurveProvider:
-    """The entire curve B(lambda) = e^{i lambda}, n = 1, with batched values
-    and its exact phase speed, 1 everywhere."""
+    """The entire curve B(lambda) = e^{i lambda}, n = 1, with batched values,
+    its exact phase speed, 1 everywhere, and its section in closed form."""
 
-    def lognorm(point, lams):
-        # ln |det[V | (1; B)]| - ln vol(1; B) with B = e^{i lam} at each
-        # lambda; deep in the lower half-plane (L = -Im lam > 300, |B| ~ e^L)
-        # in the log domain, so the frame volume does not overflow
+    def section(point, lams):
+        # F = det[V | (1; B)] = v1 B - v2 with B = e^{i lam} at each lambda,
+        # its scale |V| |(1; B)|, and ln |F| - ln vol(1; B); deep in the
+        # lower half-plane (L = -Im lam > 300, |B| ~ e^L) the log norm is
+        # taken in the log domain, so the frame volume does not overflow
         lam = np.asarray(lams, dtype=complex)
         v1, v2 = complex(point.frame[0, 0]), complex(point.frame[1, 0])
         L = -lam.imag
         deep = L > 300.0
-        out = np.empty(lam.shape)
-        with np.errstate(divide="ignore"):
-            B = np.exp(1j * lam[~deep])
-            out[~deep] = np.log(np.abs(v1 * B - v2)) - 0.5 * np.log1p(np.abs(B) ** 2)
+        ln = np.empty(lam.shape)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            B = np.exp(1j * lam)
+            F = v1 * B - v2
+            scale = math.hypot(abs(v1), abs(v2)) * np.hypot(1.0, np.abs(B))
+            ln[~deep] = np.log(np.abs(F[~deep])) - 0.5 * np.log1p(np.abs(B[~deep]) ** 2)
             Ld = L[deep]
             det_scaled = v1 * np.exp(1j * lam[deep].real) - v2 * np.exp(-Ld)
-            out[deep] = (Ld + np.log(np.abs(det_scaled))) \
+            ln[deep] = (Ld + np.log(np.abs(det_scaled))) \
                 - (Ld + 0.5 * np.log1p(np.exp(-2.0 * Ld)))
-        return out
+        return F, scale, ln
 
     return CurveProvider(
         1, "entire",
@@ -438,7 +441,7 @@ def exponential() -> CurveProvider:
         deriv_fn=lambda lam: np.array([[1j * np.exp(1j * lam)]]),
         provenance={"kind": "builtin", "params": {"name": "exponential"}},
         speed_fn=lambda u: 1.0, many_fn=lambda lams: np.exp(1j * lams)[:, None, None],
-        lognorm_fn=lognorm)
+        section_fn=section)
 
 
 def _cser(m: np.ndarray):
@@ -554,8 +557,8 @@ def reparameterize(c: CurveProvider, g) -> CurveProvider:
     """Precompose with the inverse SL(2,R) Moebius action on lambda.
 
     With m(lambda) = (d lambda - b) / (a - c lambda) and m' = 1 / (a - c lambda)^2,
-    the batched values, the prefetch, the frame, the section, its log norm
-    and the exact phase speed of the base curve carry over composed with m.
+    the batched values, the prefetch, the frame, the section and the exact
+    phase speed of the base curve carry over composed with m.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (2, 2) or abs(np.linalg.det(g) - 1.0) > 1e-10:
@@ -563,7 +566,7 @@ def reparameterize(c: CurveProvider, g) -> CurveProvider:
     a, b, cc, d = g[0, 0], g[0, 1], g[1, 0], g[1, 1]
 
     def m(lam):
-        # lam is one lambda or an array of them (composed log norms)
+        # lam is one lambda or an array of them (batched values, sections)
         den = -cc * lam + a
         if np.any(np.abs(den) < 1e-13 * (1 + np.abs(lam))):
             raise DomainError("Moebius reparameterization pole at this lambda")
@@ -571,9 +574,6 @@ def reparameterize(c: CurveProvider, g) -> CurveProvider:
 
     def dv(lam):
         return c.dB(m(lam)) / (-cc * lam + a) ** 2
-
-    def composed(fn):
-        return None if fn is None else lambda point, lam: fn(point, m(lam))
 
     def speed(u):
         return c.speed_fn(m(u)) / (-cc * u + a) ** 2
@@ -589,13 +589,14 @@ def reparameterize(c: CurveProvider, g) -> CurveProvider:
         speed_fn=speed if c.speed_fn is not None else None,
         many_fn=(lambda lams: c.B_many(m(lams))) if c.many_fn is not None else None,
         prefetch_fn=(lambda lams: c.prefetch_fn(m(lams))) if c.prefetch_fn is not None else None,
-        section_fn=composed(c.section_fn), lognorm_fn=composed(c.lognorm_fn))
+        section_fn=((lambda point, lams: c.section_fn(point, m(lams)))
+                    if c.section_fn is not None else None))
 
 
 def congruence(c: CurveProvider, g) -> CurveProvider:
     """Act on chart values by a U(n,n) Moebius transformation.
 
-    The result keeps no frame, section, log norm or exact speed of c: those
+    The result keeps no frame, section or exact speed of c: those
     belong to the base chart, and the transformed curve's frame is the chart
     stack (I; B_g) of its own values.  It keeps no batched values either:
     B_many calls B once per lambda, after the base curve's prefetch, since

@@ -25,8 +25,9 @@ import numpy as np
 
 from .curves import CurveProvider
 from .errors import DegenerateBCError, NumericalError, ValidationError
-from .symplectic import (GrassPoint, chart_convert, classify_subspace, graph_of, null_space,
-                         schubert_section)
+from .symplectic import GrassPoint, chart_convert, classify_subspace, graph_of, null_space
+# re-exported: bench/tracing.py wraps it in this namespace too
+from .symplectic import schubert_section  # noqa: F401
 
 TWO_PI = 2 * np.pi
 MAX_STEP_PHASE = 0.45 * np.pi
@@ -111,53 +112,54 @@ class Eigenvalue:
 # -- characteristic function ----------------------------------------------
 
 
+def sections(c: CurveProvider, bc: BoundaryCondition, lams) -> tuple:
+    """Arrays (F, scale, log norm) at each lambda of a 1-D array: the section
+    F(lambda) = det [frame_bc | frame_W(lambda)], its Hadamard scale, the
+    noise ambient the value should be compared to, and ln |F| / vol(frame_W),
+    -inf at zeros.
+
+    The provider's section_fn where it has one; otherwise one pass over the
+    stacked frames, with the log norm by slogdet, so it does not overflow
+    where the frame volume does.
+    """
+    lams = np.asarray(lams, dtype=complex)
+    if c.section_fn is not None:
+        return c.section_fn(bc.point, lams)
+    frames = c.frame_many(lams)
+    M = np.concatenate([np.broadcast_to(bc.point.frame, frames.shape), frames], axis=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.prod(np.linalg.norm(M, axis=1), axis=1)
+        sign, logdet = np.linalg.slogdet(M)
+        _, loggram = np.linalg.slogdet(frames.conj().transpose(0, 2, 1) @ frames)
+        return np.linalg.det(M), scale, np.where(sign == 0, -np.inf, logdet - 0.5 * loggram)
+
+
 def char_function(c: CurveProvider, bc: BoundaryCondition, lam) -> complex:
-    """F(lambda) = det [frame_bc | frame_W(lambda)].
+    """F(lambda) = det [frame_bc | frame_W(lambda)], as read by sections.
 
     Zeros and their orders are frame-independent; the value is defined up
     to a nonvanishing holomorphic factor fixed by the canonical frames.
-    Providers may carry a cancellation-safe evaluator as `section_fn`.
     """
-    if c.section_fn is not None:
-        return c.section_fn(bc.point, lam)[0]
-    return schubert_section(bc.point, c.frame(lam))
+    return complex(sections(c, bc, [lam])[0][0])
 
 
 def char_section(c: CurveProvider, bc: BoundaryCondition, lam) -> tuple:
-    """(F, scale) from one evaluation of the curve: F as char_function, and
-    its Hadamard scale, the noise ambient the value should be compared to.
+    """(F, scale) at one lambda, as read by sections.
 
     A sample whose F or scale leaves the floating-point range raises
     NumericalError naming lambda."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if c.section_fn is not None:
-            F, scale = c.section_fn(bc.point, lam)
-        else:
-            frame = c.frame(lam)
-            scale = float(np.prod(np.linalg.norm(np.hstack([bc.point.frame, frame]), axis=0)))
-            F = schubert_section(bc.point, frame)
+    F, scale, _ = sections(c, bc, [lam])
+    F, scale = complex(F[0]), float(scale[0])
     if not (cmath.isfinite(F) and math.isfinite(scale)):
         raise NumericalError(f"the curve's frame overflows at lambda = {complex(lam)}; "
                              "the characteristic function cannot be sampled there")
     return F, max(scale, 1e-300)
 
 
-def _residual(c: CurveProvider, bc: BoundaryCondition, lam) -> float:
-    """|F| over its scale at a computed eigenvalue."""
-    F, scale = char_section(c, bc, lam)
-    return float(abs(F) / scale)
-
-
 def _residuals(c: CurveProvider, bc: BoundaryCondition, lams) -> np.ndarray:
-    """_residual at each lambda of an array: one pass over the stacked frames,
-    or one section call per lambda where the provider has its own section."""
-    if c.section_fn is not None:
-        return np.array([_residual(c, bc, lam) for lam in lams])
-    frames = c.frame_many(lams)
-    V = np.broadcast_to(bc.point.frame, frames.shape)
-    M = np.concatenate([V, frames], axis=2)
-    scale = np.maximum(np.prod(np.linalg.norm(M, axis=1), axis=1), 1e-300)
-    return np.abs(np.linalg.det(M)) / scale
+    """|F| over its scale at each computed eigenvalue of an array."""
+    F, scale, _ = sections(c, bc, lams)
+    return np.abs(F) / np.maximum(scale, 1e-300)
 
 
 def is_degenerate(c: CurveProvider, bc: BoundaryCondition, samples=None) -> bool:
@@ -531,8 +533,8 @@ def _subdivide(c, bc, rect, edges, found):
     size = max(x1 - x0, y1 - y0)
     if (w <= M_MAX and (w == 1 or size <= 1.0)) or size <= SIZE_TOL:
         lam = _refine_newton(c, bc, s1 / w, w, max(size, SIZE_TOL))
-        found.append(Eigenvalue(lam=lam, multiplicity=w, residual=_residual(c, bc, lam),
-                                method="contour"))
+        found.append(Eigenvalue(lam=lam, multiplicity=w,
+                                residual=float(_residuals(c, bc, [lam])[0]), method="contour"))
         return
     before = len(found)
     # if a zero sits on a split line, retry with nudged (irrational-ish) splits

@@ -159,7 +159,6 @@ class SLProblem:
     potential: Potential
     length: float = float(np.pi)
     ode_rtol: float = 1e-10
-    ode_atol: float = 1e-12  # validated, unused: the panel errors are relative
 
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, compare=False, repr=False)
@@ -170,8 +169,8 @@ class SLProblem:
     def __post_init__(self):
         if self.length <= 0:
             raise ValidationError("interval length must be positive")
-        if not (0 < self.ode_rtol <= 1e-4 and 0 < self.ode_atol <= 1e-4):
-            raise ValidationError("ODE tolerances must lie in (0, 1e-4]")
+        if not 0 < self.ode_rtol <= 1e-4:
+            raise ValidationError("ODE tolerance must lie in (0, 1e-4]")
 
     def _qfun(self):
         if not self._qfun_cache:
@@ -475,27 +474,30 @@ def _pole_tol(lam: complex) -> float:
 
 
 def sl_weyl(p: SLProblem, lam) -> dict:
-    """Weyl function M (None at poles) and contractive Weyl function B.
+    """Weyl function M (None at poles) and contractive Weyl function B
+    (_weyl_B)."""
+    lam = complex(lam)
+    fd = fundamental(p, lam)
+    at_pole = abs(fd.s) < _pole_tol(lam)
+    M = None if at_pole else -np.array([[fd.c, -1], [-1, fd.sp]], dtype=complex) / fd.s
+    return {"M": M, "B": _weyl_B(fd), "pole": at_pole}
 
-    B = [[c' + s - i w, 2i], [2i, c' + s + i w]] / (c' - s - i (c + s')) with
+
+def _weyl_B(fd: FundamentalData) -> np.ndarray:
+    """B = [[c' + s - i w, 2i], [2i, c' + s + i w]] / (c' - s - i (c + s')) with
     the carried w = c - s': the Cayley transform of M = -[[c, -1], [-1, s']] / s
     with the common factor s cancelled by the Wronskian c s' - c' s = 1, so
     it stays exact near the poles of M (the zeros of s).
     """
-    lam = complex(lam)
-    fd = fundamental(p, lam)
     c_, cp_, s_, sp_ = fd.c, fd.cp, fd.s, fd.sp
-    at_pole = abs(s_) < _pole_tol(lam)
-    M = None if at_pole else -np.array([[c_, -1], [-1, sp_]], dtype=complex) / s_
     den = cp_ - s_ - 1j * (c_ + sp_)
     scale = abs(cp_) + abs(s_) + abs(c_) + abs(sp_) + 1.0
     if abs(den) < 1e-13 * scale:
         raise NumericalError("factored Weyl denominator vanished: B has a pole here")
-    B = np.array([
+    return np.array([
         [cp_ + s_ - 1j * fd.w, 2j],
         [2j, cp_ + s_ + 1j * fd.w],
     ], dtype=complex) / den
-    return {"M": M, "B": B, "pole": at_pole}
 
 
 _DET_TRIPLET = complex(np.linalg.det(TRIPLET_MAP))
@@ -510,7 +512,7 @@ _COEFF_SNAP = 1e-13
 @functools.lru_cache(maxsize=256)
 def _section_cofactors(frame: bytes) -> tuple:
     """Coefficients (const, q_02, alpha, q_03, q_13) of the section's minor
-    expansion (see stable_section) for the boundary condition whose 4 x 2
+    expansion (see _section) for the boundary condition whose 4 x 2
     complex frame has these bytes: computed once per condition, keyed by the
     frame's values.
 
@@ -535,12 +537,21 @@ def _snap(v: complex, scale: float) -> complex:
 
 
 def _section(p: SLProblem, point: GrassPoint, lams) -> tuple:
-    """Arrays (F, scale, (c, c', s, s', w, w')) of the section at each
-    lambda of lams."""
+    """Arrays (F, scale, log norm) of det [V | W(lam)] at each lambda of lams,
+    via minors of the physical frame: the provider's section_fn.
+
+    The minors of W are (1, s, s', -c, -c', Wronskian); the Wronskian is 1
+    exactly and s' is rewritten through the integrated difference w = c - s',
+    so the two structural cancellations that destroy the naive determinant
+    on the far negative axis are performed in exact arithmetic.  The scale
+    is the matching Hadamard bound of the surviving terms.  The log norm is
+    ln |F| / vol(W), -inf at zeros, with vol(W)^2 = det(W* W) the sum of
+    squared moduli of the frame minors (a sum of positive terms, stable
+    where the Gram determinant itself cancels catastrophically).
+    """
     lams = np.ravel(np.asarray(lams, dtype=complex))
-    f = np.array([(fd.c, fd.cp, fd.s, fd.sp, fd.w, fd.wp)
-                  for fd in fundamental_many(p, lams)]).T
-    c_, cp_, s_, sp_, w_, wp_ = f
+    c_, cp_, s_, sp_, w_, wp_ = np.array([(fd.c, fd.cp, fd.s, fd.sp, fd.w, fd.wp)
+                                          for fd in fundamental_many(p, lams)]).T
     const, q02, alpha, q03, q13 = _section_cofactors(
         np.ascontiguousarray(point.frame, dtype=complex).tobytes())
     terms = (const, q02 * s_, alpha * c_, -q03 * w_, -q13 * cp_)
@@ -558,37 +569,12 @@ def _section(p: SLProblem, point: GrassPoint, lams) -> tuple:
     coefs = (const, q02, alpha, q03, q13)
     scale = np.maximum(sum(np.abs(t) for t in terms),
                        sum(abs(cf) * e for cf, e in zip(coefs, envs)))
-    return value, scale, f
-
-
-def stable_section(p: SLProblem, point: GrassPoint, lam) -> tuple:
-    """(F, scale): det [V | W(lam)] via minors of the physical frame.
-
-    The minors of W are (1, s, s', -c, -c', Wronskian); the Wronskian is 1
-    exactly and s' is rewritten through the integrated difference w = c - s',
-    so the two structural cancellations that destroy the naive determinant
-    on the far negative axis are performed in exact arithmetic.  The scale
-    is the matching Hadamard bound of the surviving terms.
-    """
-    value, scale, _ = _section(p, point, [lam])
-    return complex(value[0]), float(scale[0])
-
-
-def stable_section_lognorm(p: SLProblem, point: GrassPoint, lams) -> np.ndarray:
-    """ln of |det[V | W]| / vol(W) via the cancellation-safe expansion, at
-    each lambda of the array lams (-inf at zeros of the section).
-
-    vol(W)^2 = det(W* W) equals the sum of squared moduli of the frame
-    minors (a sum of positive terms, stable where the Gram determinant
-    itself cancels catastrophically).
-    """
-    value, _, (c_, cp_, s_, sp_, _, _) = _section(p, point, lams)
     one = np.ones(value.shape)
     mags = np.abs(np.array([one, s_, sp_, c_, cp_, one]))
     top = mags.max(axis=0)
     log_vol = np.log(top) + 0.5 * np.log(np.sum((mags / top) ** 2, axis=0))
     with np.errstate(divide="ignore"):
-        return np.log(np.abs(value)) - log_vol
+        return value, scale, np.log(np.abs(value)) - log_vol
 
 
 def curve_provider(p: SLProblem) -> CurveProvider:
@@ -596,7 +582,7 @@ def curve_provider(p: SLProblem) -> CurveProvider:
     mapped to canonical coordinates, holomorphic through poles of M."""
 
     def ev(lam):
-        return sl_weyl(p, lam)["B"]
+        return _weyl_B(fundamental(p, lam))
 
     def fr(lam):
         fd = fundamental(p, lam)
@@ -612,10 +598,8 @@ def curve_provider(p: SLProblem) -> CurveProvider:
         # phase speed trace(-i B^{-1} B') equals the trace of the L^2 Gram
         # of the gamma_+ field, available from the accumulated moments of
         # the same (memoized) fundamental solve that produced B(u)
-        fd = fundamental(p, u)
-        C = np.linalg.inv(_gamma_system(fd, +1))
-        mom = _moment_matrix(fd)
-        t = float(np.trace(C.conj().T @ mom @ C).real)
+        C, mom, G = _gamma_plus_gram(fundamental(p, u))
+        t = float(np.trace(G).real)
         # for lambda << 0 the solutions grow like e^{2 pi sqrt(|lambda|)} and
         # the trace cancels below noise; report the speed as zero there
         scale = float(np.trace(np.abs(C).T @ np.abs(mom) @ np.abs(C)).real)
@@ -632,8 +616,7 @@ def curve_provider(p: SLProblem) -> CurveProvider:
         # one batched solve ahead of the per-lambda B and frame calls of
         # B_many and frame_many, which then read the memo
         prefetch_fn=lambda lams: fundamental_many(p, lams),
-        section_fn=lambda point, lam: stable_section(p, point, lam),
-        lognorm_fn=lambda point, lams: stable_section_lognorm(p, point, lams))
+        section_fn=lambda point, lams: _section(p, point, lams))
 
 
 # -- gamma-fields ---------------------------------------------------------
@@ -680,14 +663,18 @@ def gamma_minus(p: SLProblem, lam, phi) -> dict:
     return _gamma(p, lam, phi, -1)
 
 
+def _gamma_plus_gram(fd: FundamentalData) -> tuple:
+    """(C, mom, C* mom C): the columns of C are the coefficients in (c, s) of
+    gamma_+ e_j, mom is the moment matrix of (c, s), and C* mom C is the L^2
+    Gram of the fields gamma_+ e_j, not yet symmetrized."""
+    C = np.linalg.inv(_gamma_system(fd, +1))
+    mom = _moment_matrix(fd)
+    return C, mom, C.conj().T @ mom @ C
+
+
 def gamma_plus_gram(p: SLProblem, lam) -> np.ndarray:
     """2x2 Gram G_ij = <gamma_+(lam) e_j, gamma_+(lam) e_i> in L^2."""
-    lam = complex(lam)
-    fd = fundamental(p, lam)
-    A = _gamma_system(fd, +1)
-    C = np.linalg.inv(A)  # columns: coefficients of gamma_+ e_j
-    mom = _moment_matrix(fd)
-    G = C.conj().T @ mom @ C
+    G = _gamma_plus_gram(fundamental(p, lam))[2]
     return (G + G.conj().T) / 2
 
 
@@ -813,11 +800,11 @@ def resolvent_residual(p: SLProblem, bc: BoundaryCondition, lam: float, f,
     lhs = y_bc - y_plus
 
     cv, _, sv, _ = cs
-    C = np.linalg.inv(_gamma_system(fundamental(p, lam), +1))  # columns: coeffs of gamma_+ e_j
+    fd = fundamental(p, lam)
+    C = _gamma_plus_gram(fd)[0]
     basis = [C[0, j] * cv + C[1, j] * sv for j in range(2)]
     w = np.array([simpson(fv * np.conj(basis[j]), x=xs) for j in range(2)])
-    B = sl_weyl(p, lam)["B"]
-    T = np.linalg.solve(B, bc.chart_unitary) - np.eye(2)
+    T = np.linalg.solve(_weyl_B(fd), bc.chart_unitary) - np.eye(2)
     coef = C @ np.linalg.solve(T, w)
     rhs = 1j * (coef[0] * cv + coef[1] * sv)
 

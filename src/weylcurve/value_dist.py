@@ -17,7 +17,7 @@ from .curves import CurveProvider
 from .errors import NumericalError, ValidationError
 from .spectral import (BoundaryCondition, DegenerateBCError, char_function,
                        counting_sums, eigenvalues_complex, eigenvalues_real,
-                       is_degenerate)
+                       is_degenerate, sections)
 
 TWO_PI = 2 * np.pi
 
@@ -92,14 +92,8 @@ def _adaptive_gl(f, edges, tol: float) -> float:
 
 
 def _neg_lognorm(c: CurveProvider, bc: BoundaryCondition, r: float, theta):
-    """-ln section norm at the nodes r e^{i theta}: one provider call for all
-    of them where the provider has a log norm, one frame per node otherwise."""
-    from .symplectic import section_lognorm
-    lams = r * np.exp(1j * np.atleast_1d(theta))
-    if c.lognorm_fn is not None:
-        ln = np.asarray(c.lognorm_fn(bc.point, lams), dtype=float)
-    else:
-        ln = np.array([section_lognorm(bc.point, c.frame(lam)) for lam in lams])
+    """-ln section norm at the nodes r e^{i theta}, from one sections call."""
+    ln = sections(c, bc, r * np.exp(1j * np.atleast_1d(theta)))[2]
     if not np.all(np.isfinite(ln)):
         raise NumericalError("section norm vanished on the circle "
                              "(eigenvalue at this radius)")

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -67,6 +69,14 @@ def c_qx(p_qx):
 @pytest.fixture(scope="session")
 def c_exp():
     return wc.exponential()
+
+
+def frame_reader(c):
+    """A twin of the provider c without its section, so that
+    spectral.sections reads the section off the stacked frames."""
+    twin = copy.copy(c)
+    twin.section_fn = None
+    return twin
 
 
 def random_symmetric_unitary(rng, n=2):

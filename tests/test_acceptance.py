@@ -254,7 +254,7 @@ def test_criterion_14_weyl_order_half():
     slopes = {}
     for name, pot in (("q0", wc.Potential.zero()),
                       ("cos", _cos_taylor())):
-        p = wc.SLProblem(potential=pot, ode_rtol=1e-7, ode_atol=1e-9)
+        p = wc.SLProblem(potential=pot, ode_rtol=1e-7)
         c = wc.curve_provider(p)
         h = wc.height_grid(c, radii)
         slopes[name] = float(np.polyfit(np.log(radii), np.log(h), 1)[0])

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 import weylcurve as wc
 from weylcurve import curves
+from weylcurve.spectral import sections
 
-from conftest import random_contraction, random_pseudo_unitary
+from conftest import frame_reader, random_contraction, random_pseudo_unitary
 
 rng = np.random.default_rng(9281)
 
@@ -143,15 +144,25 @@ def _exp_lognorm(point, lam):
     return (L + math.log(abs(det_scaled))) - (L + 0.5 * math.log1p(math.exp(-2.0 * L)))
 
 
-EXP_POINT = wc.bc_from_chart(np.array([[0.3 - 0.4j]])).point
+EXP_BC = wc.bc_from_chart(np.array([[0.3 - 0.4j]]))
+EXP_POINT = EXP_BC.point
 # both branches and their seam, on circles from 1 to 1e4
 EXP_LAMS = np.concatenate([r * np.exp(2j * np.pi * np.arange(24) / 24 + 0.05j)
                            for r in (1.0, 299.0, 301.0, 1e4)] + [[-300j, 5 - 300.5j]])
 
 
+def _against_frames(c, lams, F, scale, ln):
+    """F and scale within 1e-12 of scale of the stacked-frame reader's, and
+    the log norm within 1e-12 of its."""
+    F_gen, scale_gen, ln_gen = sections(frame_reader(c), EXP_BC, lams)
+    assert np.all(np.abs(F - F_gen) <= 1e-12 * scale)
+    assert np.all(np.abs(scale - scale_gen) <= 1e-12 * scale)
+    assert ln == pytest.approx(ln_gen, abs=1e-12)
+
+
 def test_exponential_lognorm_is_vectorised(c_exp):
-    got = c_exp.lognorm_fn(EXP_POINT, EXP_LAMS)
-    assert got.shape == EXP_LAMS.shape
+    F, scale, got = c_exp.section_fn(EXP_POINT, EXP_LAMS)
+    assert got.shape == F.shape == scale.shape == EXP_LAMS.shape
     assert np.sum(-EXP_LAMS.imag > 300) >= 10 and np.sum(-EXP_LAMS.imag <= 300) >= 10
     ref = [_exp_lognorm(EXP_POINT, lam) for lam in EXP_LAMS]
     assert got == pytest.approx(ref, rel=1e-13, abs=1e-13)
@@ -159,6 +170,7 @@ def test_exponential_lognorm_is_vectorised(c_exp):
     small = np.abs(EXP_LAMS) < 10
     gen = [wc.section_lognorm(EXP_POINT, c_exp.frame(lam)) for lam in EXP_LAMS[small]]
     assert got[small] == pytest.approx(gen, abs=1e-12)
+    _against_frames(c_exp, EXP_LAMS[small], F[small], scale[small], got[small])
 
 
 def test_reparameterized_lognorm_takes_arrays(c_exp):
@@ -167,11 +179,14 @@ def test_reparameterized_lognorm_takes_arrays(c_exp):
     g = np.array([[2.0, 1.0], [1.0, 1.0]])
     cg = wc.reparameterize(c_exp, g)
     lams = np.concatenate([0.5 * np.exp(2j * np.pi * np.arange(8) / 8), [2 - 1e-3j, 2 + 1e-3j]])
-    got = cg.lognorm_fn(EXP_POINT, lams)
+    F, scale, got = cg.section_fn(EXP_POINT, lams)
     ref = [_exp_lognorm(EXP_POINT, complex((lam - 1) / (2 - lam))) for lam in lams]
     assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
+    # the frame leaves the floating-point range only at 2 - 0.001i
+    _against_frames(cg, lams[:-2], F[:-2], scale[:-2], got[:-2])
+    _against_frames(cg, lams[-1:], F[-1:], scale[-1:], got[-1:])
     with pytest.raises(wc.DomainError):
-        cg.lognorm_fn(EXP_POINT, np.array([1.0, 2.0]))
+        cg.section_fn(EXP_POINT, np.array([1.0, 2.0]))
 
 
 @pytest.mark.parametrize("transform", ["reparameterize", "congruence"])

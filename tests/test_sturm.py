@@ -8,14 +8,15 @@ from scipy.integrate import simpson, solve_ivp
 
 import weylcurve as wc
 from weylcurve import sturm
+from weylcurve.spectral import sections
 from weylcurve.sturm import (
     TRIPLET_MAP, fundamental, fundamental_many, gamma_plus, gamma_minus, gamma_plus_gram,
-    solution_values, degeneracy_scan, stable_section_lognorm,
+    solution_values, degeneracy_scan,
 )
 
 from conftest import (
     DIRICHLET_ROWS, DEGENERATE_ROWS_SPAN, LENGTH, _cos_potential,
-    _mixed_table_potential,
+    _mixed_table_potential, frame_reader,
 )
 
 rng = np.random.default_rng(5521)
@@ -404,16 +405,37 @@ def test_real_and_complex_kernels_overflow_at_the_same_lambda(name):
             fundamental(fresh, -13000.0)
 
 
-def test_stable_lognorm_takes_arrays(p_qx, c_qx):
+def test_stable_lognorm_takes_arrays(c_qx):
     bc = wc.bc_from_physical([[1, 0, 0, 0], [0, 1, 0, -2]], "functional")
     # near the positive axis, where the solutions stay small and the generic
     # slogdet form of the frame keeps its digits
     lams = 40.0 * np.exp(1j * np.linspace(-0.5, 0.5, 16))
-    got = stable_section_lognorm(p_qx, bc.point, lams)
-    assert got.shape == lams.shape
-    assert [stable_section_lognorm(p_qx, bc.point, [lam])[0] for lam in lams] == list(got)
+    F, scale, got = c_qx.section_fn(bc.point, lams)
+    assert got.shape == F.shape == scale.shape == lams.shape
+    assert [c_qx.section_fn(bc.point, [lam])[2][0] for lam in lams] == list(got)
     ref = [wc.section_lognorm(bc.point, c_qx.frame(lam)) for lam in lams]
     assert got == pytest.approx(ref, abs=1e-8)
+    # the same determinant as the stacked-frame reader's; the minor
+    # expansion's scale bounds it, tighter than the frame's column norms
+    F_gen, scale_gen, ln_gen = sections(frame_reader(c_qx), bc, lams)
+    assert ln_gen == pytest.approx(ref, abs=1e-12)
+    assert np.all(np.abs(F - F_gen) <= 1e-12 * scale_gen)
+    assert np.all((np.abs(F) <= scale) & (scale <= scale_gen))
+
+
+def test_real_sweep_residuals_are_one_batch(monkeypatch, p_q0, c_q0, bc_dirichlet):
+    # the residuals of an SL eigenvalue sweep are one fundamental_many call
+    # over all its eigenvalues, the sweep's last
+    calls = []
+
+    def spy(p, lams):
+        calls.append(np.ravel(np.asarray(lams, dtype=complex)).tolist())
+        return fundamental_many(p, lams)
+
+    monkeypatch.setattr(sturm, "fundamental_many", spy)
+    evs = wc.eigenvalues_real(c_q0, bc_dirichlet, (0.5, 40.0))
+    assert len(evs) == 6
+    assert calls[-1] == [e.lam for e in evs]
 
 
 # -- Weyl functions -----------------------------------------------------------

@@ -144,12 +144,15 @@ def char_function(c: CurveProvider, bc: BoundaryCondition, lam) -> complex:
 
 
 def char_section(c: CurveProvider, bc: BoundaryCondition, lam) -> tuple:
-    """(F, scale) at one lambda, as read by sections.
-
-    A sample whose F or scale leaves the floating-point range raises
-    NumericalError naming lambda."""
+    """(F, scale) at one lambda, as read by sections and checked by _in_range."""
     F, scale, _ = sections(c, bc, [lam])
-    F, scale = complex(F[0]), float(scale[0])
+    return _in_range(lam, complex(F[0]), float(scale[0]))
+
+
+def _in_range(lam, F: complex, scale: float) -> tuple:
+    """(F, scale) of the sample at lam, the scale floored at 1e-300.  A
+    sample whose F or scale leaves the floating-point range raises
+    NumericalError naming lambda."""
     if not (cmath.isfinite(F) and math.isfinite(scale)):
         raise NumericalError(f"the curve's frame overflows at lambda = {complex(lam)}; "
                              "the characteristic function cannot be sampled there")
@@ -376,17 +379,44 @@ class _EdgeHit(NumericalError):
     """F vanishes on the contour, or turns too fast there to be resolved."""
 
 
-def _sample(c, bc, z):
-    """(z, F(z)); a value below the noise floor means a zero on the contour."""
-    F, scale = char_section(c, bc, z)
-    if abs(F) < 1e-11 * scale:
-        raise _EdgeHit(f"characteristic function vanishes on the contour at {z}")
-    return z, F
+def _lockstep(walks, evaluate):
+    """Run generators side by side and return what each returns.  A walk
+    yields a list of points and is sent their values; each round takes the
+    values for every running walk from one evaluate call, in walk order."""
+    walks = list(walks)
+    out, sent = [None] * len(walks), dict.fromkeys(range(len(walks)))
+    while sent:
+        asks = {}
+        for k, values in sent.items():
+            try:
+                asks[k] = walks[k].send(values)
+            except StopIteration as done:
+                out[k] = done.value
+        if not asks:
+            break
+        values = iter(evaluate([z for zs in asks.values() for z in zs]))
+        sent = {k: [next(values) for _ in zs] for k, zs in asks.items()}
+    return out
 
 
-def _march(c, bc, a, b, fresh=True):
-    """Samples (z, F) along the segment from sample a to sample b, both
-    included, with arg F turning by at most MAX_STEP_PHASE between neighbours.
+def _samples(c, bc, zs):
+    """[(z, F(z))] at a list of points, from one sections call.  Point by
+    point: char_section's range check, then the noise floor, below which F
+    means a zero on the contour."""
+    F, scale, _ = sections(c, bc, zs)
+    out = []
+    for z, f, s in zip(zs, F.tolist(), scale.tolist()):
+        f, s = _in_range(z, f, s)
+        if abs(f) < 1e-11 * s:
+            raise _EdgeHit(f"characteristic function vanishes on the contour at {z}")
+        out.append((z, f))
+    return out
+
+
+def _segment(a, b, fresh):
+    """The samples (z, F) along the segment from sample a to sample b, both
+    included, with arg F turning by at most MAX_STEP_PHASE between
+    neighbours: a walk for _lockstep that yields one trial point at a time.
 
     A step halves when it turns too far and grows by half when it turns by
     less than half the limit.  On a fresh segment it starts at 1/64 of it and
@@ -397,7 +427,7 @@ def _march(c, bc, a, b, fresh=True):
     h, hmax = (1 / 64, 0.25) if fresh else (1.0, 1.0)
     while t < 1.0:
         t1 = min(t + h, 1.0)
-        z, F = b if t1 == 1.0 else _sample(c, bc, z0 + (z1 - z0) * t1)
+        z, F = b if t1 == 1.0 else (yield [z0 + (z1 - z0) * t1])[0]
         step = abs(float(np.angle(F / out[-1][1])))
         if step > MAX_STEP_PHASE:
             h = (t1 - t) / 2
@@ -413,13 +443,19 @@ def _march(c, bc, a, b, fresh=True):
     return out
 
 
+def _marches(c, bc, segments):
+    """The samples of _segment along each segment (a, b, fresh), all marched
+    in lockstep: one _samples call per round of trial steps."""
+    return _lockstep((_segment(*s) for s in segments), lambda zs: _samples(c, bc, zs))
+
+
 def _box_edges(c, bc, rect):
     """The edges of a rectangle, counterclockwise from its lower left corner,
-    each marched once between corners sampled once."""
+    marched together between corners sampled in one call."""
     x0, x1, y0, y1 = rect
-    corners = [_sample(c, bc, complex(x, y))
-               for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))]
-    return [_march(c, bc, corners[k], corners[(k + 1) % 4]) for k in range(4)]
+    corners = _samples(c, bc, [complex(x, y)
+                               for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))])
+    return _marches(c, bc, [(corners[k], corners[(k + 1) % 4], True) for k in range(4)])
 
 
 def _winding(edges):
@@ -435,46 +471,45 @@ def _winding(edges):
     return int(round(w)), complex(np.sum(0.5 * (z + np.roll(z, 1)) * dlog)) / (2j * np.pi)
 
 
-def _cut(c, bc, edge, zm):
-    """Split a sampled edge at the point zm on it.  Only the step that holds
-    zm is marched again, in two parts."""
-    za, zb = edge[0][0], edge[-1][0]
-    ts = [((z - za) / (zb - za)).real for z, _ in edge]
-    k = bisect_right(ts, ((zm - za) / (zb - za)).real) - 1
-    m = _sample(c, bc, zm)
-    return (edge[:k] + _march(c, bc, edge[k], m, fresh=False),
-            _march(c, bc, m, edge[k + 1], fresh=False) + edge[k + 2:])
-
-
 def _children(c, bc, rect, edges, xm, ym):
     """The quadrants of a box split at (xm, ym), each with its boundary.
 
-    The box's edges are cut at the split lines.  The four arms of the cross,
-    from the cut points to the center, are marched once: each quadrant walks
-    one arm in and its neighbour's arm out.
+    The cut points on the edges and the center are sampled in one call.  The
+    step of an edge that holds its cut point is marched again in two parts,
+    and the four arms of the cross, from the cut points to the center, once:
+    each quadrant walks one arm in and its neighbour's arm out.  The eight
+    parts and the four arms march in one lockstep.
     """
     x0, x1, y0, y1 = rect
-    b0, b1 = _cut(c, bc, edges[0], complex(xm, y0))
-    r0, r1 = _cut(c, bc, edges[1], complex(x1, ym))
-    t0, t1 = _cut(c, bc, edges[2], complex(xm, y1))
-    l0, l1 = _cut(c, bc, edges[3], complex(x0, ym))
-    center = _sample(c, bc, complex(xm, ym))
-    south, east, north, west = (_march(c, bc, half[-1], center) for half in (b0, r0, t0, l0))
+    *cuts, center = _samples(c, bc, [complex(xm, y0), complex(x1, ym), complex(xm, y1),
+                                     complex(x0, ym), complex(xm, ym)])
+    held = []  # the index of the step that holds each cut point
+    for edge, (zm, _) in zip(edges, cuts):
+        za, zb = edge[0][0], edge[-1][0]
+        ts = [((z - za) / (zb - za)).real for z, _ in edge]
+        held.append(bisect_right(ts, ((zm - za) / (zb - za)).real) - 1)
+    parts = _marches(c, bc, [s for edge, k, m in zip(edges, held, cuts)
+                             for s in ((edge[k], m, False), (m, edge[k + 1], False))]
+                     + [(m, center, True) for m in cuts])
+    (b0, b1), (r0, r1), (t0, t1), (l0, l1) = (
+        (edge[:k] + parts[2 * i], parts[2 * i + 1] + edge[k + 2:])
+        for i, (edge, k) in enumerate(zip(edges, held)))
+    south, east, north, west = parts[8:]
     return [((x0, xm, y0, ym), [b0, south, west[::-1], l1]),
             ((xm, x1, y0, ym), [b1, r0, east, south[::-1]]),
             ((x0, xm, ym, y1), [west, north[::-1], t1, l0]),
             ((xm, x1, ym, y1), [east[::-1], r1, t0, north])]
 
 
-def _refine_newton(c, bc, lam0, mult, box_size):
-    """Newton with the multiplicity factor on secant slopes: one F per step
-    (the first slope is a forward difference), each step at most 2 box_size.
+def _newton(lam0, mult, box_size):
+    """Newton with the multiplicity factor on secant slopes, as a walk for
+    _lockstep that yields the points where it needs F: one F per step (the
+    first slope is a forward difference), each step at most 2 box_size.
     Two steps in a row that do not lower |F| mean the noise floor or a split
     cluster is reached; the iterate with the least |F| is returned then."""
     lam = complex(lam0)
-    F = char_function(c, bc, lam)
     prev = lam + 1e-6 * (1 + abs(lam))
-    F_prev = char_function(c, bc, prev)
+    F, F_prev = yield [lam, prev]
     best, best_abs, stale = lam, abs(F), 0
     for _ in range(60):
         if F == F_prev:
@@ -486,7 +521,7 @@ def _refine_newton(c, bc, lam0, mult, box_size):
         lam = lam - step
         if abs(step) < 1e-10 * (1 + abs(lam)):
             return lam
-        F = char_function(c, bc, lam)
+        F, = yield [lam]
         if abs(F) < best_abs:
             best, best_abs, stale = lam, abs(F), 0
         else:
@@ -497,7 +532,8 @@ def _refine_newton(c, bc, lam0, mult, box_size):
 
 
 def eigenvalues_complex(c: CurveProvider, bc: BoundaryCondition, rectangle):
-    """Zeros of F inside a rectangle (re_min, re_max, im_min, im_max)."""
+    """Zeros of F inside a rectangle (re_min, re_max, im_min, im_max): the
+    quadtree of winding boxes, then the Newton steps of its leaves in lockstep."""
     if c.domain != "entire":
         raise ValidationError("contour search requires an entire provider")
     x0, x1, y0, y1 = (float(v) for v in rectangle)
@@ -511,8 +547,8 @@ def eigenvalues_complex(c: CurveProvider, bc: BoundaryCondition, rectangle):
     rect = (x0, x1, y0, y1)
     for attempt in range(6):
         try:
-            found = []
-            _subdivide(c, bc, rect, _box_edges(c, bc, rect), found)
+            leaves = []
+            _subdivide(c, bc, rect, _box_edges(c, bc, rect), leaves)
             break
         except _EdgeHit:
             if attempt == 5:
@@ -521,35 +557,41 @@ def eigenvalues_complex(c: CurveProvider, bc: BoundaryCondition, rectangle):
             sx, sy = (x1 - x0) / 2 * 1.01, (y1 - y0) / 2 * 1.01
             rect = (cx - sx, cx + sx, cy - sy, cy + sy)
             x0, x1, y0, y1 = rect
+    if not leaves:
+        return []
+    lams = _lockstep((_newton(*leaf) for leaf in leaves),
+                     lambda zs: sections(c, bc, zs)[0].tolist())
+    found = [Eigenvalue(lam=lam, multiplicity=w, residual=float(r), method="contour")
+             for lam, (_, w, _), r in zip(lams, leaves, _residuals(c, bc, lams))]
     found.sort(key=lambda e: (e.lam.real, e.lam.imag))
     return found
 
 
-def _subdivide(c, bc, rect, edges, found):
+def _subdivide(c, bc, rect, edges, leaves):
+    """Append (first guess, multiplicity, size) for every box of the
+    quadtree of rect that holds zeros and is split no further."""
     x0, x1, y0, y1 = rect
     w, s1 = _winding(edges)
     if w == 0:
         return
     size = max(x1 - x0, y1 - y0)
     if (w <= M_MAX and (w == 1 or size <= 1.0)) or size <= SIZE_TOL:
-        lam = _refine_newton(c, bc, s1 / w, w, max(size, SIZE_TOL))
-        found.append(Eigenvalue(lam=lam, multiplicity=w,
-                                residual=float(_residuals(c, bc, [lam])[0]), method="contour"))
+        leaves.append((s1 / w, w, max(size, SIZE_TOL)))
         return
-    before = len(found)
+    before = len(leaves)
     # if a zero sits on a split line, retry with nudged (irrational-ish) splits
     for shift in (0.0, 0.0371, -0.0529, 0.1113, -0.1637):
         xm = (x0 + x1) / 2 + shift * (x1 - x0)
         ym = (y0 + y1) / 2 + shift * (y1 - y0)
         try:
             for sub, sub_edges in _children(c, bc, rect, edges, xm, ym):
-                _subdivide(c, bc, sub, sub_edges, found)
+                _subdivide(c, bc, sub, sub_edges, leaves)
             break
         except _EdgeHit:
-            del found[before:]
+            del leaves[before:]
             if shift == -0.1637:
                 raise
-    got = sum(e.multiplicity for e in found[before:])
+    got = sum(leaf[1] for leaf in leaves[before:])
     if got != w:
         raise NumericalError(f"winding bookkeeping mismatch: box {w}, children {got}")
 

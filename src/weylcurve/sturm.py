@@ -297,8 +297,11 @@ def _cosh_sinhc(z):
     if np.iscomplexobj(z):
         d = np.sqrt(z)
         nz = d != 0
-        d1 = np.where(nz, d, 1.0)
-        return np.cosh(d), np.where(nz, np.sinh(d1) / d1, 1.0)
+        ch, d = np.cosh(d), np.where(nz, d, 1.0)
+        sh = np.sinh(d)
+        sh /= d
+        sh[~nz] = 1.0
+        return ch, sh
     pos = z > 0
     d = np.sqrt(np.abs(z))
     nz = d != 0
@@ -382,9 +385,27 @@ def _solve(pan: _Panels, lam: np.ndarray) -> np.ndarray:
     """
     E = _magnus_exp(pan.step, lam)
     Y = _prefix(E)
-    al, be, _, _ = _magnus_exp(pan.sub, lam[..., None])
-    cn = al * Y[0, ..., :-1, None] + be * Y[2, ..., :-1, None]
+    # A full pass's arrays over the quadrature nodes are large and numpy
+    # allocates every result, so each node array is dropped once spent and
+    # two products reuse a buffer (the same operations on the same operands):
+    # a pass holds at most five node arrays.  The first row of the partial
+    # steps' factors, as in _magnus_exp:
+    a0, a1, b, c0, c1 = pan.sub
+    a = a0 + lam[..., None] * a1
+    ch, sh = _cosh_sinhc(a * a + b * (c0 + lam[..., None] * c1))
+    al, be = ch + sh * a, sh * b
+    del a, ch, sh
     sn = al * Y[1, ..., :-1, None] + be * Y[3, ..., :-1, None]
+    # forcing at each node carried to the panel end: E_k E_kj^{-1} (0, f)
+    f = pan.forcing * sn
+    t = -be
+    t *= f
+    v0 = np.sum(t, axis=-1)
+    v1 = np.sum(np.multiply(al, f, out=t), axis=-1)
+    del f, t
+    cn = al * Y[0, ..., :-1, None]
+    cn += be * Y[2, ..., :-1, None]
+    del al, be
     wq = pan.h * _QUAD_WEIGHTS
 
     def total(v):  # over the panels and their nodes
@@ -395,9 +416,6 @@ def _solve(pan: _Panels, lam: np.ndarray) -> np.ndarray:
     m_cc = total(wq * (cn.real ** 2 + cn.imag ** 2))
     m_cs = total(wq * cn * sn.conj())
     m_ss = total(wq * (sn.real ** 2 + sn.imag ** 2))
-    # forcing at each node carried to the panel end: E_k E_kj^{-1} (0, f)
-    f = pan.forcing * sn
-    v0, v1 = np.sum(-be * f, axis=-1), np.sum(al * f, axis=-1)
     w, wp = _carry(E, (E[0] * v0 + E[1] * v1, E[2] * v0 + E[3] * v1))
     return np.array([Y[0, ..., -1], Y[2, ..., -1], Y[1, ..., -1], Y[3, ..., -1],
                      m_cc, m_cs, m_ss, w, wp])

@@ -72,23 +72,39 @@ def _adaptive_gl(f, edges, tol: float) -> float:
     A panel is split until its two halves agree with the whole to tol; the
     halves become the children's whole values.  Panels where f exceeds
     ln 1e3 (a near-zero of the section whose -ln f integrand spikes) are
-    split to depth 4 regardless.
+    split to depth 4 regardless.  The panel tree grows a level at a time,
+    and each level's rules are one f call over all of their nodes; the
+    panels are then summed in depth-first order.
     """
-    def rule(a, b):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        vals = f(mid + half * _GL_NODES)
-        return half * float(np.dot(_GL_WEIGHTS, vals)), vals.max()
+    def rules(panels):
+        mids = [(0.5 * (a + b), 0.5 * (b - a)) for a, b in panels]
+        vals = np.reshape(f(np.concatenate([mid + half * _GL_NODES for mid, half in mids])),
+                          (len(panels), -1))
+        return [(half * float(np.dot(_GL_WEIGHTS, v)), v.max()) for (_, half), v in zip(mids, vals)]
 
-    def panel(a, b, whole, depth):
-        mid = 0.5 * (a + b)
-        left, right = rule(a, mid), rule(mid, b)
-        fine = left[0] + right[0]
-        needs_depth = np.exp(-whole[1]) < 1e-3 and depth < 4
-        if (abs(fine - whole[0]) <= tol * (1 + abs(fine)) and not needs_depth) or depth >= 14:
-            return fine
-        return panel(a, mid, left, depth + 1) + panel(mid, b, right, depth + 1)
+    # a panel [a, b, whole rule] gets its integral appended, or its halves
+    pairs = list(zip(edges, edges[1:]))
+    level = roots = [[a, b, whole] for (a, b), whole in zip(pairs, rules(pairs))]
+    depth = 0
+    while level:
+        halves = rules([half for a, b, _ in level
+                        for half in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))])
+        nxt = []
+        for panel, left, right in zip(level, halves[::2], halves[1::2]):
+            a, b, whole = panel
+            fine = left[0] + right[0]
+            needs_depth = np.exp(-whole[1]) < 1e-3 and depth < 4
+            if (abs(fine - whole[0]) <= tol * (1 + abs(fine)) and not needs_depth) or depth >= 14:
+                panel.append(fine)
+            else:
+                panel += [a, 0.5 * (a + b), left], [0.5 * (a + b), b, right]
+                nxt += panel[3:]
+        level, depth = nxt, depth + 1
 
-    return sum(panel(a, b, rule(a, b), 0) for a, b in zip(edges, edges[1:]))
+    def total(panel):
+        return panel[3] if len(panel) == 4 else total(panel[3]) + total(panel[4])
+
+    return sum(total(panel) for panel in roots)
 
 
 def _neg_lognorm(c: CurveProvider, bc: BoundaryCondition, r: float, theta):
@@ -117,15 +133,12 @@ def proximity_omega(c: CurveProvider, Omega, r: float, tol: float = 1e-7) -> flo
     Omega = np.asarray(Omega, dtype=complex)
 
     def f(theta):
-        out = []
-        for th in np.atleast_1d(theta):
-            B = c.B(r * np.exp(1j * th))
-            s1, l1 = np.linalg.slogdet(B - Omega)
-            s2, l2 = np.linalg.slogdet(np.eye(c.n) - B.conj().T @ Omega)
-            if s1 == 0 or s2 == 0:
-                raise NumericalError("chart determinant vanished on the circle")
-            out.append(-(l1 + l2))
-        return np.asarray(out)
+        Bs = c.B_many(r * np.exp(1j * theta))
+        s1, l1 = np.linalg.slogdet(Bs - Omega)
+        s2, l2 = np.linalg.slogdet(np.eye(c.n) - Bs.conj().transpose(0, 2, 1) @ Omega)
+        if np.any(s1 == 0) or np.any(s2 == 0):
+            raise NumericalError("chart determinant vanished on the circle")
+        return -(l1 + l2)
 
     return _adaptive_gl(f, np.linspace(0.0, np.pi, 5), tol) / TWO_PI
 

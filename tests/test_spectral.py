@@ -4,6 +4,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import weylcurve as wc
+from weylcurve import spectral
 from weylcurve.spectral import char_section
 
 from conftest import (
@@ -170,6 +171,177 @@ def test_complex_zeros_on_the_contour_dilate(c_exp):
     # a zero on the multiplicity square is a typed error
     with pytest.raises(wc.NumericalError):
         wc.multiplicity(c_exp, bc, (np.log(2) + 0.1) * 1j, rho=0.1)
+
+
+# -- the contour against a one-segment-at-a-time reference -------------------------
+
+
+def _sample_one(c, bc, z):
+    F, scale = char_section(c, bc, z)
+    if abs(F) < 1e-11 * scale:
+        raise spectral._EdgeHit(f"characteristic function vanishes on the contour at {z}")
+    return z, F
+
+
+def _march_one_segment_at_a_time(c, bc, a, b, fresh=True):
+    """The contour's step rule applied to one segment, one sample at a time:
+    samples (z, F) from sample a to sample b."""
+    z0, z1 = a[0], b[0]
+    out, t = [a], 0.0
+    h, hmax = (1 / 64, 0.25) if fresh else (1.0, 1.0)
+    while t < 1.0:
+        t1 = min(t + h, 1.0)
+        z, F = b if t1 == 1.0 else _sample_one(c, bc, z0 + (z1 - z0) * t1)
+        step = abs(float(np.angle(F / out[-1][1])))
+        if step > spectral.MAX_STEP_PHASE:
+            h = (t1 - t) / 2
+            if h < 1e-10:
+                raise spectral._EdgeHit(f"unresolved phase jump on the contour at {z}")
+            continue
+        out.append((z, F))
+        t = t1
+        if step < spectral.MAX_STEP_PHASE / 2:
+            h = min(h * 1.5, hmax)
+    return out
+
+
+def _box_edges_one_at_a_time(c, bc, rect):
+    x0, x1, y0, y1 = rect
+    corners = [_sample_one(c, bc, complex(x, y))
+               for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))]
+    return [_march_one_segment_at_a_time(c, bc, corners[k], corners[(k + 1) % 4])
+            for k in range(4)]
+
+
+def _children_one_at_a_time(c, bc, rect, edges, xm, ym):
+    x0, x1, y0, y1 = rect
+
+    def cut(edge, zm):
+        za, zb = edge[0][0], edge[-1][0]
+        ts = [((z - za) / (zb - za)).real for z, _ in edge]
+        k = int(np.searchsorted(ts, ((zm - za) / (zb - za)).real, side="right")) - 1
+        m = _sample_one(c, bc, zm)
+        return (edge[:k] + _march_one_segment_at_a_time(c, bc, edge[k], m, fresh=False),
+                _march_one_segment_at_a_time(c, bc, m, edge[k + 1], fresh=False) + edge[k + 2:])
+
+    b0, b1 = cut(edges[0], complex(xm, y0))
+    r0, r1 = cut(edges[1], complex(x1, ym))
+    t0, t1 = cut(edges[2], complex(xm, y1))
+    l0, l1 = cut(edges[3], complex(x0, ym))
+    center = _sample_one(c, bc, complex(xm, ym))
+    south, east, north, west = (_march_one_segment_at_a_time(c, bc, half[-1], center)
+                                for half in (b0, r0, t0, l0))
+    return [((x0, xm, y0, ym), [b0, south, west[::-1], l1]),
+            ((xm, x1, y0, ym), [b1, r0, east, south[::-1]]),
+            ((x0, xm, ym, y1), [west, north[::-1], t1, l0]),
+            ((xm, x1, ym, y1), [east[::-1], r1, t0, north])]
+
+
+def _newton_one_at_a_time(c, bc, lam, mult, box_size):
+    F = wc.char_function(c, bc, lam)
+    prev = lam + 1e-6 * (1 + abs(lam))
+    F_prev = wc.char_function(c, bc, prev)
+    best, best_abs, stale = lam, abs(F), 0
+    for _ in range(60):
+        if F == F_prev:
+            break
+        step = mult * F * (lam - prev) / (F - F_prev)
+        if abs(step) > 2 * box_size:
+            step *= 2 * box_size / abs(step)
+        prev, F_prev = lam, F
+        lam = lam - step
+        if abs(step) < 1e-10 * (1 + abs(lam)):
+            return lam
+        F = wc.char_function(c, bc, lam)
+        if abs(F) < best_abs:
+            best, best_abs, stale = lam, abs(F), 0
+        else:
+            stale += 1
+            if stale == 2:
+                break
+    return best
+
+
+def _zeros_one_at_a_time(c, bc, rect, edges):
+    """(lambda, multiplicity, residual) of the zeros in a box, each refined
+    as soon as the quadtree finds its box; without the retries of
+    eigenvalues_complex, which the problems here do not take."""
+    x0, x1, y0, y1 = rect
+    w, s1 = spectral._winding(edges)
+    if w == 0:
+        return []
+    size = max(x1 - x0, y1 - y0)
+    if (w <= spectral.M_MAX and (w == 1 or size <= 1.0)) or size <= spectral.SIZE_TOL:
+        lam = _newton_one_at_a_time(c, bc, s1 / w, w, max(size, spectral.SIZE_TOL))
+        return [(lam, w, float(spectral._residuals(c, bc, [lam])[0]))]
+    return [z for sub, sub_edges in _children_one_at_a_time(c, bc, rect, edges, (x0 + x1) / 2,
+                                                            (y0 + y1) / 2)
+            for z in _zeros_one_at_a_time(c, bc, sub, sub_edges)]
+
+
+@given(st.floats(-3.0, 3.0), st.floats(-np.pi, np.pi), st.floats(-60.0, 50.0),
+       st.floats(0.5, 60.0), st.floats(-5.0, 4.0), st.floats(0.5, 8.0),
+       st.floats(-0.2, 0.2), st.floats(-0.2, 0.2))
+@example(np.log(abs(0.5 + 0.2j)), np.angle(0.5 + 0.2j), -30.0, 60.0, -2.0, 5.0, 0.0, 0.0)
+def test_contour_samples_are_those_of_a_march_one_segment_at_a_time(
+        c_exp, log_mod, arg, x0, width, y0, height, sx, sy):
+    # the lockstep marches of a box's edges and of its children's cut parts
+    # and arms sample the points of the sequential march, with bitwise the
+    # same values; a zero on the contour stops both
+    bc = wc.bc_from_chart(np.array([[np.exp(log_mod + 1j * arg)]]))
+    rect = (x0, x0 + width, y0, y0 + height)
+    xm, ym = x0 + (0.5 + sx) * width, y0 + (0.5 + sy) * height
+    try:
+        edges = _box_edges_one_at_a_time(c_exp, bc, rect)
+        children = _children_one_at_a_time(c_exp, bc, rect, edges, xm, ym)
+    except spectral._EdgeHit:
+        with pytest.raises(spectral._EdgeHit):
+            spectral._children(c_exp, bc, rect, spectral._box_edges(c_exp, bc, rect), xm, ym)
+        return
+    assert spectral._box_edges(c_exp, bc, rect) == edges
+    assert spectral._children(c_exp, bc, rect, edges, xm, ym) == children
+
+
+def test_contour_overflow_names_the_first_sample_in_segment_order(c_exp):
+    # the lower corners of this box leave the floating-point range (|e^{i lam}|
+    # = e^1000): the corners sampled together raise the plain NumericalError
+    # for the first of them, as a corner-by-corner walk would
+    bc = wc.bc_from_chart(np.array([[0.5 + 0.2j]]))
+    with pytest.raises(wc.NumericalError, match=r"lambda = \(-10-1000j\);") as err:
+        spectral._box_edges(c_exp, bc, (-10.0, 10.0, -1000.0, -100.0))
+    assert type(err.value) is wc.NumericalError
+
+
+def test_robin_contour_solves_in_lockstep_rounds(monkeypatch):
+    # a fresh q = 0 Robin problem, so that every lambda is solved once: the
+    # lockstep marches and Newton steps solve the 382 lambdas of the
+    # one-at-a-time schedule in at most 140 propagation passes, and find
+    # bitwise its zeros
+    from weylcurve import sturm
+    bc = wc.bc_from_physical(np.array([[1, 0, 0, 0], [0, 0, -(0.5 + 1j), 1]]), "functional")
+    rect = (0.3, 30.0, -3.0, 3.0)
+    p, p_ref = (wc.SLProblem(potential=wc.Potential.zero()) for _ in range(2))
+    passes = []
+
+    def counted(pan, lam, solve=sturm._solve):
+        passes.append(lam.shape[0] if lam.ndim else 1)
+        return solve(pan, lam)
+
+    monkeypatch.setattr(sturm, "_solve", counted)
+    evs = wc.eigenvalues_complex(wc.curve_provider(p), bc, rect)
+    monkeypatch.undo()
+    assert len(p._memo) == sum(passes) == 382
+    assert len(passes) <= 140
+    c_ref = wc.curve_provider(p_ref)
+    # the reference solves what eigenvalues_complex solves: its degeneracy
+    # check first, then the quadtree with each zero refined in turn
+    assert not wc.is_degenerate(c_ref, bc, [complex(a, b) for a in np.linspace(0.3, 30.0, 8)
+                                            for b in np.linspace(-3.0, 3.0, 8)])
+    ref = _zeros_one_at_a_time(c_ref, bc, rect, _box_edges_one_at_a_time(c_ref, bc, rect))
+    assert set(p_ref._memo) == set(p._memo)
+    assert len(ref) == 6
+    assert [(e.lam, e.multiplicity, e.residual) for e in evs] == \
+        sorted(ref, key=lambda z: (z[0].real, z[0].imag))
 
 
 def test_multiplicity_analytic_and_geometric(c_q0, bc_periodic):

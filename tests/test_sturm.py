@@ -324,6 +324,24 @@ def test_fundamental_many_is_bitwise_fundamental(name, lams, memo):
     assert all(many._memo[(fd.lam.real, fd.lam.imag)] == fd for fd in ref)
 
 
+@pytest.mark.parametrize("n", [16, 64])
+def test_a_full_complex_pass_holds_few_node_arrays(p_q0, n):
+    # numpy allocates every result; a pass of K N = 4096 complex lambda-panels
+    # works in place, so its peak is under eight arrays over the K N J
+    # quadrature nodes (over ten when each operation allocated its result)
+    import tracemalloc
+    pan = sturm._panels(p_q0, n)
+    lam = (50.0 * np.exp(1j * np.linspace(0.1, 3.0, sturm._BATCH_PANELS // n)))[:, None]
+    node_array = lam.size * n * len(sturm._QUAD_WEIGHTS) * lam.itemsize
+    tracemalloc.start()
+    try:
+        sturm._solve(pan, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * node_array
+
+
 def test_fundamental_many_overflow_names_the_first_failing_lambda(p_qcos):
     p = wc.SLProblem(potential=p_qcos.potential)
     with warnings.catch_warnings():

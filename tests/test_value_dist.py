@@ -98,29 +98,77 @@ def test_proximity_nonnegative(c_q0, bc_dirichlet):
         assert wc.proximity(c_q0, bc_dirichlet, r) >= 0.0
 
 
-def test_proximity_solves_each_rule_in_one_batch(monkeypatch, bc_dirichlet):
-    # a fresh problem, so that every node of every rule is a memo miss: each
-    # 16-node Gauss-Legendre rule is one call of the batch entry and one
-    # propagation pass, never a solve per node
+def _adaptive_gl_depth_first(f, edges, tol, levels=None):
+    """value_dist._adaptive_gl with one f call per 16-node rule, panels
+    visited depth first: the reference for its level-at-a-time schedule.
+    levels, if given, collects the tree level of each rule."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+
+    def rule(a, b, level):
+        if levels is not None:
+            levels.append(level)
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        vals = f(mid + half * nodes)
+        return half * float(np.dot(weights, vals)), vals.max()
+
+    def panel(a, b, whole, depth):
+        mid = 0.5 * (a + b)
+        left, right = rule(a, mid, depth + 1), rule(mid, b, depth + 1)
+        fine = left[0] + right[0]
+        needs_depth = np.exp(-whole[1]) < 1e-3 and depth < 4
+        if (abs(fine - whole[0]) <= tol * (1 + abs(fine)) and not needs_depth) or depth >= 14:
+            return fine
+        return panel(a, mid, left, depth + 1) + panel(mid, b, right, depth + 1)
+
+    return sum(panel(a, b, rule(a, b, 0), 0) for a, b in zip(edges, edges[1:]))
+
+
+def test_proximity_solves_each_level_in_one_batch(monkeypatch, bc_dirichlet):
+    # a fresh problem, so that every node is a memo miss: each level of the
+    # panel tree is one _neg_lognorm call, one call of the batch entry and
+    # ceil(16 K N / 4096) propagation passes for its K panels of N-panel
+    # solves; the nodes and the value are those of the rules taken one at a
+    # time, depth first
     from weylcurve import sturm, value_dist
-    c = wc.curve_provider(wc.SLProblem(potential=wc.Potential.zero()))
-    rules, entries, passes = [], [], []
+    p = wc.SLProblem(potential=wc.Potential.zero())
+    c, r = wc.curve_provider(p), 50.37
+    neg_lognorm, calls, entries = value_dist._neg_lognorm, [], []
 
-    def counted(log, fn, size):
-        def wrapped(*args):
-            log.append(size(*args))
-            return fn(*args)
-        return wrapped
+    def logged(c_, bc, r_, theta):
+        calls.append(np.array(theta))
+        return neg_lognorm(c_, bc, r_, theta)
 
-    monkeypatch.setattr(value_dist, "_neg_lognorm", counted(
-        rules, value_dist._neg_lognorm, lambda c_, bc, r, theta: np.size(theta)))
-    monkeypatch.setattr(sturm, "fundamental_many", counted(
-        entries, sturm.fundamental_many, lambda p, lams: len(lams)))
-    monkeypatch.setattr(sturm, "_solve", counted(
-        passes, sturm._solve, lambda pan, lam: lam.shape[0]))
-    assert wc.proximity(c, bc_dirichlet, 50.37) >= 0.0
-    assert len(rules) >= 8 and set(rules) == {16}
-    assert entries == rules and passes == rules
+    def many(p_, lams, many=sturm.fundamental_many):
+        entries.append((len(lams), []))
+        return many(p_, lams)
+
+    def solve(pan, lam, solve=sturm._solve):
+        entries[-1][1].append((1 if lam.ndim == 0 else lam.shape[0], pan.step[0].size))
+        return solve(pan, lam)
+
+    monkeypatch.setattr(value_dist, "_neg_lognorm", logged)
+    monkeypatch.setattr(sturm, "fundamental_many", many)
+    monkeypatch.setattr(sturm, "_solve", solve)
+    m = wc.proximity(c, bc_dirichlet, r)
+    monkeypatch.undo()
+
+    ref_nodes, levels = [], []
+
+    def f(theta):
+        ref_nodes.append(theta)
+        return neg_lognorm(c, bc_dirichlet, r, theta)
+
+    ref = _adaptive_gl_depth_first(f, np.linspace(0.0, 2 * np.pi, 9), 1e-7, levels)
+    assert m == ref / (2 * np.pi)
+    sizes = [len(call) for call in calls]
+    assert sizes == [16 * levels.count(k) for k in range(max(levels) + 1)]
+    assert len(sizes) >= 3
+    assert np.array_equal(np.sort(np.concatenate(calls)), np.sort(np.concatenate(ref_nodes)))
+    assert [k for k, _ in entries] == sizes
+    for k, passes in entries:
+        (n,) = {n for _, n in passes}
+        assert sum(size for size, _ in passes) == k
+        assert len(passes) == -(-k * n // 4096)
 
 
 def test_proximity_exponential_omega_zero(c_exp):
@@ -142,6 +190,26 @@ def test_proximity_omega_bounded_offset(c_q0, bc_dirichlet):
     assert max(abs(d) for d in d1) < 3.0
 
 
+def test_proximity_omega_is_that_of_the_per_node_loop(c_q0, bc_dirichlet):
+    # one B_many call and one stacked slogdet per factor for each level give
+    # bitwise the chart integral of B taken one node at a time
+    U = bc_dirichlet.chart_unitary
+
+    def per_node(r):
+        def f(theta):
+            out = []
+            for th in np.atleast_1d(theta):
+                B = c_q0.B(r * np.exp(1j * th))
+                l1 = np.linalg.slogdet(B - U)[1]
+                l2 = np.linalg.slogdet(np.eye(2) - B.conj().T @ U)[1]
+                out.append(-(l1 + l2))
+            return np.asarray(out)
+        return _adaptive_gl_depth_first(f, np.linspace(0.0, np.pi, 5), 1e-7) / (2 * np.pi)
+
+    for r in (20.0, 60.0, 120.0):
+        assert wc.proximity_omega(c_q0, U, r) == per_node(r)
+
+
 # -- reports ----------------------------------------------------------------------
 
 
@@ -159,10 +227,12 @@ def test_fmt_report_exponential(c_exp):
 def test_fmt_report_exponential_contour_overflow_is_typed():
     # a chart without a unitary condition goes to the contour on +-1.05e4,
     # where e^{i lambda} leaves the floating-point range: a plain
-    # NumericalError naming lambda, with no warning and no dilation retry
+    # NumericalError naming the first such lambda, the lower left corner of
+    # the box, with no warning and no dilation retry
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(wc.NumericalError, match=r"overflows at lambda = \(") as err:
+        with pytest.raises(wc.NumericalError,
+                           match=r"overflows at lambda = \(-10500-10500j\);") as err:
             wc.fmt_report(wc.exponential(), wc.bc_from_chart([[0.5 + 0.2j]]),
                           [100.0, 1000.0, 10000.0])
     assert type(err.value) is wc.NumericalError

@@ -9,9 +9,9 @@ and the group actions (SL(2,R) reparameterization, U(n,n) congruence).
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,12 +35,14 @@ class CurveProvider:
         evaluation is allowed only when allow_real is set (boundary values
         of the upper branch, e.g. the constant curve).
 
-    Optional capabilities: speed_fn(u) is the exact phase speed at real u;
-    many_fn(lams) maps a 1-D complex array of K lambdas to the (K, n, n)
-    stack of B at each of them, under the same branch rules as B, and
-    element k must equal B(lams[k]); B_many falls back to one B call per
-    lambda without it; exponential() supplies it together with its exact
-    speed, 1 everywhere.  prefetch_fn(lams) readies the work that B and
+    Optional capabilities: speed_fn(us) maps a 1-D float array of real u to
+    the array of the exact phase speed at each of them, and element k must
+    not depend on the rest of the array; without it the speed is the trace
+    formula at each u.  many_fn(lams) maps a 1-D complex array of K lambdas
+    to the (K, n, n) stack of B at each of them, under the same branch rules
+    as B, and element k must equal B(lams[k]); B_many falls back to one B
+    call per lambda without it; exponential() supplies it together with its
+    exact speed, 1 everywhere.  prefetch_fn(lams) readies the work that B and
     frame will need at each lambda of a 1-D complex array, in one batch:
     without many_fn, B_many and frame_many call it once with the whole
     array and then B or frame once per lambda, which then read what it
@@ -52,7 +54,8 @@ class CurveProvider:
     ln |F| / vol(frame), -inf at zeros; without it spectral.sections reads
     the section off frame_many.
     phase_path holds the real-axis phase of det B shared by the spectral
-    and value-distribution layers.
+    and value-distribution layers; its march reads the speeds of a block of
+    knots from one phase_speeds call.
     """
 
     def __init__(self, n, domain, eval_fn, deriv_fn=None, frame_fn=None,
@@ -76,12 +79,22 @@ class CurveProvider:
         self.phase_path = PhasePath(self)
 
     def phase_speed(self, u: float) -> float:
-        """d/du arg det B(u) = trace(-i B^{-1} B') at a regular real point."""
-        u = float(u)
+        """d/du arg det B(u) = trace(-i B^{-1} B') at a regular real point:
+        the one-point call of phase_speeds."""
+        return float(self.phase_speeds(np.array([float(u)]))[0])
+
+    def phase_speeds(self, us) -> np.ndarray:
+        """The phase speed at every u of a 1-D real array: one speed_fn call,
+        or without it the trace formula at each u."""
+        us = np.asarray(us, dtype=float)
         if self.speed_fn is not None:
-            return float(self.speed_fn(u))
-        B = self.B(u)
-        return float(np.trace(-1j * np.linalg.solve(B, self.dB(u))).real)
+            speeds = np.asarray(self.speed_fn(us), dtype=float)
+            if speeds.shape != us.shape:
+                raise ValidationError("speed_fn must map a 1-D array of u to the "
+                                      "array of the speeds there")
+            return speeds
+        return np.array([np.trace(-1j * np.linalg.solve(self.B(u), self.dB(u))).real
+                         for u in us.tolist()])
 
     # -- evaluation ------------------------------------------------------
 
@@ -174,7 +187,7 @@ TWO_PI = 2 * np.pi
 STEP_TARGET = 2.2
 STEP_CAP = 3.0
 # most knots the march predicts ahead and evaluates in one B_many call
-_BLOCK_MAX = 64
+_BLOCK_MAX = 1024
 
 
 def _step_cap(u: float) -> float:
@@ -189,36 +202,96 @@ def _step_cap(u: float) -> float:
     return max(1.0, 0.6 * math.sqrt(1.0 + u))
 
 
+def _step_caps(us: np.ndarray) -> np.ndarray:
+    """_step_cap at every u of an array, with the same bits."""
+    a = 1.0 + np.abs(us)
+    return np.where(us < 0, 0.25 * a, np.maximum(1.0, 0.6 * np.sqrt(a)))
+
+
+def _positions(u, step, H, sign, end, land, block):
+    """u and the positions of a block of knots after it, and the step caps at
+    all but the last: a first step, then steps of min(H, the cap at their
+    left knot), up to `block` positions, the last one the first at or past
+    end (exactly end if `land` is set).
+
+    Where every cap is at least H the positions after the first are H apart,
+    and one accumulate makes the float additions of the loop; where a cap
+    falls below H (near 0) the positions are taken one at a time.
+    """
+    if block > 1:
+        ys = np.full(block + 1, sign * H)
+        ys[:2] = u, sign * step
+        ys = np.add.accumulate(ys)
+        past = sign * (end - ys[1:]) <= 0
+        if past.any():
+            ys = ys[:past.argmax() + 2]
+            if land:
+                ys[-1] = end
+        caps = _step_caps(ys[1:-1])
+        if (caps >= H).all():
+            return ys, caps
+    ys, caps, x = [u], [], u
+    while True:
+        x = x + sign * step
+        if land and sign * (x - end) >= 0:
+            x = end
+        ys.append(x)
+        if len(ys) > block or sign * (end - x) <= 0:
+            break
+        caps.append(_step_cap(x))
+        step = min(H, caps[-1])
+    return np.array(ys), np.array(caps)
+
+
+def _tip(piece, k=-1):
+    """(u, det, phi, speed) of knot k, by default the last, of a piece
+    (us, Bs, dets, phis, speeds)."""
+    us, _, dets, phis, speeds = piece
+    return float(us[k]), dets[k], float(phis[k]), float(speeds[k])
+
+
 class PhasePath:
     """Unwrapped arg det B(u) along the real axis of an entire curve.
 
-    Sorted knots keep u, B(u), det B(u), the phase and the exact phase speed.
-    Every step between neighbouring knots is sized from the speed, lifted
-    onto the branch nearest the trapezoid prediction of the two end speeds,
-    rejected when the two disagree, and turns det B by at most STEP_CAP.
-    Once the path reaches 0, 0 is a knot and the phase there is the
-    principal value of arg det B(0).  Points between knots are sampled
-    exactly by `sample`; `phase` is the cubic Hermite spline on the knot
-    speeds, for quadrature.
+    Sorted knots keep u, B(u), det B(u), the phase and the exact phase speed,
+    in the arrays us, Bs (K, n, n), dets, phis and speeds.  Every step
+    between neighbouring knots is sized from the speed, lifted onto the
+    branch nearest the trapezoid prediction of the two end speeds, rejected
+    when the two disagree, and turns det B by at most STEP_CAP.  Once the
+    path reaches 0, 0 is a knot and the phase there is the principal value
+    of arg det B(0).  Points between knots are sampled exactly by `sample`;
+    `phase` is the cubic Hermite spline on the knot speeds, for quadrature.
+
+    The provider owns its path, and the path refers back to it weakly, so
+    that the two are freed together without the cyclic garbage collector.
     """
 
     def __init__(self, c: CurveProvider):
-        self.c = c
-        self.us, self.Bs, self.dets, self.phis, self.speeds = [], [], [], [], []
+        self._provider = weakref.ref(c)
+        self.us, self.phis, self.speeds = np.empty(0), np.empty(0), np.empty(0)
+        self.Bs, self.dets = np.empty((0, c.n, c.n), dtype=complex), np.empty(0, dtype=complex)
         self._spline = None
+
+    @property
+    def c(self) -> CurveProvider:
+        c = self._provider()
+        if c is None:
+            raise ValidationError("the phase path outlived its curve provider")
+        return c
 
     def _eval(self, us):
         """(B, det B, phase speed) at each u of a 1-D array, as arrays."""
-        Bs = self.c.B_many(us)
+        c = self.c
+        Bs = c.B_many(us)
         dets = np.linalg.det(Bs)
         if (dets == 0).any():
             raise NumericalError("det B vanished on the real axis; provider not entire here")
-        speeds = np.array([max(float(self.c.phase_speed(u)), 0.0) for u in us])
-        return Bs, dets, speeds
+        return Bs, dets, np.maximum(c.phase_speeds(us), 0.0)
 
     def _march(self, k, end, land=False):
-        """Knots after k = (u, B, det, phi, speed) toward end, the last one
-        at or past end, or exactly at end if `land` is set.
+        """The knots after k = (u, det, phi, speed) toward end, the last one
+        at or past end, or exactly at end if `land` is set, as pieces
+        (us, Bs, dets, phis, speeds) of arrays: the kept knots of each block.
 
         The next knot lies min(STEP_TARGET / speed, _step_cap) past the last
         one, and the step halves while the step rule rejects it.  A block of
@@ -230,28 +303,18 @@ class PhasePath:
         after a step whose two knots have the same speed, and drops to one
         knot otherwise.
         """
-        u, _, d, phi, s = k
+        u, d, phi, s = k
         sign = 1.0 if end > u else -1.0
         hmin = 1e-12 * (1 + abs(end - u))
-        out, h, block = [], None, 1
+        pieces, h, block = [], None, 1
         while sign * (end - u) > 0:
-            # the block's positions and the caps at the left knots after the first
             H = STEP_TARGET / max(s, 1e-12)
-            xs, caps, x = [], [], u
             step = min(H, _step_cap(u)) if h is None else h
-            while True:
-                x = x + sign * step
-                if land and sign * (x - end) >= 0:
-                    x = end
-                xs.append(x)
-                if len(xs) == block or sign * (end - x) <= 0:
-                    break
-                caps.append(_step_cap(x))
-                step = min(H, caps[-1])
+            ys, caps = _positions(u, step, H, sign, end, land, block)
+            xs = ys[1:]
             Bs, ds, ss = self._eval(xs)
             # the left knot of each step
-            u0, xs = np.array([u] + xs[:-1]), np.array(xs)
-            s0, d0 = np.concatenate(([s], ss[:-1])), np.concatenate(([d], ds[:-1]))
+            u0, s0, d0 = ys[:-1], np.concatenate(([s], ss[:-1])), np.concatenate(([d], ds[:-1]))
             predicted = sign * np.abs(xs - u0) * 0.5 * (s0 + ss)
             q = ds / d0
             apparent = np.arctan2(q.imag, q.real)
@@ -261,7 +324,7 @@ class PhasePath:
                 | (np.abs(steps - predicted) > 0.4 * size + 0.2)
             # knots the rule at their left knot, on its own speed, puts elsewhere
             moved = np.zeros(len(xs), dtype=bool)
-            if caps:
+            if caps.size:
                 ruled = xs[:-1] + sign * np.minimum(STEP_TARGET / np.maximum(ss[:-1], 1e-12), caps)
                 if land:
                     ruled = np.where(sign * (ruled - end) >= 0, end, ruled)
@@ -270,8 +333,8 @@ class PhasePath:
             n = int(bad.argmax()) if bad.any() else len(xs)
             if n:
                 phis = np.cumsum(np.concatenate(([phi], steps[:n])))[1:]
-                out += zip(xs[:n].tolist(), Bs[:n], ds[:n], phis.tolist(), ss[:n].tolist())
-                u, _, d, phi, s = out[-1]
+                pieces.append((xs[:n], Bs[:n], ds[:n], phis, ss[:n]))
+                u, d, phi, s = _tip(pieces[-1])
             h = None
             if n == len(xs):
                 # an unchanged speed predicts the following knots exactly
@@ -284,16 +347,18 @@ class PhasePath:
                     h = abs(xs[n] - u) / 2
                     if h < hmin:
                         raise NumericalError("phase-tracking step underflow")
-        return out
+        return pieces
 
-    def _grow(self, knots, end, sign):
-        """knots (ordered in the direction sign) extended past end, landing on 0."""
-        u = knots[-1][0]
-        if sign * (end - u) <= 0:
-            return knots
-        if u != 0.0 and u * end <= 0:
-            knots = knots + self._march(knots[-1], 0.0, land=True)
-        return knots + self._march(knots[-1], end)
+    def _grow(self, k, end, sign):
+        """Pieces of knots after the knot k, in the direction sign, to past
+        end, landing on 0 on the way."""
+        if sign * (end - k[0]) <= 0:
+            return []
+        pieces = []
+        if k[0] != 0.0 and k[0] * end <= 0:
+            pieces = self._march(k, 0.0, land=True)
+            k = _tip(pieces[-1])
+        return pieces + self._march(k, end)
 
     def cover(self, a: float, b: float) -> None:
         """Grow the path over [a, b].
@@ -302,23 +367,28 @@ class PhasePath:
         afresh, at the point of [a, b] nearest 0.
         """
         us = self.us
-        if us and us[0] <= a and b <= us[-1]:
+        if us.size and us[0] <= a and b <= us[-1]:
             return
-        if not us or max(us[0] - b, a - us[-1]) > b - a:
-            u0 = min(max(0.0, a), b)
-            (B0,), (d0,), (s0,) = self._eval([u0])
-            knots = [(u0, B0, d0, float(np.angle(d0)), float(s0))]
+        if not us.size or max(us[0] - b, a - us[-1]) > b - a:
+            u0 = np.array([min(max(0.0, a), b)])
+            Bs, ds, ss = self._eval(u0)
+            path = (u0, Bs, ds, np.angle(ds), ss)
         else:
-            knots = list(zip(us, self.Bs, self.dets, self.phis, self.speeds))
-        knots = self._grow(knots, b, 1.0)
-        knots = self._grow(knots[::-1], a, -1.0)[::-1]
-        self.us, self.Bs, self.dets, self.phis, self.speeds = (list(z) for z in zip(*knots))
+            path = (us, self.Bs, self.dets, self.phis, self.speeds)
+        right = self._grow(_tip(path), b, 1.0)
+        left = self._grow(_tip(path, 0), a, -1.0)
+        if left:
+            # marched leftward: concatenated, then reversed
+            path = tuple(np.concatenate((np.concatenate(v)[::-1], w))
+                         for v, w in zip(zip(*left), path))
+        self.us, self.Bs, self.dets, self.phis, self.speeds = (
+            np.concatenate(v) for v in zip(path, *right))
         self._spline = None
-        i = bisect.bisect_left(self.us, 0.0)
+        i = np.searchsorted(self.us, 0.0)
         if i < len(self.us) and self.us[i] == 0.0:
             shift = TWO_PI * round((float(np.angle(self.dets[i])) - self.phis[i]) / TWO_PI)
             if shift:
-                self.phis = [phi + shift for phi in self.phis]
+                self.phis += shift
 
     def phase(self, u):
         """The phase at u (scalar or array) inside the path, by the spline:
@@ -348,15 +418,15 @@ class PhasePath:
 
     def knots(self, a: float, b: float) -> np.ndarray:
         """The knot positions inside [a, b]."""
-        us = np.asarray(self.us)
-        return us[(us >= a) & (us <= b)]
+        us = self.us
+        return us[np.searchsorted(us, a):np.searchsorted(us, b, side="right")]
 
     def sample(self, x: float):
         """(B(x), phase at x) at a covered x, lifted from the knot at or below it.
 
         x is sampled but not stored, so the knots do not depend on requests.
         """
-        k = bisect.bisect_right(self.us, x) - 1
+        k = np.searchsorted(self.us, x, side="right") - 1
         if self.us[k] == x:
             return self.Bs[k], self.phis[k]
         B = self.c.B(x)
@@ -366,10 +436,10 @@ class PhasePath:
         """(us, Bs, phis) on a covered [a, b]: a, the knots strictly inside, b,
         with Bs stacked (K, n, n)."""
         us = self.us
-        i, j = bisect.bisect_right(us, a), bisect.bisect_left(us, b)
+        i, j = np.searchsorted(us, a, side="right"), np.searchsorted(us, b)
         (Ba, pa), (Bb, pb) = self.sample(a), self.sample(b)
-        return (np.array([a] + us[i:j] + [b]), np.array([Ba] + self.Bs[i:j] + [Bb]),
-                np.array([pa] + self.phis[i:j] + [pb]))
+        return (np.concatenate(([a], us[i:j], [b])), np.concatenate(([Ba], self.Bs[i:j], [Bb])),
+                np.concatenate(([pa], self.phis[i:j], [pb])))
 
 
 # -- built-in curves -----------------------------------------------------
@@ -440,7 +510,7 @@ def exponential() -> CurveProvider:
         eval_fn=lambda lam: np.array([[np.exp(1j * lam)]]),
         deriv_fn=lambda lam: np.array([[1j * np.exp(1j * lam)]]),
         provenance={"kind": "builtin", "params": {"name": "exponential"}},
-        speed_fn=lambda u: 1.0, many_fn=lambda lams: np.exp(1j * lams)[:, None, None],
+        speed_fn=lambda us: np.ones(len(us)), many_fn=lambda lams: np.exp(1j * lams)[:, None, None],
         section_fn=section)
 
 
@@ -575,8 +645,8 @@ def reparameterize(c: CurveProvider, g) -> CurveProvider:
     def dv(lam):
         return c.dB(m(lam)) / (-cc * lam + a) ** 2
 
-    def speed(u):
-        return c.speed_fn(m(u)) / (-cc * u + a) ** 2
+    def speed(us):
+        return c.speed_fn(m(us)) / (-cc * us + a) ** 2
 
     return CurveProvider(
         c.n, c.domain, eval_fn=lambda lam: c.B(m(lam)),

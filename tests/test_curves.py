@@ -282,6 +282,56 @@ def test_B_many_takes_real_arrays():
     assert [c.phase_speed(u) for u in us[:3]] == [1.0, 1.0, 1.0]
 
 
+@pytest.mark.parametrize("name", ["q0", "cos24", "qx", "exponential", "reparameterized"])
+@given(st.lists(st.floats(-30.0, 450.0), min_size=1, max_size=6))
+def test_speed_fn_is_the_phase_speed_at_each_point(p_q0, p_qcos, p_qx, name, us):
+    # m(u) = u / (1 - u / 1000) has its pole far to the right of [-30, 450]
+    g = np.array([[1.0, 0.0], [-1e-3, 1.0]])
+    c = {"q0": lambda: wc.curve_provider(p_q0), "cos24": lambda: wc.curve_provider(p_qcos),
+         "qx": lambda: wc.curve_provider(p_qx), "exponential": wc.exponential,
+         "reparameterized": lambda: wc.reparameterize(wc.curve_provider(p_q0), g)}[name]()
+    us = np.array(us)
+    got = c.speed_fn(us)
+    assert got.shape == us.shape
+    assert got.tolist() == [c.phase_speed(u) for u in us]
+
+
+def test_a_speed_fn_of_one_point_is_rejected():
+    c = wc.CurveProvider(1, "entire", eval_fn=lambda lam: np.array([[np.exp(1j * lam)]]),
+                         speed_fn=lambda u: 1.0)
+    with pytest.raises(wc.ValidationError, match="speed_fn"):
+        c.phase_speed(0.5)
+    with pytest.raises(wc.ValidationError, match="speed_fn"):
+        c.phase_path.cover(0.0, 10.0)
+
+
+@given(st.lists(st.floats(-1e5, 1e5), max_size=20))
+def test_step_caps_are_the_step_cap_at_each_point(us):
+    assert curves._step_caps(np.array(us)).tolist() == [curves._step_cap(u) for u in us]
+
+
+def test_providers_are_freed_without_the_cycle_collector(p_q0):
+    # the path refers to its provider weakly, so a provider, and with it the
+    # problem whose solutions it memoizes, goes when its last reference does
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        p = wc.SLProblem(potential=p_q0.potential)
+        for make in (wc.curve_provider, lambda _: wc.exponential()):
+            c = make(p)
+            c.phase_path.cover(-5.0, 40.0)
+            ref = weakref.ref(c)
+            del c
+            assert ref() is None
+        ref = weakref.ref(p)
+        del p
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def _march_one_knot_at_a_time(c, k, end, last=None):
     """The phase path's step rule applied one knot at a time: knots
     (u, det B, phase, speed) after k toward end; given last = (det B, speed)
@@ -330,12 +380,13 @@ def _kinked():
 
     return wc.CurveProvider(1, "entire", eval_fn=lambda lam: np.array([[np.exp(1j * arg(lam))]]),
                             many_fn=lambda lams: np.exp(1j * arg(lams))[:, None, None],
-                            speed_fn=lambda u: 1.0 if u < 100.0 else 1.2)
+                            speed_fn=lambda us: np.where(us < 100.0, 1.0, 1.2))
 
 
 @pytest.mark.parametrize("name, a, b", [("q0", -0.5, 450.0), ("q0", -60.0, 60.0),
                                         ("cos24", -2.0, 150.0),
                                         ("exponential", -2000.0, 3000.0),
+                                        ("exponential", -20.0, 20.0),
                                         ("kinked", -50.0, 400.0)])
 def test_phase_path_knots_are_those_of_a_march_one_knot_at_a_time(
         p_q0, p_qcos, name, a, b):
@@ -347,10 +398,19 @@ def test_phase_path_knots_are_those_of_a_march_one_knot_at_a_time(
     assert _path_knots(c) == ref
 
 
-@pytest.mark.parametrize("name", ["q0", "exponential"])
+def _fast():
+    # B = e^{10 i lambda}: every step cap is above the step 0.22, so whole
+    # blocks run up to the landing on 0
+    return wc.CurveProvider(1, "entire", eval_fn=lambda lam: np.array([[np.exp(10j * lam)]]),
+                            many_fn=lambda lams: np.exp(10j * lams)[:, None, None],
+                            speed_fn=lambda us: np.full(len(us), 10.0))
+
+
+@pytest.mark.parametrize("name", ["q0", "exponential", "fast"])
 def test_phase_path_landing_on_zero_is_that_of_a_march_one_knot_at_a_time(p_q0, name):
     # a path from 5 grown below 0 lands on the knot at 0, then goes on
-    c = wc.curve_provider(p_q0) if name == "q0" else wc.exponential()
+    c = {"q0": lambda: wc.curve_provider(p_q0), "exponential": wc.exponential,
+         "fast": _fast}[name]()
     c.phase_path.cover(5.0, 40.0)
     c.phase_path.cover(-30.0, 40.0)
     k5, k0 = _knot(c, 5.0), _knot(c, 0.0)
@@ -375,7 +435,7 @@ def test_exponential_path_evaluates_knots_in_blocks(monkeypatch):
     c = wc.exponential()
     c.phase_path.cover(-10501.0, 10501.0)
     assert sum(calls) >= len(c.phase_path.us) > 9000
-    assert len(calls) <= 200 and max(calls) == curves._BLOCK_MAX
+    assert len(calls) <= 40 and max(calls) == curves._BLOCK_MAX
 
 
 # -- the phase spline -----------------------------------------------------------

@@ -298,9 +298,8 @@ def cmd_height(cfg, p, c, bcs):
     rows = []
     recs = []
     hs = value_dist.height_grid(c, radii)
-    for r, hv in zip(radii, hs):
-        pp = value_dist.total_phase(c, r)
-        pm = value_dist.total_phase(c, -r)
+    phases = value_dist.total_phase(c, radii + [-r for r in radii]).tolist()
+    for r, hv, pp, pm in zip(radii, hs, phases, phases[len(radii):]):
         rows.append([float(r), pp, pm, float(hv)])
         recs.append({"r": r, "phase_plus": pp, "phase_minus": pm, "h": float(hv)})
     ot = value_dist.order_type_of_heights(radii, hs) if radii[-1] / radii[0] >= 100 else None

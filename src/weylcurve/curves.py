@@ -54,8 +54,8 @@ class CurveProvider:
     ln |F| / vol(frame), -inf at zeros; without it spectral.sections reads
     the section off frame_many.
     phase_path holds the real-axis phase of det B shared by the spectral
-    and value-distribution layers; its march reads the speeds of a block of
-    knots from one phase_speeds call.
+    and value-distribution layers; each round of its cover reads B and the
+    speeds at all of its new knots from one B_many and one phase_speeds call.
     """
 
     def __init__(self, n, domain, eval_fn, deriv_fn=None, frame_fn=None,
@@ -179,88 +179,89 @@ class CurveProvider:
 # -- the real-axis phase path --------------------------------------------
 
 TWO_PI = 2 * np.pi
-# Steps are sized to turn det B by STEP_TARGET at the speed of their start
-# and accepted up to STEP_CAP.  The cap is below pi, so the phase anywhere
-# inside a step is the phase of its left knot plus the principal value of
-# arg(det B(u) / det B(knot)), and the trapezoid prediction picks an
-# unambiguous branch for the step itself.
+# Cells are cut into steps that turn det B by about STEP_TARGET at the speed
+# of their faster end, and every step turns it by at most STEP_CAP.  The cap
+# is below pi, so the phase anywhere inside a step is the phase of its left
+# knot plus the principal value of arg(det B(u) / det B(knot)), and the
+# trapezoid prediction picks an unambiguous branch for the step itself.
 STEP_TARGET = 2.2
 STEP_CAP = 3.0
-# most knots the march predicts ahead and evaluates in one B_many call
-_BLOCK_MAX = 1024
 
 
-def _step_cap(u: float) -> float:
-    """Largest admissible step through a quiet (low phase speed) region.
+def _step_cap(u):
+    """Largest admissible step through a quiet (low phase speed) region, at
+    u, a number or an array.
 
     On the positive axis eigenvalue sweeps recur on the sqrt(u) gap scale,
     so quiet-region steps must stay below it; below the spectrum the phase
     is monotone and nearly flat and larger jumps are safe.
     """
-    if u < 0:
-        return 0.25 * (1.0 + abs(u))
-    return max(1.0, 0.6 * math.sqrt(1.0 + u))
+    a = 1.0 + np.abs(u)
+    return np.where(u < 0, 0.25 * a, np.maximum(1.0, 0.6 * np.sqrt(a)))
 
 
-def _step_caps(us: np.ndarray) -> np.ndarray:
-    """_step_cap at every u of an array, with the same bits."""
-    a = 1.0 + np.abs(us)
-    return np.where(us < 0, 0.25 * a, np.maximum(1.0, 0.6 * np.sqrt(a)))
+# the cap lattice 0, x + _step_cap(x), ... on the right of 0 and 0,
+# x - _step_cap(x), ... on its left, as far as requests have reached; a side
+# grows by being replaced whole, and any two growths make the same points
+_LATTICE = {1.0: (0.0,), -1.0: (0.0,)}
 
 
-def _positions(u, step, H, sign, end, land, block):
-    """u and the positions of a block of knots after it, and the step caps at
-    all but the last: a first step, then steps of min(H, the cap at their
-    left knot), up to `block` positions, the last one the first at or past
-    end (exactly end if `land` is set).
-
-    Where every cap is at least H the positions after the first are H apart,
-    and one accumulate makes the float additions of the loop; where a cap
-    falls below H (near 0) the positions are taken one at a time.
-    """
-    if block > 1:
-        ys = np.full(block + 1, sign * H)
-        ys[:2] = u, sign * step
-        ys = np.add.accumulate(ys)
-        past = sign * (end - ys[1:]) <= 0
-        if past.any():
-            ys = ys[:past.argmax() + 2]
-            if land:
-                ys[-1] = end
-        caps = _step_caps(ys[1:-1])
-        if (caps >= H).all():
-            return ys, caps
-    ys, caps, x = [u], [], u
-    while True:
-        x = x + sign * step
-        if land and sign * (x - end) >= 0:
-            x = end
-        ys.append(x)
-        if len(ys) > block or sign * (end - x) <= 0:
-            break
-        caps.append(_step_cap(x))
-        step = min(H, caps[-1])
-    return np.array(ys), np.array(caps)
+def _lattice(a: float, b: float) -> np.ndarray:
+    """The cap lattice from its last point at or below a to its first at or
+    above b (the next one if that is a again): the ends of the cells that
+    overlap [a, b]."""
+    for sign, end in ((1.0, b), (-1.0, a)):
+        side = list(_LATTICE[sign])
+        while sign * side[-1] <= sign * end:
+            side.append(side[-1] + sign * float(_step_cap(side[-1])))
+        _LATTICE[sign] = tuple(side)
+    xs = np.array(_LATTICE[-1.0][:0:-1] + _LATTICE[1.0])
+    i = np.searchsorted(xs, a, side="right") - 1
+    return xs[i:max(np.searchsorted(xs, b), i + 1) + 1]
 
 
-def _tip(piece, k=-1):
-    """(u, det, phi, speed) of knot k, by default the last, of a piece
-    (us, Bs, dets, phis, speeds)."""
-    us, _, dets, phis, speeds = piece
-    return float(us[k]), dets[k], float(phis[k]), float(speeds[k])
+def _dets(Bs) -> np.ndarray:
+    """det B of each B of a (K, n, n) stack; that of a 1 x 1 B is its entry."""
+    return Bs[:, 0, 0] if Bs.shape[1] == 1 else np.linalg.det(Bs)
+
+
+def _turns(us, dets, speeds):
+    """The turn of det B over each step between neighbouring knots, lifted
+    onto the branch nearest the trapezoid prediction of the two end speeds,
+    and whether the step fails the step rule: its outer knot lies past its
+    inner knot (the one nearer 0) moved out by the step cap there, its turn
+    or its prediction exceeds STEP_CAP, or the two disagree by more than
+    0.4 |prediction| + 0.2.  A lattice cell's outer end is its inner end
+    moved out by the cap, as the lattice adds them, so a whole cell passes."""
+    predicted = np.diff(us) * 0.5 * (speeds[:-1] + speeds[1:])
+    q = dets[1:] / dets[:-1]
+    apparent = np.arctan2(q.imag, q.real)
+    turns = apparent + TWO_PI * np.rint((predicted - apparent) / TWO_PI)
+    left = us[1:] <= 0
+    inner = np.where(left, us[1:], us[:-1])
+    reach = inner + np.where(left, -1.0, 1.0) * _step_cap(inner)
+    bad = np.where(left, us[:-1] < reach, us[1:] > reach) \
+        | (np.maximum(np.abs(turns), predicted) > STEP_CAP) \
+        | (np.abs(turns - predicted) > 0.4 * predicted + 0.2)
+    return turns, bad
 
 
 class PhasePath:
     """Unwrapped arg det B(u) along the real axis of an entire curve.
 
     Sorted knots keep u, B(u), det B(u), the phase and the exact phase speed,
-    in the arrays us, Bs (K, n, n), dets, phis and speeds.  Every step
-    between neighbouring knots is sized from the speed, lifted onto the
-    branch nearest the trapezoid prediction of the two end speeds, rejected
-    when the two disagree, and turns det B by at most STEP_CAP.  Once the
-    path reaches 0, 0 is a knot and the phase there is the principal value
-    of arg det B(0).  Points between knots are sampled exactly by `sample`;
-    `phase` is the cubic Hermite spline on the knot speeds, for quadrature.
+    in the arrays us, Bs (K, n, n), dets, phis and speeds.  The path covers
+    whole cells of the cap lattice (_lattice), each cut into equal steps
+    that turn det B by about STEP_TARGET at the speed of its faster end;
+    then every step that fails the step rule (_turns) is halved, round by
+    round, and each round evaluates its new knots in one B_many call and one
+    phase_speeds call.  A cell's knots depend on its ends alone, so the
+    knots depend only on which cells are covered, not on the order of the
+    requests.  The phase is lifted step by step outward from 0, a knot of
+    every path that reaches it, where it is the principal value of
+    arg det B(0); a path that does not reach 0 starts from the principal
+    value at its knot nearest 0.  Points between knots are sampled exactly
+    by `sample`.
 
     The provider owns its path, and the path refers back to it weakly, so
     that the two are freed together without the cyclic garbage collector.
@@ -270,7 +271,6 @@ class PhasePath:
         self._provider = weakref.ref(c)
         self.us, self.phis, self.speeds = np.empty(0), np.empty(0), np.empty(0)
         self.Bs, self.dets = np.empty((0, c.n, c.n), dtype=complex), np.empty(0, dtype=complex)
-        self._spline = None
 
     @property
     def c(self) -> CurveProvider:
@@ -279,167 +279,91 @@ class PhasePath:
             raise ValidationError("the phase path outlived its curve provider")
         return c
 
-    def _eval(self, us):
-        """(B, det B, phase speed) at each u of a 1-D array, as arrays."""
+    def _add(self, knots, xs):
+        """knots (us, Bs, dets, speeds) with the points xs evaluated and
+        merged in: one B_many and one phase_speeds call."""
+        if not len(xs):
+            return knots
         c = self.c
-        Bs = c.B_many(us)
-        dets = np.linalg.det(Bs)
+        Bs = c.B_many(xs)
+        dets = _dets(Bs)
         if (dets == 0).any():
             raise NumericalError("det B vanished on the real axis; provider not entire here")
-        return Bs, dets, np.maximum(c.phase_speeds(us), 0.0)
-
-    def _march(self, k, end, land=False):
-        """The knots after k = (u, det, phi, speed) toward end, the last one
-        at or past end, or exactly at end if `land` is set, as pieces
-        (us, Bs, dets, phis, speeds) of arrays: the kept knots of each block.
-
-        The next knot lies min(STEP_TARGET / speed, _step_cap) past the last
-        one, and the step halves while the step rule rejects it.  A block of
-        knots is predicted at the speed of its left knot and evaluated in one
-        B_many call.  A predicted knot is kept only while every knot before
-        it is kept, the rule at its left knot, on that knot's own speed, puts
-        it exactly there, and its step passes, so the knots are bitwise those
-        of a march one knot at a time.  The block doubles, up to _BLOCK_MAX,
-        after a step whose two knots have the same speed, and drops to one
-        knot otherwise.
-        """
-        u, d, phi, s = k
-        sign = 1.0 if end > u else -1.0
-        hmin = 1e-12 * (1 + abs(end - u))
-        pieces, h, block = [], None, 1
-        while sign * (end - u) > 0:
-            H = STEP_TARGET / max(s, 1e-12)
-            step = min(H, _step_cap(u)) if h is None else h
-            ys, caps = _positions(u, step, H, sign, end, land, block)
-            xs = ys[1:]
-            Bs, ds, ss = self._eval(xs)
-            # the left knot of each step
-            u0, s0, d0 = ys[:-1], np.concatenate(([s], ss[:-1])), np.concatenate(([d], ds[:-1]))
-            predicted = sign * np.abs(xs - u0) * 0.5 * (s0 + ss)
-            q = ds / d0
-            apparent = np.arctan2(q.imag, q.real)
-            steps = apparent + TWO_PI * np.rint((predicted - apparent) / TWO_PI)
-            size = np.abs(predicted)
-            bad = (np.maximum(np.abs(steps), size) > STEP_CAP) \
-                | (np.abs(steps - predicted) > 0.4 * size + 0.2)
-            # knots the rule at their left knot, on its own speed, puts elsewhere
-            moved = np.zeros(len(xs), dtype=bool)
-            if caps.size:
-                ruled = xs[:-1] + sign * np.minimum(STEP_TARGET / np.maximum(ss[:-1], 1e-12), caps)
-                if land:
-                    ruled = np.where(sign * (ruled - end) >= 0, end, ruled)
-                moved[1:] = ruled != xs[1:]
-                bad |= moved
-            n = int(bad.argmax()) if bad.any() else len(xs)
-            if n:
-                phis = np.cumsum(np.concatenate(([phi], steps[:n])))[1:]
-                pieces.append((xs[:n], Bs[:n], ds[:n], phis, ss[:n]))
-                u, d, phi, s = _tip(pieces[-1])
-            h = None
-            if n == len(xs):
-                # an unchanged speed predicts the following knots exactly
-                block = min(2 * block, _BLOCK_MAX) if s == s0[-1] else 1
-            else:
-                block = 1
-                if not moved[n]:
-                    # the knot after the kept ones is where the rule puts it,
-                    # and its step fails: halve that step
-                    h = abs(xs[n] - u) / 2
-                    if h < hmin:
-                        raise NumericalError("phase-tracking step underflow")
-        return pieces
-
-    def _grow(self, k, end, sign):
-        """Pieces of knots after the knot k, in the direction sign, to past
-        end, landing on 0 on the way."""
-        if sign * (end - k[0]) <= 0:
-            return []
-        pieces = []
-        if k[0] != 0.0 and k[0] * end <= 0:
-            pieces = self._march(k, 0.0, land=True)
-            k = _tip(pieces[-1])
-        return pieces + self._march(k, end)
+        new = (xs, Bs, dets, np.maximum(c.phase_speeds(xs), 0.0))
+        if knots is None:
+            return new
+        order = np.argsort(np.concatenate((knots[0], xs)), kind="stable")
+        return tuple(np.concatenate(pair)[order] for pair in zip(knots, new))
 
     def cover(self, a: float, b: float) -> None:
-        """Grow the path over [a, b].
+        """Grow the path over every lattice cell that overlaps [a, b], and
+        every cell between them and the path.
 
         A request farther from the path than its own length starts the path
-        afresh, at the point of [a, b] nearest 0.
+        afresh.
         """
         us = self.us
         if us.size and us[0] <= a and b <= us[-1]:
             return
-        if not us.size or max(us[0] - b, a - us[-1]) > b - a:
-            u0 = np.array([min(max(0.0, a), b)])
-            Bs, ds, ss = self._eval(u0)
-            path = (u0, Bs, ds, np.angle(ds), ss)
-        else:
-            path = (us, self.Bs, self.dets, self.phis, self.speeds)
-        right = self._grow(_tip(path), b, 1.0)
-        left = self._grow(_tip(path, 0), a, -1.0)
-        if left:
-            # marched leftward: concatenated, then reversed
-            path = tuple(np.concatenate((np.concatenate(v)[::-1], w))
-                         for v, w in zip(zip(*left), path))
-        self.us, self.Bs, self.dets, self.phis, self.speeds = (
-            np.concatenate(v) for v in zip(path, *right))
-        self._spline = None
-        i = np.searchsorted(self.us, 0.0)
-        if i < len(self.us) and self.us[i] == 0.0:
-            shift = TWO_PI * round((float(np.angle(self.dets[i])) - self.phis[i]) / TWO_PI)
-            if shift:
-                self.phis += shift
-
-    def phase(self, u):
-        """The phase at u (scalar or array) inside the path, by the spline:
-        on each step the cubic through the end phases with the end speeds as
-        slopes, in powers of the distance from the left knot."""
-        if self._spline is None:
-            x, y, dy = (np.asarray(v) for v in (self.us, self.phis, self.speeds))
-            h = np.diff(x)
-            slope = np.diff(y) / h
-            t = (dy[:-1] + dy[1:] - 2 * slope) / h
-            # the last knot's own piece, so that every knot is hit exactly
-            self._spline = (x, np.arange(len(x), dtype=float), np.append(t / h, 0.0),
-                            np.append((slope - dy[:-1]) / h - t, 0.0), dy, y)
-        x, pieces, c3, c2, c1, c0 = self._spline
-        # the piece of the last knot at or below u, the first piece below
-        # x[0]; np.interp searches from the previous point's piece, so sorted
-        # points, as quadrature nodes come, cost one step each
-        i = np.interp(u, x, pieces).astype(np.intp)
-        s = u - x[i]
-        out = c3[i] * s
-        out += c2[i]
-        out *= s
-        out += c1[i]
-        out *= s
-        out += c0[i]
-        return out
+        hmin = 1e-12 * (1 + b - a)
+        # the path's knots and ends, kept unless the request is far from it
+        knots, lo, hi = None, np.inf, -np.inf
+        if us.size and max(us[0] - b, a - us[-1]) <= b - a:
+            knots, lo, hi = (us, self.Bs, self.dets, self.speeds), us[0], us[-1]
+            a, b = min(a, lo), max(b, hi)
+        xs = _lattice(a, b)
+        knots = self._add(knots, xs[(xs < lo) | (xs > hi)])
+        # cut every new cell into equal steps at the speed of its faster end
+        new = (xs[1:] <= lo) | (xs[:-1] >= hi)
+        x0, x1 = xs[:-1][new], xs[1:][new]
+        speeds = knots[3][np.searchsorted(knots[0], xs)]
+        fast = np.maximum(speeds[:-1], speeds[1:])[new]
+        m = np.maximum(np.ceil((x1 - x0) * fast / STEP_TARGET), 1.0).astype(int)
+        cell = np.repeat(np.arange(len(m)), m - 1)
+        # the rank of each inner point within its cell, from 1
+        j = np.arange(cell.size) - np.searchsorted(cell, cell) + 1
+        knots = self._add(knots, x0[cell] + (x1 - x0)[cell] * (j / m[cell]))
+        while True:
+            turns, bad = _turns(knots[0], knots[2], knots[3])
+            if not bad.any():
+                break
+            us = knots[0]
+            if (np.diff(us)[bad] < 2 * hmin).any():
+                raise NumericalError("phase-tracking step underflow")
+            knots = self._add(knots, 0.5 * (us[:-1] + us[1:])[bad])
+        self.us, self.Bs, self.dets, self.speeds = knots
+        i = int(np.abs(self.us).argmin())
+        phi0 = np.angle(self.dets[i])
+        left = np.cumsum(np.concatenate(([phi0], -turns[:i][::-1])))[::-1]
+        self.phis = np.concatenate((left[:-1], np.cumsum(np.concatenate(([phi0], turns[i:])))))
 
     def knots(self, a: float, b: float) -> np.ndarray:
         """The knot positions inside [a, b]."""
         us = self.us
         return us[np.searchsorted(us, a):np.searchsorted(us, b, side="right")]
 
-    def sample(self, x: float):
-        """(B(x), phase at x) at a covered x, lifted from the knot at or below it.
+    def sample(self, xs):
+        """(Bs, phis) at the covered points of a 1-D array: B from one B_many
+        call, and the phase lifted from the knot k at or below each point,
+        phis[k] + arg(det B(x) / dets[k]), which at a knot is its own.
 
-        x is sampled but not stored, so the knots do not depend on requests.
+        The points are sampled but not stored, so the knots do not depend
+        on requests.
         """
-        k = np.searchsorted(self.us, x, side="right") - 1
-        if self.us[k] == x:
-            return self.Bs[k], self.phis[k]
-        B = self.c.B(x)
-        return B, self.phis[k] + float(np.angle(np.linalg.det(B) / self.dets[k]))
+        xs = np.asarray(xs, dtype=float)
+        k = np.searchsorted(self.us, xs, side="right") - 1
+        Bs = self.c.B_many(xs)
+        turns = np.angle(_dets(Bs) / self.dets[k])
+        return Bs, self.phis[k] + np.where(self.us[k] == xs, 0.0, turns)
 
     def samples(self, a: float, b: float):
         """(us, Bs, phis) on a covered [a, b]: a, the knots strictly inside, b,
         with Bs stacked (K, n, n)."""
         us = self.us
         i, j = np.searchsorted(us, a, side="right"), np.searchsorted(us, b)
-        (Ba, pa), (Bb, pb) = self.sample(a), self.sample(b)
-        return (np.concatenate(([a], us[i:j], [b])), np.concatenate(([Ba], self.Bs[i:j], [Bb])),
-                np.concatenate(([pa], self.phis[i:j], [pb])))
+        Bab, pab = self.sample([a, b])
+        return (np.concatenate(([a], us[i:j], [b])), np.concatenate((Bab[:1], self.Bs[i:j], Bab[1:])),
+                np.concatenate((pab[:1], self.phis[i:j], pab[1:])))
 
 
 # -- built-in curves -----------------------------------------------------

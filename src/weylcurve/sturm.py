@@ -624,9 +624,9 @@ def curve_provider(p: SLProblem) -> CurveProvider:
         # phase speed trace(-i B^{-1} B') equals the trace of the L^2 Gram
         # of the gamma_+ field, available from the accumulated moments of
         # the same (memoized) fundamental solves that produced B(u): one
-        # fundamental read per u, which for the one-knot blocks of a
-        # Sturm-Liouville march costs less than a fundamental_many call and,
-        # as for B, leaves the memo hits where the benchmark's tracer counts
+        # fundamental read per u, a memo read after B_many's prefetch,
+        # which, as for B, leaves the memo hits where the benchmark's
+        # tracer counts
         C, mom, G = _gamma_plus_gram([fundamental(p, u) for u in us])
         t = G.trace(axis1=1, axis2=2).real
         # for lambda << 0 the solutions grow like e^{2 pi sqrt(|lambda|)} and

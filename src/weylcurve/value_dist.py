@@ -25,16 +25,16 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL7_NODES, _GL7_WEIGHTS = np.polynomial.legendre.leggauss(7)
 
 
-def total_phase(c: CurveProvider, u: float) -> float:
-    """Unwrapped arg det B along [0, u], anchored at the principal value.
+def total_phase(c: CurveProvider, u):
+    """Unwrapped arg det B along [0, u], anchored at the principal value of
+    arg det B(0), at u, a number or an array: one sample call for all.
 
     The value is sampled at u off the phase path, not interpolated.
     """
-    u = float(u)
-    if u == 0.0:
-        return float(np.angle(np.linalg.det(c.B(0.0))))
-    c.phase_path.cover(min(u, 0.0), max(u, 0.0))
-    return float(c.phase_path.sample(u)[1])
+    us = np.asarray(u, dtype=float)
+    c.phase_path.cover(min(us.min(), 0.0), max(us.max(), 0.0))
+    phis = c.phase_path.sample(us.ravel())[1].reshape(us.shape)
+    return float(phis) if phis.ndim == 0 else phis
 
 
 def height(c: CurveProvider, r: float) -> float:
@@ -42,25 +42,31 @@ def height(c: CurveProvider, r: float) -> float:
 
 
 def height_grid(c: CurveProvider, r_grid) -> np.ndarray:
-    """h(r) = (1/2pi) int_0^r [phi(t) - phi(-t)] / t dt on each grid radius."""
+    """h(r) = (1/2pi) int_0^r [phi(t) - phi(-t)] / t dt on each grid radius.
+
+    Each half-axis is integrated on its own, as int_0^r [phi(+-t) - phi(0)] / t dt,
+    by 7-point Gauss-Legendre on the panels between its knots and the radii,
+    at phases sampled exactly off the phase path: one sample call for the
+    nodes of both half-axes.
+    """
     radii = np.asarray(sorted(float(r) for r in r_grid))
     if radii.size == 0 or radii[0] <= 0:
         raise ValidationError("radii must be positive")
     rmax = radii[-1]
     path = c.phase_path
     path.cover(-rmax, rmax)
-    # 7-point Gauss-Legendre on every panel between the knots of both
-    # half-axes; the spline is cubic on each panel
-    knots = np.unique(np.concatenate([np.abs(path.knots(-rmax, rmax)), radii, [0.0]]))
-    mid = 0.5 * (knots[1:] + knots[:-1])[:, None]
-    half = 0.5 * (knots[1:] - knots[:-1])[:, None]
-    ts = mid + half * _GL7_NODES
-    vals = (path.phase(ts) - path.phase(-ts)) / ts
-    acc = np.concatenate([[0.0], np.cumsum(half[:, 0] * (vals @ _GL7_WEIGHTS))])
-    out = acc[np.searchsorted(knots, radii)] / TWO_PI
+    ends = [np.unique(np.concatenate([[0.0], radii, np.abs(path.knots(*span))]))
+            for span in ((0.0, rmax), (-rmax, 0.0))]
+    ts = [0.5 * (t[1:] + t[:-1])[:, None] + 0.5 * np.diff(t)[:, None] * _GL7_NODES for t in ends]
+    phis = path.sample(np.concatenate([[0.0], ts[0].ravel(), -ts[1].ravel()]))[1]
+    h = 0.0
+    for sign, t, nodes, ph in zip((1.0, -1.0), ends, ts, np.split(phis[1:], [ts[0].size])):
+        vals = (ph.reshape(nodes.shape) - phis[0]) / nodes
+        acc = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(t) * (vals @ _GL7_WEIGHTS))])
+        h = h + sign * acc[np.searchsorted(t, radii)]
     # restore caller order
     order = np.argsort(np.argsort([float(r) for r in r_grid]))
-    return out[order]
+    return (h / TWO_PI)[order]
 
 
 # -- proximity --------------------------------------------------------------
@@ -172,7 +178,7 @@ def fmt_report(c: CurveProvider, bc: BoundaryCondition, r_grid) -> VDReport:
         raise DegenerateBCError("degenerate boundary condition; FMT undefined")
     rmax = radii[-1]
     # one eigenvalue sweep reused for every radius; it runs first, so the
-    # heights are read off its knots rather than off a second march
+    # heights are read off the phase path it covered
     if bc.selfadjoint and c.domain == "entire" and bc.chart_unitary is not None:
         evs = eigenvalues_real(c, bc, (-1.05 * rmax - 1.0, 1.05 * rmax + 1.0))
     else:
@@ -182,8 +188,7 @@ def fmt_report(c: CurveProvider, bc: BoundaryCondition, r_grid) -> VDReport:
     n_counts, N = map(np.array, zip(*(counting_sums(evs, r) for r in radii)))
     m = np.array([proximity(c, bc, r) for r in radii])
     resid = h - m - N
-    phase_p = np.array([total_phase(c, r) for r in radii])
-    phase_m = np.array([total_phase(c, -r) for r in radii])
+    phase_p, phase_m = np.split(total_phase(c, np.concatenate([radii, -radii])), 2)
     span = float(resid.max() - resid.min())
     ratio = float(np.abs(resid).max() / max(h[-1], 1e-300))
     slope = float(np.polyfit(h, resid, 1)[0]) if len(radii) > 2 else 0.0

@@ -307,7 +307,8 @@ def test_a_speed_fn_of_one_point_is_rejected():
 
 @given(st.lists(st.floats(-1e5, 1e5), max_size=20))
 def test_step_caps_are_the_step_cap_at_each_point(us):
-    assert curves._step_caps(np.array(us)).tolist() == [curves._step_cap(u) for u in us]
+    # the step rule reads the caps of an array, the lattice one point at a time
+    assert curves._step_cap(np.array(us)).tolist() == [float(curves._step_cap(u)) for u in us]
 
 
 def test_providers_are_freed_without_the_cycle_collector(p_q0):
@@ -332,49 +333,8 @@ def test_providers_are_freed_without_the_cycle_collector(p_q0):
         gc.enable()
 
 
-def _march_one_knot_at_a_time(c, k, end, last=None):
-    """The phase path's step rule applied one knot at a time: knots
-    (u, det B, phase, speed) after k toward end; given last = (det B, speed)
-    at end, the march lands on end."""
-    u, d, phi, s = k
-    sign = 1.0 if end > u else -1.0
-    out, h = [], None
-    while sign * (end - u) > 0:
-        if h is None:
-            h = min(curves.STEP_TARGET / max(s, 1e-12), curves._step_cap(u))
-        u1 = u + sign * h
-        if last is not None and sign * (u1 - end) >= 0:
-            u1, (d1, s1) = end, last
-        else:
-            d1, s1 = np.linalg.det(c.B(u1)), max(float(c.phase_speed(u1)), 0.0)
-        predicted = sign * abs(u1 - u) * 0.5 * (s + s1)
-        apparent = float(np.angle(d1 / d))
-        step = apparent + 2 * np.pi * round((predicted - apparent) / (2 * np.pi))
-        if max(abs(step), abs(predicted)) > curves.STEP_CAP \
-                or abs(step - predicted) > 0.4 * abs(predicted) + 0.2:
-            h = abs(u1 - u) / 2
-            assert h > 1e-12 * (1 + abs(end - u))
-            continue
-        u, d, phi, s = u1, d1, phi + step, s1
-        out.append((u, d, phi, s))
-        h = None
-    return out
-
-
-def _knot(c, u):
-    d = np.linalg.det(c.B(u))
-    return u, d, float(np.angle(d)), max(float(c.phase_speed(u)), 0.0)
-
-
-def _path_knots(c):
-    path = c.phase_path
-    return [(u, d, phi, s) for u, d, phi, s in zip(path.us, path.dets, path.phis, path.speeds)]
-
-
 def _kinked():
-    # arg B(u) = u below 100 and 1.2 u - 20 above: blocks predicted at speed
-    # 1 run past the kink, where each step would pass the step rule but the
-    # rule at its left knot, at speed 1.2, puts the knot elsewhere
+    # arg B(u) = u below 100 and 1.2 u - 20 above: the speed jumps at the kink
     def arg(lam):
         return np.where(np.real(lam) < 100.0, lam, 1.2 * lam - 20.0)
 
@@ -383,47 +343,129 @@ def _kinked():
                             speed_fn=lambda us: np.where(us < 100.0, 1.0, 1.2))
 
 
-@pytest.mark.parametrize("name, a, b", [("q0", -0.5, 450.0), ("q0", -60.0, 60.0),
-                                        ("cos24", -2.0, 150.0),
-                                        ("exponential", -2000.0, 3000.0),
-                                        ("exponential", -20.0, 20.0),
-                                        ("kinked", -50.0, 400.0)])
-def test_phase_path_knots_are_those_of_a_march_one_knot_at_a_time(
-        p_q0, p_qcos, name, a, b):
-    c = {"q0": lambda: wc.curve_provider(p_q0), "cos24": lambda: wc.curve_provider(p_qcos),
-         "exponential": wc.exponential, "kinked": _kinked}[name]()
-    c.phase_path.cover(a, b)
-    k0 = _knot(c, min(max(0.0, a), b))
-    ref = _march_one_knot_at_a_time(c, k0, a)[::-1] + [k0] + _march_one_knot_at_a_time(c, k0, b)
-    assert _path_knots(c) == ref
-
-
 def _fast():
-    # B = e^{10 i lambda}: every step cap is above the step 0.22, so whole
-    # blocks run up to the landing on 0
+    # B = e^{10 i lambda}: every cell is cut into many steps
     return wc.CurveProvider(1, "entire", eval_fn=lambda lam: np.array([[np.exp(10j * lam)]]),
                             many_fn=lambda lams: np.exp(10j * lams)[:, None, None],
                             speed_fn=lambda us: np.full(len(us), 10.0))
 
 
+def _wobbly():
+    # arg B(u) = u + 0.9 sin u: the speed 1 + 0.9 cos u changes along every cell
+    def arg(lam):
+        return lam + 0.9 * np.sin(lam)
+
+    return wc.CurveProvider(1, "entire", eval_fn=lambda lam: np.array([[np.exp(1j * arg(lam))]]),
+                            many_fn=lambda lams: np.exp(1j * arg(lams))[:, None, None],
+                            speed_fn=lambda us: 1.0 + 0.9 * np.cos(us))
+
+
+def _curve(name, p_q0=None, p_qcos=None):
+    return {"q0": lambda: wc.curve_provider(p_q0), "cos24": lambda: wc.curve_provider(p_qcos),
+            "exponential": wc.exponential, "kinked": _kinked, "fast": _fast,
+            "wobbly": _wobbly}[name]()
+
+
+def _assert_steps_pass_the_step_rule(c):
+    """Every step of c's path passes the step rule, recomputed one step at a
+    time from c.B and c.phase_speed at its two knots, and turns the phase by
+    its lifted turn."""
+    path = c.phase_path
+    for k, (u0, u1) in enumerate(zip(path.us[:-1].tolist(), path.us[1:].tolist())):
+        d0, d1 = (complex(np.linalg.det(c.B(u))) for u in (u0, u1))
+        s0, s1 = (max(c.phase_speed(u), 0.0) for u in (u0, u1))
+        predicted = (u1 - u0) * 0.5 * (s0 + s1)
+        apparent = cmath.phase(d1 / d0)
+        turn = apparent + 2 * math.pi * round((predicted - apparent) / (2 * math.pi))
+        # the outer knot is at most one step cap out from the inner one
+        assert u0 < u1
+        if u1 <= 0:
+            assert u0 >= u1 - curves._step_cap(u1)
+        else:
+            assert u1 <= u0 + curves._step_cap(u0)
+        assert max(abs(turn), predicted) <= curves.STEP_CAP
+        assert abs(turn - predicted) <= 0.4 * predicted + 0.2
+        assert path.phis[k + 1] - path.phis[k] == pytest.approx(turn, abs=1e-12)
+
+
+@pytest.mark.parametrize("name, a, b", [("q0", -0.5, 450.0), ("q0", -60.0, 60.0),
+                                        ("cos24", -2.0, 150.0),
+                                        ("exponential", -2000.0, 3000.0),
+                                        ("exponential", -20.0, 20.0),
+                                        ("kinked", -50.0, 400.0)])
+def test_every_step_passes_the_step_rule(p_q0, p_qcos, name, a, b):
+    c = _curve(name, p_q0, p_qcos)
+    c.phase_path.cover(a, b)
+    path = c.phase_path
+    assert path.us[0] <= a and b <= path.us[-1]
+    assert np.array_equal(path.Bs, np.array([c.B(u) for u in path.us]))
+    assert path.speeds.tolist() == [max(c.phase_speed(u), 0.0) for u in path.us]
+    _assert_steps_pass_the_step_rule(c)
+
+
+@given(st.floats(-600.0, 600.0), st.floats(0.0, 300.0))
+def test_every_step_of_a_drawn_cover_passes_the_step_rule(a, length):
+    c = _wobbly()
+    c.phase_path.cover(a, a + length)
+    _assert_steps_pass_the_step_rule(c)
+
+
+@given(st.floats(-600.0, 600.0), st.floats(0.0, 300.0))
+def test_zero_is_a_knot_with_its_principal_phase(a, length):
+    # a path that reaches 0 holds it as a knot, at the principal value of
+    # arg det B(0); one that does not starts at its knot nearest 0
+    c = _wobbly()
+    c.phase_path.cover(a, a + length)
+    path = c.phase_path
+    i = int(np.abs(path.us).argmin())
+    if path.us[0] <= 0.0 <= path.us[-1]:
+        assert path.us[i] == 0.0
+        # arg det B(u) = u + 0.9 sin u, which is 0 at 0
+        assert np.allclose(path.phis, path.us + 0.9 * np.sin(path.us), rtol=0, atol=1e-9)
+    assert path.phis[i] == np.angle(np.linalg.det(c.B(path.us[i])))
+
+
+def _assert_same_path(c, ref):
+    for name in ("us", "Bs", "dets", "phis", "speeds"):
+        assert np.array_equal(getattr(c.phase_path, name), getattr(ref.phase_path, name)), name
+
+
 @pytest.mark.parametrize("name", ["q0", "exponential", "fast"])
-def test_phase_path_landing_on_zero_is_that_of_a_march_one_knot_at_a_time(p_q0, name):
-    # a path from 5 grown below 0 lands on the knot at 0, then goes on
-    c = {"q0": lambda: wc.curve_provider(p_q0), "exponential": wc.exponential,
-         "fast": _fast}[name]()
+def test_a_path_grown_across_zero_has_the_knots_of_one_request(p_q0, name):
+    c, ref = _curve(name, p_q0), _curve(name, p_q0)
     c.phase_path.cover(5.0, 40.0)
     c.phase_path.cover(-30.0, 40.0)
-    k5, k0 = _knot(c, 5.0), _knot(c, 0.0)
-    right = _march_one_knot_at_a_time(c, k5, 40.0)
-    down = _march_one_knot_at_a_time(c, k5, 0.0, last=k0[1::2])
-    left = _march_one_knot_at_a_time(c, down[-1], -30.0)
-    ref = (left[::-1] + down[::-1] + [k5] + right)
-    shift = 2 * np.pi * round((k0[2] - down[-1][2]) / (2 * np.pi))
-    ref = [(u, d, phi + shift, s) for u, d, phi, s in ref]
-    assert _path_knots(c) == ref
+    ref.phase_path.cover(-30.0, 40.0)
+    _assert_same_path(c, ref)
+    path = c.phase_path
+    i = int(np.searchsorted(path.us, 0.0))
+    assert path.us[i] == 0.0 and path.phis[i] == np.angle(np.linalg.det(c.B(0.0)))
 
 
-def test_exponential_path_evaluates_knots_in_blocks(monkeypatch):
+@pytest.mark.parametrize("name", ["wobbly", "kinked"])
+@given(st.tuples(st.floats(-400.0, 400.0), st.floats(0.0, 200.0)),
+       st.tuples(st.floats(-400.0, 400.0), st.floats(0.0, 200.0)))
+def test_covering_in_two_requests_gives_the_knots_of_one(name, first, second):
+    # the path depends only on the cells it covers: after two requests it is
+    # the path of one request over its extent
+    (a1, l1), (a2, l2) = first, second
+    c, ref = _curve(name), _curve(name)
+    c.phase_path.cover(a1, a1 + l1)
+    us = c.phase_path.us
+    grows = max(us[0] - (a2 + l2), a2 - us[-1]) <= l2
+    c.phase_path.cover(a2, a2 + l2)
+    us = c.phase_path.us
+    assert us[0] <= a2 and a2 + l2 <= us[-1]
+    if grows:
+        assert us[0] <= a1 and a1 + l1 <= us[-1]
+    ref.phase_path.cover(us[0], us[-1])
+    _assert_same_path(c, ref)
+
+
+@pytest.mark.parametrize("name, a, b, budget", [("q0", -0.5, 450.0, 8),
+                                                ("cos24", -2.0, 150.0, 8),
+                                                ("exponential", -10501.0, 10501.0, 4)])
+def test_a_cover_takes_few_B_many_calls(monkeypatch, p_q0, p_qcos, name, a, b, budget):
     calls = []
     many = curves.CurveProvider.B_many
 
@@ -432,45 +474,34 @@ def test_exponential_path_evaluates_knots_in_blocks(monkeypatch):
         return many(self, lams)
 
     monkeypatch.setattr(curves.CurveProvider, "B_many", counted)
-    c = wc.exponential()
-    c.phase_path.cover(-10501.0, 10501.0)
-    assert sum(calls) >= len(c.phase_path.us) > 9000
-    assert len(calls) <= 40 and max(calls) == curves._BLOCK_MAX
+    c = _curve(name, p_q0, p_qcos)
+    c.phase_path.cover(a, b)
+    # every knot is evaluated once
+    assert sum(calls) == len(c.phase_path.us)
+    assert len(calls) <= budget
 
 
-# -- the phase spline -----------------------------------------------------------
-
-
-@pytest.mark.parametrize("name, a, b", [("q0", -30.0, 450.0), ("cos24", -2.0, 150.0),
-                                        ("kinked", -50.0, 400.0)])
-def test_phase_spline_is_the_cubic_hermite_spline_of_scipy(p_q0, p_qcos, name, a, b):
-    from scipy.interpolate import CubicHermiteSpline
-
-    c = {"q0": lambda: wc.curve_provider(p_q0), "cos24": lambda: wc.curve_provider(p_qcos),
-         "kinked": _kinked}[name]()
+@pytest.mark.parametrize("name", ["q0", "exponential"])
+@given(st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=8))
+def test_sampling_an_array_is_sampling_each_point(p_q0, name, xs):
+    c = _curve(name, p_q0)
     path = c.phase_path
-    path.cover(a, b)
-    us, phis = np.array(path.us), np.array(path.phis)
-    ref = CubicHermiteSpline(us, phis, np.array(path.speeds))
-    # exact at the knots, scalar or array
-    assert np.array_equal(path.phase(us), phis)
-    assert path.phase(us[-1]) == phis[-1]
-    # between the knots: 7 Gauss points per step and 50 uniform points
-    mid, half = 0.5 * (us[1:] + us[:-1])[:, None], 0.5 * (us[1:] - us[:-1])[:, None]
-    gauss = mid + half * np.polynomial.legendre.leggauss(7)[0]
-    ts = np.concatenate([gauss.ravel(), np.random.default_rng(5).uniform(us[0], us[-1], 50)])
-    got, want = path.phase(ts), ref(ts)
-    assert np.all(np.abs(got - want) <= 1e-15 * (1 + np.abs(want)))
-    assert path.phase(ts[3]) == got[3]
+    path.cover(-40.0, 40.0)
+    # knots among the drawn points
+    xs = np.concatenate([xs, path.us[::17]])
+    Bs, phis = path.sample(xs)
+    for x, B, phi in zip(xs, Bs, phis):
+        B1, phi1 = path.sample(np.array([x]))
+        assert np.array_equal(B, B1[0]) and phi == phi1[0]
 
 
-@given(st.lists(st.tuples(st.floats(0.01, 3.0), st.floats(-5.0, 5.0), st.floats(0.0, 4.0)),
-                min_size=2, max_size=30))
-def test_phase_spline_is_exact_at_every_knot(knots):
-    # a path set up from knots (step, phase, speed) directly
-    path = curves.PhasePath(wc.exponential())
-    path.us = np.cumsum([h for h, _, _ in knots]).tolist()
-    path.phis = [phi for _, phi, _ in knots]
-    path.speeds = [s for _, _, s in knots]
-    assert np.array_equal(path.phase(np.array(path.us)), path.phis)
-    assert [path.phase(u) for u in path.us] == path.phis
+def test_a_phase_jump_no_step_can_predict_raises_step_underflow():
+    # arg B(u) = u, with a jump of 2 at u = 1.3 that the speed does not see
+    def arg(lam):
+        return lam + 2.0 * (np.real(lam) > 1.3)
+
+    c = wc.CurveProvider(1, "entire", eval_fn=lambda lam: np.array([[np.exp(1j * arg(lam))]]),
+                         many_fn=lambda lams: np.exp(1j * arg(lams))[:, None, None],
+                         speed_fn=lambda us: np.ones(len(us)))
+    with pytest.raises(wc.NumericalError, match="step underflow"):
+        c.phase_path.cover(0.0, 5.0)

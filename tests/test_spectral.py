@@ -535,11 +535,13 @@ def test_root_search_is_that_of_scipy_find_root(monkeypatch, c_q0, c_qcos, c_exp
     ours_calls, calls[:] = list(calls), []
     monkeypatch.setattr(spectral, "_find_roots", _scipy_find_roots)
     ref = np.array([e.lam.real for e in wc.eigenvalues_real(c, bc, interval)])
-    # the same roots from the same evaluations, batch by batch, less scipy's
-    # two evaluations of the bracket ends, whose values the sweep holds
+    # the same roots from the same evaluations, batch by batch: after the
+    # sweep's one call for the interval ends off the knots, less scipy's two
+    # evaluations of the bracket ends, whose values the sweep holds
     assert len(ours) == len(ref) > 10
     assert np.all(np.abs(ours - ref) <= 1e-13 * (1 + np.abs(ref)))
-    assert ours_calls == calls[2:]
+    assert ours_calls[0] == calls[0] <= 2
+    assert ours_calls[1:] == calls[3:]
 
 
 def test_root_search_flags_a_bracket_without_a_sign_change():

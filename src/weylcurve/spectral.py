@@ -5,9 +5,9 @@ function F(lambda) = det [ frame_Vy | frame_W(lambda) ].  Self-adjoint
 conditions on entire curves have real spectrum.  Every eigenphase of
 U* B(u) turns counterclockwise and their lifted sum is arg det B(u) less
 arg det U, so the eigenvalues in (a, b] number the unwrapped det B phase
-change less the change of the eigenphase sum in [0, 2 pi), over 2 pi; the
-spectrum is counted that way on each step of the curve's phase path and
-located by halving and one bracketed array root solve for all crossings.
+change less the change of the eigenphase sum in [0, 2 pi), over 2 pi, on
+each step of the curve's phase path; array root searches find the first
+crossing of each part, which takes a cluster's crossings as well.
 General conditions use argument-principle winding with recursive
 quadrisection.  The module also implements the counting function, the
 interlacing and phase-count bounds, and the monotone phase margin.
@@ -191,8 +191,9 @@ def _real_samples(c: CurveProvider, a: float, b: float):
 
 def _eigenphases(U, Bs) -> np.ndarray:
     """The eigenphases of U* B for each B of a (K, n, n) stack, each taken
-    in [0, 2 pi): a (K, n) array."""
-    return np.angle(np.linalg.eigvals(U.conj().T @ Bs)) % TWO_PI
+    in [0, 2 pi): a (K, n) array; that of a 1 x 1 product is its entry's."""
+    M = U.conj().T @ Bs
+    return np.angle(M[..., 0] if M.shape[-1] == 1 else np.linalg.eigvals(M)) % TWO_PI
 
 
 def _crossings(dphi, th0, th1) -> np.ndarray:
@@ -285,11 +286,13 @@ def _crossing_roots(c, U, us, Bs, phis):
     path (us, Bs, phis), each step turning det B by less than pi.
 
     The end of a part of a step is (u, det B phase relative to the step's
-    left sample, eigenphases).  All parts with more than one crossing are
-    halved together until each holds one or is narrower than the cluster
-    tolerance; then every part is solved in one bracketed array root search
-    on the signed distance of the nearest eigenphase from 1, whose values
-    at the part ends are read off the eigenphases held there.
+    left sample, eigenphases).  Each round solves every part that holds
+    crossings for its first one by an array root search on the signed
+    distance of the nearest eigenphase from 1, its end values read off the
+    eigenphases held there.  A part (x, y] with m > 1 crossings whose root r
+    has r + d < y, d = CLUSTER_TOL_BASE (1 + |r|), is sampled at r + d, all
+    in one B_many call: the crossings left in (r + d, y] are the next
+    round's part, and r takes the others (NumericalError if none).
     """
     d0 = np.linalg.det(Bs)[:-1]
     th = _eigenphases(U, Bs)
@@ -303,27 +306,6 @@ def _crossing_roots(c, U, us, Bs, phis):
         B = c.B_many(u)
         return u, np.angle(np.linalg.det(B) / d0[k]), _eigenphases(U, B)
 
-    def cat(*ends):
-        return tuple(np.concatenate(vs) for vs in zip(*ends))
-
-    while True:
-        keep = m > 0
-        x, y = (tuple(v[keep] for v in e) for e in (x, y))
-        step, m = step[keep], m[keep]
-        split = (m > 1) & (y[0] - x[0] >= CLUSTER_TOL_BASE * (1 + np.abs(y[0])))
-        if not split.any():
-            break
-        xs, ys, xw, yw = (tuple(v[sel] for v in e)
-                          for sel in (split, ~split) for e in (x, y))
-        mid = sample(0.5 * (xs[0] + ys[0]), step[split])
-        m1 = _crossings(mid[1] - xs[1], xs[2], mid[2])
-        m2 = _crossings(ys[1] - mid[1], mid[2], ys[2])
-        x, y = cat(xw, xs, mid), cat(yw, mid, ys)
-        step = np.concatenate([step[~split], step[split], step[split]])
-        m = np.concatenate([m[~split], m1, m2])
-    if not len(m):
-        return np.empty(0), m
-
     def psi(u, i):
         # before the first crossing in (x, u]: minus the counterclockwise
         # distance of the eigenphase nearest below 1; after it: the
@@ -332,14 +314,36 @@ def _crossing_roots(c, U, us, Bs, phis):
         crossed = _crossings(p - x[1][i], x[2][i], t) > 0
         return np.where(crossed, t.min(axis=-1), t.max(axis=-1) - TWO_PI)
 
-    # no crossing yet at a part's left end, its crossings all made at the right
-    roots, status = _find_roots(psi, x[0], y[0], x[2].max(axis=-1) - TWO_PI,
+    roots, mults = [np.empty(0)], [np.empty(0, dtype=int)]
+    while m.any():
+        keep = m > 0
+        x, y = (tuple(v[keep] for v in e) for e in (x, y))
+        step, m = step[keep], m[keep]
+        # no crossing yet at a part's left end, its crossings all made at the right
+        r, status = _find_roots(psi, x[0], y[0], x[2].max(axis=-1) - TWO_PI,
                                 y[2].min(axis=-1))
-    if np.any(status):
-        k = np.flatnonzero(status)[0]
-        raise NumericalError(f"crossing refinement failed in ({x[0][k]}, {y[0][k]}] "
-                             f"(status {int(status[k])})")
-    return roots, m
+        if np.any(status):
+            k = np.flatnonzero(status)[0]
+            raise NumericalError(f"crossing refinement failed in ({x[0][k]}, {y[0][k]}] "
+                                 f"(status {int(status[k])})")
+        roots.append(r)
+        mults.append(m)
+        past = r + CLUSTER_TOL_BASE * (1 + np.abs(r))
+        split = (m > 1) & (past < y[0])
+        if not split.any():
+            break
+        lo = x[0][split]
+        x = sample(past[split], step[split])
+        y, step = tuple(v[split] for v in y), step[split]
+        # the crossings left past the root form the next round's parts
+        m = _crossings(y[1] - x[1], x[2], y[2])
+        stuck = m >= mults[-1][split]
+        if stuck.any():
+            k = np.flatnonzero(stuck)[0]
+            raise NumericalError(f"no crossing consumed at the root {r[split][k]} in "
+                                 f"({lo[k]}, {y[0][k]}]")
+        mults[-1][split] -= m
+    return np.concatenate(roots), np.concatenate(mults)
 
 
 def eigenvalues_real(c: CurveProvider, bc: BoundaryCondition, interval):

@@ -327,7 +327,7 @@ def _cosh_sinhc(z):
 
 
 def _magnus_exp(coef, lam):
-    """Entries (e00, e01, e10, e11) of exp M for the Magnus exponents
+    """exp M stacked as a (2, 2, ...) array for the Magnus exponents
     M = [[a, b], [c, -a]] with a = a0 + lam a1 and c = c0 + lam c1, coef =
     (a0, a1, b, c0, c1), in closed form: cosh d I + (sinh d / d) M with
     d^2 = a^2 + bc.  lam broadcasts against the panel data; a real lam gives
@@ -336,23 +336,24 @@ def _magnus_exp(coef, lam):
     a = a0 + lam * a1
     c = c0 + lam * c1
     ch, sh = _cosh_sinhc(a * a + b * c)
-    return ch + sh * a, sh * b, sh * c, ch - sh * a
+    return np.array([[ch + sh * a, sh * b], [sh * c, ch - sh * a]])
 
 
 def _mul(x, y):
-    """Entrywise 2x2 product x @ y of entry tuples (e00, e01, e10, e11)."""
-    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
-            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+    """x @ y of two (2, 2, ...) stacks: the entry formula's products, summed in its order."""
+    out = x[:, 0, None] * y[None, 0]
+    out += x[:, 1, None] * y[None, 1]
+    return out
 
 
 def _prefix(E) -> np.ndarray:
-    """Fundamental matrix (c, s, c', s') at every panel start x_0 .. x_N: the
-    prefix products of the panel factors along their last axis (an axis
-    before it holds the lambdas of a batch) by a Hillis-Steele scan."""
-    n = E[0].shape[-1]
-    out = np.empty((4,) + E[0].shape[:-1] + (n + 1,), dtype=np.result_type(*E))
+    """[[c, s], [c', s']] at every panel start x_0 .. x_N, (2, 2, ..., N + 1):
+    the prefix products of the stacked factors E along their last axis (an
+    axis before it holds the lambdas of a batch) by a Hillis-Steele scan."""
+    n = E.shape[-1]
+    out = np.empty(E.shape[:-1] + (n + 1,), dtype=E.dtype)
     out[..., 0] = 0
-    out[0, ..., 0] = out[3, ..., 0] = 1
+    out[0, 0, ..., 0] = out[1, 1, ..., 0] = 1
     out[..., 1:] = E
     m = out[..., 1:]
     shift = 1
@@ -363,16 +364,15 @@ def _prefix(E) -> np.ndarray:
 
 
 def _carry(E, P):
-    """y_N of the recurrence y_{k+1} = E_k y_k + P_k from y_0 = 0 along the
-    last axis, by composing neighbouring affine maps pairwise (N is a power
-    of two)."""
-    while P[0].shape[-1] > 1:
-        lo = [e[..., 0::2] for e in E]
-        hi = [e[..., 1::2] for e in E]
-        P = (hi[0] * P[0][..., 0::2] + hi[1] * P[1][..., 0::2] + P[0][..., 1::2],
-             hi[2] * P[0][..., 0::2] + hi[3] * P[1][..., 0::2] + P[1][..., 1::2])
-        E = _mul(hi, lo)
-    return P[0][..., 0], P[1][..., 0]
+    """y_N of y_{k+1} = E_k y_k + P_k from y_0 = 0 along the last axis of
+    stacked factors E (2, 2, ..., N) and forcings P (2, ..., N), N a power of
+    two, by composing neighbouring maps pairwise (no factors at the last level)."""
+    while P.shape[-1] > 1:
+        hi = E[..., 1::2]
+        P = hi[:, 0] * P[0, ..., 0::2] + hi[:, 1] * P[1, ..., 0::2] + P[..., 1::2]
+        if P.shape[-1] > 1:
+            E = _mul(hi, E[..., 0::2])
+    return P[0, ..., 0], P[1, ..., 0]
 
 
 def _solve(pan: _Panels, lam: np.ndarray) -> np.ndarray:
@@ -403,7 +403,7 @@ def _solve(pan: _Panels, lam: np.ndarray) -> np.ndarray:
     ch, sh = _cosh_sinhc(a * a + b * (c0 + lam[..., None] * c1))
     al, be = ch + sh * a, sh * b
     del a, ch, sh
-    sn = al * Y[1, ..., :-1, None] + be * Y[3, ..., :-1, None]
+    sn = al * Y[0, 1, ..., :-1, None] + be * Y[1, 1, ..., :-1, None]
     # forcing at each node carried to the panel end: E_k E_kj^{-1} (0, f)
     f = pan.forcing * sn
     t = -be
@@ -411,8 +411,8 @@ def _solve(pan: _Panels, lam: np.ndarray) -> np.ndarray:
     v0 = np.sum(t, axis=-1)
     v1 = np.sum(np.multiply(al, f, out=t), axis=-1)
     del f, t
-    cn = al * Y[0, ..., :-1, None]
-    cn += be * Y[2, ..., :-1, None]
+    cn = al * Y[0, 0, ..., :-1, None]
+    cn += be * Y[1, 0, ..., :-1, None]
     del al, be
     wq = pan.h * _QUAD_WEIGHTS
 
@@ -424,8 +424,8 @@ def _solve(pan: _Panels, lam: np.ndarray) -> np.ndarray:
     m_cc = total(wq * (cn.real ** 2 + cn.imag ** 2))
     m_cs = total(wq * cn * sn.conj())
     m_ss = total(wq * (sn.real ** 2 + sn.imag ** 2))
-    w, wp = _carry(E, (E[0] * v0 + E[1] * v1, E[2] * v0 + E[3] * v1))
-    return np.array([Y[0, ..., -1], Y[2, ..., -1], Y[1, ..., -1], Y[3, ..., -1],
+    w, wp = _carry(E, E[:, 0] * v0 + E[:, 1] * v1)
+    return np.array([Y[0, 0, ..., -1], Y[1, 0, ..., -1], Y[0, 1, ..., -1], Y[1, 1, ..., -1],
                      m_cc, m_cs, m_ss, w, wp])
 
 
@@ -495,16 +495,12 @@ def fundamental(p: SLProblem, lam) -> FundamentalData:
     return hit if hit is not None else fundamental_many(p, [lam])[0]
 
 
-def _pole_tol(lam: complex) -> float:
-    return 1e-8 * (1 + abs(lam))
-
-
 def sl_weyl(p: SLProblem, lam) -> dict:
     """Weyl function M (None at poles) and contractive Weyl function B
     (_weyl_B)."""
     lam = complex(lam)
     fd = fundamental(p, lam)
-    at_pole = abs(fd.s) < _pole_tol(lam)
+    at_pole = abs(fd.s) < 1e-8 * (1 + abs(lam))
     M = None if at_pole else -np.array([[fd.c, -1], [-1, fd.sp]], dtype=complex) / fd.s
     return {"M": M, "B": _weyl_B(fd), "pole": at_pole}
 
@@ -716,12 +712,12 @@ def solution_values(p: SLProblem, lam, xs) -> tuple:
     with np.errstate(all="ignore"):
         pan = _panels(p, _panel_count(p, lam))
         Y = _prefix(_magnus_exp(pan.step, lam))
-        k = np.clip(np.floor(xs / pan.h).astype(int), 0, Y.shape[1] - 2)
+        k = np.clip(np.floor(xs / pan.h).astype(int), 0, Y.shape[-1] - 2)
         x0 = k * pan.h
         tau = xs - x0
-        al, be, ga, de = _magnus_exp(_magnus_terms(p._qfun(), x0, tau), lam)
-        vals = (al * Y[0, k] + be * Y[2, k], ga * Y[0, k] + de * Y[2, k],
-                al * Y[1, k] + be * Y[3, k], ga * Y[1, k] + de * Y[3, k])
+        (al, be), (ga, de) = _magnus_exp(_magnus_terms(p._qfun(), x0, tau), lam)
+        (c_, s_), (cp_, sp_) = Y[..., k]
+        vals = (al * c_ + be * cp_, ga * c_ + de * cp_, al * s_ + be * sp_, ga * s_ + de * sp_)
     if not all(np.all(np.isfinite(v.view(float))) for v in vals):
         raise _overflow(lam, "solution")
     return vals

@@ -92,3 +92,29 @@ def test_interlace_and_phase_count_gaps(v, a, b, v1, d1, v2, d2, r):
         pc = wc.phase_count(c, bc, r)
         assert pc["n_T"] == n
         assert pc["gap"] <= 2.0
+
+
+@given(su2, rate, angle, st.floats(5e-4, 2e-3))
+@example((0.3, 1.0, 2.0), 1.0, 0.5, 1e-3)
+def test_close_crossings_in_one_step_are_simple_roots(v, a, alpha, gap):
+    # a = b and beta = alpha + a gap: the eigenvalues come in pairs gap apart
+    c, bc, exact = _problem(_unitary(*v), a, a, alpha, alpha + a * gap)
+    evs = wc.eigenvalues_real(c, bc, (LO, HI))
+    # some pair lies inside one step of the path
+    us, lows = c.phase_path.samples(LO, HI)[0], _branch(a, alpha, LO, HI)
+    assume(np.any(np.searchsorted(us, lows) == np.searchsorted(us, lows + gap)))
+    assert [e.multiplicity for e in evs] == [1] * len(exact)
+    assert [e.lam.real for e in evs] == pytest.approx(exact, abs=1e-10)
+
+
+@given(su2, rate, angle, st.floats(1e-11, 5e-8))
+@example((0.3, 1.0, 2.0), 1.0, 0.5, 1e-9)
+def test_crossings_closer_than_the_cluster_tolerance_are_one_double_root(v, a, alpha, gap):
+    # the same pairs, closer than the cluster tolerance 1e-7 (1 + |lambda|)
+    V = _unitary(*v)
+    exact = _branch(a, alpha, LO, HI)
+    assume(len(exact) and np.min(np.abs(np.concatenate([exact - LO, exact + gap - HI]))) > 1e-6)
+    U = V @ np.diag([np.exp(1j * alpha), np.exp(1j * (alpha + a * gap))]) @ V.conj().T
+    evs = wc.eigenvalues_real(_curve(V, a, a), wc.bc_from_unitary(U), (LO, HI))
+    assert [e.multiplicity for e in evs] == [2] * len(exact)
+    assert [e.lam.real for e in evs] == pytest.approx(exact, abs=1e-8)

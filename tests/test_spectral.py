@@ -502,6 +502,50 @@ def test_sl_sweep_solves_each_B_many_batch_in_one_call(monkeypatch, bc_dirichlet
     assert max(k for k, _, _ in batches) > 1
 
 
+def test_periodic_q0_sweep_resolves_its_double_eigenvalues_in_a_few_rounds(monkeypatch,
+                                                                           bc_periodic):
+    # periodic q = 0: 0 is simple and every (2k)^2 double.  A step holding a
+    # double eigenvalue is solved for its root and then sampled once past
+    # it, all such steps together
+    from weylcurve import curves, spectral
+
+    c = wc.curve_provider(wc.SLProblem(potential=wc.Potential.zero()))
+    c.phase_path.cover(-0.5, 450.0)
+    calls, inside = [], []
+    many, roots = curves.CurveProvider.B_many, spectral._crossing_roots
+
+    def counted(self, lams):
+        if inside:
+            calls.append(len(lams))
+        return many(self, lams)
+
+    def spied(*args):
+        inside.append(True)
+        try:
+            return roots(*args)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(curves.CurveProvider, "B_many", counted)
+    monkeypatch.setattr(spectral, "_crossing_roots", spied)
+    evs = wc.eigenvalues_real(c, bc_periodic, (-0.5, 450.0))
+    assert [e.multiplicity for e in evs] == [1] + [2] * 10
+    assert [e.lam.real for e in evs] == pytest.approx([4 * k * k for k in range(11)], abs=1e-9)
+    assert len(calls) <= 8
+
+
+def test_a_root_past_which_no_crossing_is_consumed_raises(monkeypatch, bc_periodic):
+    # a root search that returned the left end of each bracket leaves every
+    # crossing of a double eigenvalue past the sample at root + tolerance
+    from weylcurve import spectral
+
+    c = wc.curve_provider(wc.SLProblem(potential=wc.Potential.zero()))
+    monkeypatch.setattr(spectral, "_find_roots",
+                        lambda f, a, b, fa, fb: (np.array(a, dtype=float), np.zeros(len(a), int)))
+    with pytest.raises(wc.NumericalError, match=r"no crossing consumed at the root .* in \("):
+        wc.eigenvalues_real(c, bc_periodic, (0.5, 10.0))
+
+
 # -- the bracketed root search against scipy's -----------------------------------
 
 

@@ -324,22 +324,79 @@ def test_fundamental_many_is_bitwise_fundamental(name, lams, memo):
     assert all(many._memo[(fd.lam.real, fd.lam.imag)] == fd for fd in ref)
 
 
-@pytest.mark.parametrize("n", [16, 64])
-def test_a_full_complex_pass_holds_few_node_arrays(p_q0, n):
-    # numpy allocates every result; a pass of K N = 4096 complex lambda-panels
-    # works in place, so its peak is under eight arrays over the K N J
-    # quadrature nodes (over ten when each operation allocated its result)
+def _pass_peak_in_node_arrays(pan, lam):
+    """The peak memory of one _solve pass over the lambdas of a column, in
+    arrays over its K N J quadrature nodes."""
     import tracemalloc
-    pan = sturm._panels(p_q0, n)
-    lam = (50.0 * np.exp(1j * np.linspace(0.1, 3.0, sturm._BATCH_PANELS // n)))[:, None]
-    node_array = lam.size * n * len(sturm._QUAD_WEIGHTS) * lam.itemsize
+    node_array = lam.size * pan.step[0].size * len(sturm._QUAD_WEIGHTS) * lam.itemsize
     tracemalloc.start()
     try:
         sturm._solve(pan, lam)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * node_array
+    return peak / node_array
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_a_full_complex_pass_holds_few_node_arrays(p_q0, n):
+    # numpy allocates every result; a pass of K N = 4096 complex lambda-panels
+    # works in place, so its peak is under eight arrays over the K N J
+    # quadrature nodes (over ten when each operation allocated its result)
+    lam = (50.0 * np.exp(1j * np.linspace(0.1, 3.0, sturm._BATCH_PANELS // n)))[:, None]
+    assert _pass_peak_in_node_arrays(sturm._panels(p_q0, n), lam) < 8
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_a_full_real_pass_holds_few_node_arrays(p_q0, n):
+    # the same bound in float64, on both signs of the axis in one pass
+    lam = np.linspace(-50.0, 400.0, sturm._BATCH_PANELS // n)[:, None]
+    assert _pass_peak_in_node_arrays(sturm._panels(p_q0, n), lam) < 8
+
+
+def _envelope_errors(got, ref, env, k):
+    """|got - ref| for pairs (y, y') along the first axis, relative to env
+    for y and to k env for y'."""
+    return max(np.max(np.abs(got[0] - ref[0]) / env),
+               np.max(np.abs(got[1] - ref[1]) / (k * env)))
+
+
+@settings(max_examples=20)
+@given(lams=st.lists(st.one_of(st.floats(-2e3, 1e4),
+                               st.builds(complex, st.floats(-2e3, 1e4), st.floats(-50.0, 50.0))),
+                     min_size=1, max_size=4),
+       n=st.sampled_from([16, 64, 256]))
+@example(lams=[100.0], n=16)
+@example(lams=[-2e3 + 50j, 1e4], n=256)
+@example(lams=[complex(8907.552695220365, 1 / 3)], n=16)
+def test_scan_and_carry_are_the_sequential_recurrences(lams, n):
+    # the Hillis-Steele scan and the pairwise affine composition reorder the
+    # products of the one-panel-at-a-time recurrences, and agree with them
+    # to N eps of the envelope |y| + |y'|/k of the columns of each prefix
+    # product, and of the largest iterate of the affine recurrence; one
+    # lambda runs on 1-D panel arrays
+    pan = sturm._panels(ORACLE_PROBLEMS["x"], n)
+    col = np.array(lams if len(lams) > 1 else lams[0])
+    at = col[:, None] if col.ndim else col
+    E = sturm._magnus_exp(pan.step, at)
+    assert E.shape == (2, 2) + np.shape(at)[:-1] + (n,)
+    Y = sturm._prefix(E)
+    v = rng.standard_normal((2, n))
+    w = sturm._carry(E, E[:, 0] * v[0] + E[:, 1] * v[1])
+    E, Y, w = E.reshape(2, 2, -1, n), Y.reshape(2, 2, -1, n + 1), np.reshape(w, (2, -1))
+    # k^2 = 1 + |lambda| + max |q|, the wavenumber scale of the envelope
+    k = np.sqrt(1.0 + np.abs(np.atleast_1d(col)) + np.pi)
+    for i in range(len(k)):
+        seq, y, env = [np.eye(2)], np.zeros(2), 0.0
+        for j in range(n):
+            seq.append(E[..., i, j] @ seq[-1])
+            y = E[..., i, j] @ y + E[:, 0, i, j] * v[0, j] + E[:, 1, i, j] * v[1, j]
+            env = max(env, abs(y[0]) + abs(y[1]) / k[i])
+        seq = np.moveaxis(seq, 0, -1)
+        tol = n * np.finfo(float).eps
+        assert _envelope_errors(Y[:, :, i], seq, np.abs(seq[0]) + np.abs(seq[1]) / k[i],
+                                k[i]) <= tol
+        assert _envelope_errors(w[:, i], y, env, k[i]) <= tol
 
 
 def test_fundamental_many_overflow_names_the_first_failing_lambda(p_qcos):

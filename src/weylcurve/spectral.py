@@ -23,8 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .curves import CurveProvider
-from .errors import DegenerateBCError, NumericalError, ValidationError
+from .curves import CurveProvider, _dets
+from .errors import ChartError, DegenerateBCError, NumericalError, ValidationError
 from .symplectic import GrassPoint, chart_convert, classify_subspace, graph_of, null_space
 # re-exported: bench/tracing.py wraps it in this namespace too
 from .symplectic import schubert_section  # noqa: F401
@@ -55,19 +55,14 @@ class BoundaryCondition:
 
 
 def make_bc(point: GrassPoint, label: str = "") -> BoundaryCondition:
-    """Attach classification and chart data to a canonical GrassPoint."""
-    point = point.canonicalized()
-    selfadj = classify_subspace(point) == "lagrangian"
-    chart_u = None
+    """Attach classification and chart data to a GrassPoint."""
     try:
         Y = chart_convert(point)
-        dev = np.linalg.norm(Y @ Y.conj().T - np.eye(Y.shape[0]), ord=2)
-        if dev < 1e-8:
-            chart_u = Y
-    except Exception:
-        chart_u = None
-    return BoundaryCondition(point=point, selfadjoint=selfadj,
-                             chart_unitary=chart_u, label=label)
+    except ChartError:  # outside the contraction chart
+        Y = None
+    unitary = Y is not None and np.linalg.norm(Y @ Y.conj().T - np.eye(len(Y)), ord=2) < 1e-8
+    return BoundaryCondition(point=point, selfadjoint=classify_subspace(point) == "lagrangian",
+                             chart_unitary=Y if unitary else None, label=label)
 
 
 def bc_from_unitary(U, label: str = "") -> BoundaryCondition:
@@ -137,8 +132,8 @@ def sections(c: CurveProvider, bc: BoundaryCondition, lams) -> tuple:
 def char_function(c: CurveProvider, bc: BoundaryCondition, lam) -> complex:
     """F(lambda) = det [frame_bc | frame_W(lambda)], as read by sections.
 
-    Zeros and their orders are frame-independent; the value is defined up
-    to a nonvanishing holomorphic factor fixed by the canonical frames.
+    Zeros and their orders are frame-independent; the value depends on the
+    condition through its subspace alone, and on the curve through W(lambda).
     """
     return complex(sections(c, bc, [lam])[0][0])
 
@@ -294,7 +289,7 @@ def _crossing_roots(c, U, us, Bs, phis):
     in one B_many call: the crossings left in (r + d, y] are the next
     round's part, and r takes the others (NumericalError if none).
     """
-    d0 = np.linalg.det(Bs)[:-1]
+    d0 = _dets(Bs)[:-1]
     th = _eigenphases(U, Bs)
     x = (us[:-1], np.zeros(len(d0)), th[:-1])
     y = (us[1:], np.diff(phis), th[1:])
@@ -304,7 +299,7 @@ def _crossing_roots(c, U, us, Bs, phis):
     def sample(u, k):
         # the end at each u of an array, in the steps k
         B = c.B_many(u)
-        return u, np.angle(np.linalg.det(B) / d0[k]), _eigenphases(U, B)
+        return u, np.angle(_dets(B) / d0[k]), _eigenphases(U, B)
 
     def psi(u, i):
         # before the first crossing in (x, u]: minus the counterclockwise

@@ -4,12 +4,16 @@ The space carries the indefinite sesquilinear form
 
     [x, y] = i <x_+, y_+> - i <x_-, y_->,
 
-whose Gram matrix in the standard basis is diag(i*I_n, -i*I_n).  Module
-contents: classification of subspaces by the sign of the compressed form,
-the contraction chart (maximal positive subspaces as graphs of strict
-contractions), the unitary chart for Lagrangians, the pseudounitary group
-action by matrix Moebius transformations, the Cayley transform, and the
-Schubert determinant pairing used for eigenvalue localization.
+whose Gram matrix in the standard basis is diag(i*I_n, -i*I_n).  A
+subspace, a point of the Grassmannian, is a GrassPoint, which holds the
+one orthonormal frame canonicalize assigns to its span; so the Schubert
+determinant pairing det [V | W] used for eigenvalue localization is a
+function of the subspace V, not of the basis it was written in.  Module
+contents besides: classification of subspaces by the sign of the
+compressed form, the contraction chart (maximal positive subspaces as
+graphs of strict contractions), the unitary chart for Lagrangians, the
+pseudounitary group action by matrix Moebius transformations and the
+Cayley transform.
 """
 
 from __future__ import annotations
@@ -23,8 +27,6 @@ from .errors import ChartError, ValidationError
 RANK_TOL = 1e-10
 CLASS_TOL = 1e-9
 PU_TOL = 1e-8
-# LAPACK's threshold for recomputing a downdated column norm: sqrt(eps)
-_TOL3Z = np.sqrt(np.finfo(float).eps / 2)
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -59,73 +61,52 @@ def null_space(a) -> np.ndarray:
     return vh[np.sum(s > tol, dtype=int):].conj().T
 
 
-def _column_norms(a: np.ndarray) -> np.ndarray:
-    """2-norms of the columns, the squares summed in order in extended
-    precision as OpenBLAS's x86-64 norm kernel does, so that columns of
-    near-equal norm are ordered as LAPACK orders them."""
-    sq = np.stack([a.real, a.imag], axis=1).reshape(-1, a.shape[1]).astype(np.longdouble) ** 2
-    return np.sqrt(np.cumsum(sq, axis=0)[-1]).astype(float)
-
-
-def _pivot_order(a: np.ndarray) -> list:
-    """Column order of LAPACK's pivoted QR (geqp3) of a.
-
-    Each step takes the column of largest remaining norm, first on ties,
-    and swaps it with the column in its place; the other norms are then
-    downdated by the new row of R, or recomputed from R where the downdate
-    would cancel.
-    """
-    m, k = a.shape
-    perm = list(range(k))
-    vn1 = _column_norms(a)
-    vn2 = vn1.copy()
-    for i in range(min(m, k - 1)):
-        p = i + int(np.argmax(vn1[i:]))
-        perm[i], perm[p] = perm[p], perm[i]
-        vn1[p], vn2[p] = vn1[i], vn2[i]
-        r = np.linalg.qr(a[:, perm], mode="r")
-        for j in range(i + 1, k):
-            if vn1[j] == 0:
-                continue
-            temp = max(1.0 - (abs(r[i, j]) / vn1[j]) ** 2, 0.0)
-            if temp * (vn1[j] / vn2[j]) ** 2 <= _TOL3Z:
-                vn1[j] = vn2[j] = np.linalg.norm(r[i + 1:, j])
-            else:
-                vn1[j] *= np.sqrt(temp)
-    return perm
+def _chart_rows(q: np.ndarray) -> list:
+    """k coordinate rows of an orthonormal 2n x k frame q, ascending, by
+    pivoted Cholesky on the projector P = q q*: each step takes the row of
+    largest residual norm, ties within a relative 1e-7 to the lowest index,
+    and projects it out of the others.  The residual norms depend on the
+    span only."""
+    r, rows = q.copy(), []
+    for _ in range(q.shape[1]):
+        d = np.linalg.norm(r, axis=1)
+        i = int(np.argmax(d > (1.0 - 1e-7) * d.max()))
+        rows.append(i)
+        r -= np.outer(r @ r[i].conj(), r[i] / d[i] ** 2)
+    return sorted(rows)
 
 
 def canonicalize(frame: np.ndarray) -> np.ndarray:
-    """Orthonormalize a frame deterministically.
-
-    QR with LAPACK's column pivoting followed by a phase normalization
-    making the leading (largest-modulus, ties to lowest index) entry of each
-    column real positive.  The column span is unchanged.
+    """The orthonormal frame of the column span that depends on the span
+    alone: with Q an orthonormal basis and A = Q_I its rows I that
+    _chart_rows picks, Q A* (A A*)^{-1/2} = P E (E* P E)^{-1/2}, P = Q Q*
+    and E the coordinate vectors of I.  It is the polar factor of the chart
+    frame Q A^{-1}; its I rows form a Hermitian positive-definite block, and
+    a graph (I; U) of a unitary U gives (I; U) / sqrt(2).  ValidationError
+    when the smallest singular value is at most RANK_TOL times the largest.
     """
-    frame = _as_matrix(frame)
-    q, r = np.linalg.qr(frame[:, _pivot_order(frame)])
-    sv = np.abs(np.diag(r))
-    if sv.size and sv.min() <= RANK_TOL * max(sv.max(), 1e-300):
-        raise ValidationError("rank-deficient frame cannot be canonicalized")
-    for j in range(q.shape[1]):
-        col = q[:, j]
-        lead = np.argmax(np.abs(col) > (1.0 - 1e-7) * np.abs(col).max())
-        ph = col[lead]
-        if abs(ph) > 0:
-            q[:, j] = col * (abs(ph) / ph)
-    return q
+    q, s, _ = np.linalg.svd(_as_matrix(frame), full_matrices=False)
+    if s.size and s.min() <= RANK_TOL * s.max():
+        raise ValidationError("rank-deficient frame has no canonical form")
+    a = q[_chart_rows(q)]
+    w, v = np.linalg.eigh(a @ a.conj().T)
+    return q @ a.conj().T @ (v / np.sqrt(w)) @ v.conj().T
 
 
 @dataclass(frozen=True)
 class GrassPoint:
-    """A k-dimensional subspace of the 2n boundary space, held as a frame."""
+    """A k-dimensional subspace of the 2n boundary space, held as its
+    canonical frame: the frame given is replaced by canonicalize(frame), so
+    two writings of one subspace hold the same frame."""
 
     frame: np.ndarray
-    canonical: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "frame", canonicalize(self.frame))
 
     @classmethod
     def from_frame(cls, frame) -> "GrassPoint":
-        return cls(frame=canonicalize(_as_matrix(frame)), canonical=True)
+        return cls(frame)
 
     @property
     def k(self) -> int:
@@ -134,11 +115,6 @@ class GrassPoint:
     @property
     def two_n(self) -> int:
         return self.frame.shape[0]
-
-    def canonicalized(self) -> "GrassPoint":
-        if self.canonical:
-            return self
-        return GrassPoint.from_frame(self.frame)
 
 
 @dataclass(frozen=True)
@@ -173,8 +149,6 @@ def classify_subspace(P: GrassPoint) -> str:
 
     The compressed Hermitian form is -i * frame* J frame = F_+* F_+ - F_-* F_-.
     """
-    if not P.canonical:
-        raise ValidationError("classify_subspace requires a canonical frame")
     n = P.two_n // 2
     f = P.frame
     comp = f[:n].conj().T @ f[:n] - f[n:].conj().T @ f[n:]
@@ -209,7 +183,7 @@ def chart_convert(P: GrassPoint) -> np.ndarray:
 
 
 def graph_of(B) -> GrassPoint:
-    """Subspace {x + Bx} as a canonical GrassPoint, frame stack (I; B)."""
+    """Subspace {x + Bx}, the span of (I; B), as a GrassPoint."""
     B = _as_matrix(B)
     if B.shape[0] != B.shape[1]:
         raise ValidationError("graph_of needs a square matrix")
@@ -272,8 +246,6 @@ def transversality(P: GrassPoint, Q: GrassPoint) -> dict:
 
 def schubert_section(Vy: GrassPoint, W) -> complex:
     """det [frame_Vy | frame_W]; zero iff the subspaces meet nontrivially."""
-    if not Vy.canonical:
-        raise ValidationError("schubert_section requires a canonical reference frame")
     Wf = W.frame if isinstance(W, GrassPoint) else _as_matrix(W)
     if Wf.shape != Vy.frame.shape:
         raise ValidationError("frames must have matching shapes")
@@ -282,8 +254,6 @@ def schubert_section(Vy: GrassPoint, W) -> complex:
 
 def section_lognorm(Vy: GrassPoint, W) -> float:
     """ln of section_norm; -inf at zeros.  Overflow-safe via slogdet."""
-    if not Vy.canonical:
-        raise ValidationError("section_lognorm requires a canonical reference frame")
     Wf = W.frame if isinstance(W, GrassPoint) else _as_matrix(W)
     sign, logdet = np.linalg.slogdet(np.hstack([Vy.frame, Wf]))
     if sign == 0:

@@ -28,6 +28,32 @@ def test_char_function_zero_exactly_at_eigenvalues(c_q0, bc_dirichlet):
             assert v > 1e-4 * s
 
 
+@pytest.mark.parametrize("mode", ["functional", "span"])
+def test_char_function_depends_on_the_condition_not_its_rows(c_q0, mode):
+    # two writings of one condition: the same frame, so the same F
+    rows = np.array([[1.0, 0.3, 0.0, 0.0], [0.0, 0.0, -0.5 - 1j, 1.0]])
+    G = np.array([[2.0, -1.0 + 0.5j], [0.25, 3.0]])
+    a = wc.bc_from_physical(rows, mode)
+    b = wc.bc_from_physical(G @ rows, mode)
+    assert np.allclose(a.point.frame, b.point.frame, rtol=0, atol=1e-14)
+    for lam in (2.3 + 0.5j, -4.0, 17.5 + 3j):
+        Fa = wc.char_function(c_q0, a, lam)
+        assert abs(wc.char_function(c_q0, b, lam) - Fa) <= 1e-13 * abs(Fa)
+
+
+def test_make_bc_leaves_no_unitary_chart_only_outside_the_chart(monkeypatch):
+    # (0; I) is outside the contraction chart
+    point = wc.GrassPoint(np.vstack([np.zeros((2, 2)), np.eye(2)]))
+    assert wc.make_bc(point).chart_unitary is None
+
+    def broken(point):
+        raise RuntimeError("a fault inside chart_convert")
+
+    monkeypatch.setattr(spectral, "chart_convert", broken)
+    with pytest.raises(RuntimeError, match="inside chart_convert"):
+        wc.make_bc(point)
+
+
 def test_is_degenerate_detects_rank_collapse(c_q0, bc_dirichlet):
     bad = wc.bc_from_physical(DEGENERATE_ROWS_SPAN, "span", label="degenerate")
     assert wc.is_degenerate(c_q0, bad)

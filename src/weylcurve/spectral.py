@@ -25,12 +25,14 @@ import numpy as np
 
 from .curves import CurveProvider, _dets
 from .errors import ChartError, DegenerateBCError, NumericalError, ValidationError
-from .symplectic import GrassPoint, chart_convert, classify_subspace, graph_of, null_space
+from .symplectic import (GrassPoint, chart_convert, classify_subspace, graph_of, null_space,
+                         rank_deficient)
 # re-exported: bench/tracing.py wraps it in this namespace too
 from .symplectic import schubert_section  # noqa: F401
 
 TWO_PI = 2 * np.pi
 MAX_STEP_PHASE = 0.45 * np.pi
+SPECULATIVE_STEPS = 8  # trial points a contour segment yields per round
 CLUSTER_TOL_BASE = 1e-7
 COUNT_TOL = 1e-6
 DEGEN_TOL = 1e-9
@@ -85,7 +87,7 @@ def bc_from_canonical(rows, mode: str, label: str = "") -> BoundaryCondition:
     rows = np.asarray(rows, dtype=complex)
     if rows.ndim != 2 or rows.shape[1] != 2 * rows.shape[0]:
         raise ValidationError("canonical rows must form an n x 2n matrix")
-    if np.linalg.matrix_rank(rows, tol=1e-10) != rows.shape[0]:
+    if rank_deficient(rows):
         raise ValidationError("boundary-condition matrix must have full rank")
     if mode == "span":
         frame = rows.T
@@ -415,30 +417,41 @@ def _samples(c, bc, zs):
 def _segment(a, b, fresh):
     """The samples (z, F) along the segment from sample a to sample b, both
     included, with arg F turning by at most MAX_STEP_PHASE between
-    neighbours: a walk for _lockstep that yields one trial point at a time.
+    neighbours: a walk for _lockstep.
 
     A step halves when it turns too far and grows by half when it turns by
     less than half the limit.  On a fresh segment it starts at 1/64 of it and
     never exceeds 1/4; a part of a step already accepted is tried whole.
+    Each round yields the next SPECULATIVE_STEPS points the walk would visit
+    if every step grew (b, whose value is known, is not yielded), and
+    accepts them in order while each turns by at most the limit; the first
+    that turns further has its step halved, and the points past it are
+    dropped.  A round depends on the walk's own values only.
     """
     z0, z1 = a[0], b[0]
     out, t = [a], 0.0
     h, hmax = (1 / 64, 0.25) if fresh else (1.0, 1.0)
     while t < 1.0:
-        t1 = min(t + h, 1.0)
-        z, F = b if t1 == 1.0 else (yield [z0 + (z1 - z0) * t1])[0]
-        step = abs(float(np.angle(F / out[-1][1])))
-        if step > MAX_STEP_PHASE:
-            h = (t1 - t) / 2
-            if h < 1e-10:
-                # a phase jump the refinement cannot resolve means a zero
-                # sits on (or hugs) the contour; trigger the dilation retry
-                raise _EdgeHit(f"unresolved phase jump on the contour at {z}")
-            continue
-        out.append((z, F))
-        t = t1
-        if step < MAX_STEP_PHASE / 2:
-            h = min(h * 1.5, hmax)
+        ts, hs, tk, hk = [], [], t, h
+        while len(ts) < SPECULATIVE_STEPS and tk < 1.0:
+            tk = min(tk + hk, 1.0)
+            ts.append(tk)
+            hs.append(hk)
+            hk = min(hk * 1.5, hmax)
+        inner = [z0 + (z1 - z0) * tk for tk in ts if tk < 1.0]
+        got = (yield inner) if inner else []
+        for t1, h1, (z, F) in zip(ts, hs, got + [b]):
+            step = abs(float(np.angle(F / out[-1][1])))
+            if step > MAX_STEP_PHASE:
+                h = (t1 - t) / 2
+                if h < 1e-10:
+                    # a phase jump the refinement cannot resolve means a zero
+                    # sits on (or hugs) the contour; trigger the dilation retry
+                    raise _EdgeHit(f"unresolved phase jump on the contour at {z}")
+                break
+            out.append((z, F))
+            t = t1
+            h = min(h1 * 1.5, hmax) if step < MAX_STEP_PHASE / 2 else h1
     return out
 
 
@@ -532,7 +545,9 @@ def _newton(lam0, mult, box_size):
 
 def eigenvalues_complex(c: CurveProvider, bc: BoundaryCondition, rectangle):
     """Zeros of F inside a rectangle (re_min, re_max, im_min, im_max): the
-    quadtree of winding boxes, then the Newton steps of its leaves in lockstep."""
+    quadtree of winding boxes, whose segments march in lockstep rounds of
+    SPECULATIVE_STEPS trial points each (_segment), then the Newton steps
+    of its leaves in lockstep."""
     if c.domain != "entire":
         raise ValidationError("contour search requires an entire provider")
     x0, x1, y0, y1 = (float(v) for v in rectangle)

@@ -33,7 +33,7 @@ from numpy.polynomial import polynomial as npoly
 from .curves import CurveProvider
 from .errors import NumericalError, ValidationError
 from .spectral import BoundaryCondition, make_bc
-from .symplectic import GrassPoint, null_space
+from .symplectic import GrassPoint, null_space, rank_deficient
 
 LAMBDA_MAX = 1e6
 SQRT2 = np.sqrt(2.0)
@@ -736,7 +736,7 @@ def bc_from_physical(rows, mode: str, label: str = "") -> BoundaryCondition:
     rows = np.asarray(rows, dtype=complex)
     if rows.shape != (2, 4):
         raise ValidationError("boundary condition needs a 2x4 matrix")
-    if np.linalg.matrix_rank(rows, tol=1e-10) != 2:
+    if rank_deficient(rows):
         raise ValidationError("boundary-condition matrix must have rank 2")
     if mode == "span":
         phys_frame = rows.T

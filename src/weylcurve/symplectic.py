@@ -61,6 +61,13 @@ def null_space(a) -> np.ndarray:
     return vh[np.sum(s > tol, dtype=int):].conj().T
 
 
+def rank_deficient(m) -> bool:
+    """Whether the smallest singular value of m is at most RANK_TOL times the
+    largest: a rank check that does not depend on the scale of m."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    return bool(sv.min() <= RANK_TOL * max(sv.max(), 1e-300))
+
+
 def _chart_rows(q: np.ndarray) -> list:
     """k coordinate rows of an orthonormal 2n x k frame q, ascending, by
     pivoted Cholesky on the projector P = q q*: each step takes the row of
@@ -176,8 +183,7 @@ def chart_convert(P: GrassPoint) -> np.ndarray:
     if P.k != n:
         raise ChartError("chart_convert needs an n-dimensional subspace")
     top, bottom = f[:n], f[n:]
-    sv = np.linalg.svd(top, compute_uv=False)
-    if sv.min() <= RANK_TOL * max(sv.max(), 1e-300):
+    if rank_deficient(top):
         raise ChartError("subspace is outside the contraction chart (top block singular)")
     return bottom @ np.linalg.inv(top)
 
@@ -198,8 +204,7 @@ def mobius_pu(g, B) -> np.ndarray:
     B = _as_matrix(B)
     g11, g12, g21, g22 = g.blocks()
     den = g11 + g12 @ B
-    sv = np.linalg.svd(den, compute_uv=False)
-    if sv.min() <= RANK_TOL * max(sv.max(), 1e-300):
+    if rank_deficient(den):
         raise ValidationError("Moebius denominator singular; input outside the action's domain")
     return (g21 + g22 @ B) @ np.linalg.inv(den)
 
@@ -220,8 +225,7 @@ def cayley(A, direction: str) -> np.ndarray:
         num = A - 1j * eye
     else:
         raise ValidationError("direction must be 'to_M' or 'to_B'")
-    sv = np.linalg.svd(pencil, compute_uv=False)
-    if sv.min() <= RANK_TOL * max(sv.max(), 1e-300):
+    if rank_deficient(pencil):
         raise ChartError("Cayley pencil singular at the requested point")
     return num @ np.linalg.inv(pencil)
 

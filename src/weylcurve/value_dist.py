@@ -124,10 +124,16 @@ def _neg_lognorm(c: CurveProvider, bc: BoundaryCondition, r: float, theta):
 
 def proximity(c: CurveProvider, bc: BoundaryCondition, r: float,
               tol: float = 1e-7) -> float:
-    """m(r) = -(1/2pi) int_0^{2pi} ln section_norm(V_y, W(r e^{i theta})) d theta."""
+    """m(r) = -(1/2pi) int_0^{2pi} ln section_norm(V_y, W(r e^{i theta})) d theta.
+
+    W(conj lambda) is the J-orthogonal complement of W(lambda), and a
+    self-adjoint V_y is its own, so the section norm is even in theta.  A
+    self-adjoint condition integrates the upper half circle, [0, pi], on
+    the first four of the full circle's eight starting panels.
+    """
     r = float(r)
-    return _adaptive_gl(lambda ths: _neg_lognorm(c, bc, r, ths),
-                        np.linspace(0.0, TWO_PI, 9), tol) / TWO_PI
+    edges = np.linspace(0.0, TWO_PI, 9)[:5 if bc.selfadjoint else 9]
+    return _adaptive_gl(lambda ths: _neg_lognorm(c, bc, r, ths), edges, tol) / edges[-1]
 
 
 def proximity_omega(c: CurveProvider, Omega, r: float, tol: float = 1e-7) -> float:

@@ -54,6 +54,17 @@ def test_make_bc_leaves_no_unitary_chart_only_outside_the_chart(monkeypatch):
         wc.make_bc(point)
 
 
+@pytest.mark.parametrize("mode", ["functional", "span"])
+@pytest.mark.parametrize("scale", [1e-300, 1e-11, 1.0, 1e11, 1e300])
+def test_canonical_rows_are_checked_for_rank_at_their_own_scale(mode, scale):
+    rows = np.array([[1.0, 0.3, 0.0, 0.0], [0.0, 0.0, -0.5 - 1j, 1.0]])
+    ref = wc.bc_from_canonical(rows, mode)
+    assert np.allclose(wc.bc_from_canonical(scale * rows, mode).point.frame, ref.point.frame,
+                       rtol=0, atol=1e-14)
+    with pytest.raises(wc.ValidationError, match="must have full rank"):
+        wc.bc_from_canonical(scale * np.outer([1.0, 2.0 - 1.0j], rows[1]), mode)
+
+
 def test_is_degenerate_detects_rank_collapse(c_q0, bc_dirichlet):
     bad = wc.bc_from_physical(DEGENERATE_ROWS_SPAN, "span", label="degenerate")
     assert wc.is_degenerate(c_q0, bad)
@@ -210,25 +221,15 @@ def _sample_one(c, bc, z):
 
 
 def _march_one_segment_at_a_time(c, bc, a, b, fresh=True):
-    """The contour's step rule applied to one segment, one sample at a time:
-    samples (z, F) from sample a to sample b."""
-    z0, z1 = a[0], b[0]
-    out, t = [a], 0.0
-    h, hmax = (1 / 64, 0.25) if fresh else (1.0, 1.0)
-    while t < 1.0:
-        t1 = min(t + h, 1.0)
-        z, F = b if t1 == 1.0 else _sample_one(c, bc, z0 + (z1 - z0) * t1)
-        step = abs(float(np.angle(F / out[-1][1])))
-        if step > spectral.MAX_STEP_PHASE:
-            h = (t1 - t) / 2
-            if h < 1e-10:
-                raise spectral._EdgeHit(f"unresolved phase jump on the contour at {z}")
-            continue
-        out.append((z, F))
-        t = t1
-        if step < spectral.MAX_STEP_PHASE / 2:
-            h = min(h * 1.5, hmax)
-    return out
+    """spectral._segment from sample a to sample b walked alone, each of its
+    trial points sampled by a call of its own: samples (z, F)."""
+    walk = spectral._segment(a, b, fresh)
+    try:
+        zs = next(walk)
+        while True:
+            zs = walk.send([_sample_one(c, bc, z) for z in zs])
+    except StopIteration as done:
+        return done.value
 
 
 def _box_edges_one_at_a_time(c, bc, rect):
@@ -312,8 +313,8 @@ def _zeros_one_at_a_time(c, bc, rect, edges):
 def test_contour_samples_are_those_of_a_march_one_segment_at_a_time(
         c_exp, log_mod, arg, x0, width, y0, height, sx, sy):
     # the lockstep marches of a box's edges and of its children's cut parts
-    # and arms sample the points of the sequential march, with bitwise the
-    # same values; a zero on the contour stops both
+    # and arms sample the points of each segment's walk taken alone, with
+    # bitwise the same values; a zero on the contour stops both
     bc = wc.bc_from_chart(np.array([[np.exp(log_mod + 1j * arg)]]))
     rect = (x0, x0 + width, y0, y0 + height)
     xm, ym = x0 + (0.5 + sx) * width, y0 + (0.5 + sy) * height
@@ -328,6 +329,55 @@ def test_contour_samples_are_those_of_a_march_one_segment_at_a_time(
     assert spectral._children(c_exp, bc, rect, edges, xm, ym) == children
 
 
+def _assert_marched(out, a, b):
+    """out runs from sample a to sample b in order along the segment, and
+    arg F turns by at most MAX_STEP_PHASE between neighbours."""
+    assert out[0] == a and out[-1] == b
+    z, F = np.array(out).T
+    assert np.all(np.diff(((z - a[0]) / (b[0] - a[0])).real) > 0)
+    assert np.all(np.abs(np.angle(F[1:] / F[:-1])) <= spectral.MAX_STEP_PHASE)
+
+
+@given(st.floats(-3.0, 3.0), st.floats(-np.pi, np.pi), st.floats(-60.0, 60.0),
+       st.floats(-5.0, 8.0), st.floats(-60.0, 60.0), st.floats(-5.0, 8.0), st.booleans())
+def test_every_step_of_a_marched_segment_turns_by_at_most_the_limit(
+        c_exp, log_mod, arg, xa, ya, xb, yb, fresh):
+    bc = wc.bc_from_chart(np.array([[np.exp(log_mod + 1j * arg)]]))
+    assume(abs(complex(xb - xa, yb - ya)) > 1e-3)
+    try:
+        a, b = spectral._samples(c_exp, bc, [complex(xa, ya), complex(xb, yb)])
+        out, = spectral._marches(c_exp, bc, [(a, b, fresh)])
+    except spectral._EdgeHit:
+        assume(False)
+    _assert_marched(out, a, b)
+
+
+def test_every_step_of_the_robin_box_edges_turns_by_at_most_the_limit(c_q0):
+    bc = wc.bc_from_physical(np.array([[1, 0, 0, 0], [0, 0, -(0.5 + 1j), 1]]), "functional")
+    edges = spectral._box_edges(c_q0, bc, (0.3, 30.0, -3.0, 3.0))
+    for edge, nxt in zip(edges, edges[1:] + edges[:1]):
+        _assert_marched(edge, edge[0], nxt[0])
+
+
+def test_a_fresh_segment_first_tries_a_sixty_fourth_of_it(c_exp):
+    bc = wc.bc_from_chart(np.array([[0.5 + 0.2j]]))
+    a, b = spectral._samples(c_exp, bc, [complex(-3.0, 0.5), complex(5.0, 1.0)])
+    trials = next(spectral._segment(a, b, True))
+    assert trials[0] == a[0] + (b[0] - a[0]) / 64
+    # the trials of one round are those of steps that each grow by half,
+    # up to a quarter of the segment
+    t = ((np.array(trials) - a[0]) / (b[0] - a[0])).real
+    n = spectral.SPECULATIVE_STEPS
+    assert np.allclose(np.diff(t, prepend=0.0), np.minimum(1.5 ** np.arange(n) / 64, 0.25),
+                       rtol=1e-12, atol=0)
+    # a part of an accepted step is tried whole: a part whose ends turn by
+    # less than the limit takes no trial point
+    m, = spectral._samples(c_exp, bc, trials[:1])
+    with pytest.raises(StopIteration) as done:
+        next(spectral._segment(a, m, False))
+    assert done.value.value == [a, m]
+
+
 def test_contour_overflow_names_the_first_sample_in_segment_order(c_exp):
     # the lower corners of this box leave the floating-point range (|e^{i lam}|
     # = e^1000): the corners sampled together raise the plain NumericalError
@@ -340,9 +390,9 @@ def test_contour_overflow_names_the_first_sample_in_segment_order(c_exp):
 
 def test_robin_contour_solves_in_lockstep_rounds(monkeypatch):
     # a fresh q = 0 Robin problem, so that every lambda is solved once: the
-    # lockstep marches and Newton steps solve the 382 lambdas of the
-    # one-at-a-time schedule in at most 140 propagation passes, and find
-    # bitwise its zeros
+    # lockstep marches and Newton steps solve the lambdas of the
+    # one-at-a-time schedule, at most 480, in at most 64 propagation passes,
+    # and find bitwise its zeros
     from weylcurve import sturm
     bc = wc.bc_from_physical(np.array([[1, 0, 0, 0], [0, 0, -(0.5 + 1j), 1]]), "functional")
     rect = (0.3, 30.0, -3.0, 3.0)
@@ -356,8 +406,8 @@ def test_robin_contour_solves_in_lockstep_rounds(monkeypatch):
     monkeypatch.setattr(sturm, "_solve", counted)
     evs = wc.eigenvalues_complex(wc.curve_provider(p), bc, rect)
     monkeypatch.undo()
-    assert len(p._memo) == sum(passes) == 382
-    assert len(passes) <= 140
+    assert len(p._memo) == sum(passes) <= 480
+    assert len(passes) <= 64
     c_ref = wc.curve_provider(p_ref)
     # the reference solves what eigenvalues_complex solves: its degeneracy
     # check first, then the quadtree with each zero refined in turn

@@ -616,6 +616,27 @@ def test_bc_from_physical_rejects_bad_shapes():
                             "functional")
 
 
+_RANK_SCALES = [1e-300, 1e-11, 1e-9, 1.0, 1e11, 1e300]
+
+
+@pytest.mark.parametrize("mode", ["functional", "span"])
+@pytest.mark.parametrize("scale", _RANK_SCALES)
+def test_a_scaled_condition_is_the_condition(mode, scale):
+    # the rank check is relative, so the rows at any scale give their frame
+    ref = wc.bc_from_physical(DIRICHLET_ROWS, mode)
+    got = wc.bc_from_physical(scale * DIRICHLET_ROWS, mode)
+    assert np.allclose(got.point.frame, ref.point.frame, rtol=0, atol=1e-14)
+    assert got.selfadjoint
+
+
+@pytest.mark.parametrize("mode", ["functional", "span"])
+@pytest.mark.parametrize("scale", _RANK_SCALES)
+def test_a_rank_one_condition_is_refused_at_any_scale(mode, scale):
+    rows = scale * np.outer([1.0, 2.0 - 1.0j], [1.0, 0.5, -0.3j, 2.0])
+    with pytest.raises(wc.ValidationError, match="must have rank 2"):
+        wc.bc_from_physical(rows, mode)
+
+
 def test_bc_classification_self_adjoint_is_lagrangian(bc_dirichlet, bc_periodic):
     assert wc.classify_subspace(bc_dirichlet.point) == "lagrangian"
     assert wc.classify_subspace(bc_periodic.point) == "lagrangian"

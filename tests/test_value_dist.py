@@ -2,10 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import weylcurve as wc
+from weylcurve import value_dist
+from weylcurve.spectral import sections
 
-from conftest import DEGENERATE_ROWS_SPAN
+from conftest import DEGENERATE_ROWS_SPAN, DIRICHLET_ROWS, NEUMANN_ROWS, PERIODIC_ROWS
 
 rng = np.random.default_rng(3141)
 
@@ -128,7 +131,8 @@ def test_proximity_solves_each_level_in_one_batch(monkeypatch, bc_dirichlet):
     # panel tree is one _neg_lognorm call, one call of the batch entry and
     # ceil(16 K N / 4096) propagation passes for its K panels of N-panel
     # solves; the nodes and the value are those of the rules taken one at a
-    # time, depth first
+    # time, depth first, over the upper half circle of the self-adjoint
+    # Dirichlet condition
     from weylcurve import sturm, value_dist
     p = wc.SLProblem(potential=wc.Potential.zero())
     c, r = wc.curve_provider(p), 50.37
@@ -158,8 +162,8 @@ def test_proximity_solves_each_level_in_one_batch(monkeypatch, bc_dirichlet):
         ref_nodes.append(theta)
         return neg_lognorm(c, bc_dirichlet, r, theta)
 
-    ref = _adaptive_gl_depth_first(f, np.linspace(0.0, 2 * np.pi, 9), 1e-7, levels)
-    assert m == ref / (2 * np.pi)
+    ref = _adaptive_gl_depth_first(f, np.linspace(0.0, np.pi, 5), 1e-7, levels)
+    assert m == ref / np.pi
     sizes = [len(call) for call in calls]
     assert sizes == [16 * levels.count(k) for k in range(max(levels) + 1)]
     assert len(sizes) >= 3
@@ -169,6 +173,71 @@ def test_proximity_solves_each_level_in_one_batch(monkeypatch, bc_dirichlet):
         (n,) = {n for _, n in passes}
         assert sum(size for size, _ in passes) == k
         assert len(passes) == -(-k * n // 4096)
+
+
+def _unitary(n, phi, chi, alpha, beta):
+    """e^{i phi} for n = 1; e^{i phi} [[a, b], [-conj b, conj a]] with
+    a = cos chi e^{i alpha} and b = sin chi e^{i beta} for n = 2."""
+    if n == 1:
+        return np.array([[np.exp(1j * phi)]])
+    a, b = np.cos(chi) * np.exp(1j * alpha), np.sin(chi) * np.exp(1j * beta)
+    return np.exp(1j * phi) * np.array([[a, b], [-np.conj(b), np.conj(a)]])
+
+
+def _condition(kind):
+    """The Dirichlet, Neumann, periodic or Robin (alpha = 0.5 + i)
+    condition of the physical rows, or for e^{i lambda} the unitary
+    e^{0.3 i} or the chart 0.5 + 0.2 i."""
+    if kind == "unitary":
+        return wc.bc_from_unitary([[np.exp(0.3j)]])
+    if kind == "chart":
+        return wc.bc_from_chart(np.array([[0.5 + 0.2j]]))
+    rows = {"dirichlet": DIRICHLET_ROWS, "neumann": NEUMANN_ROWS, "periodic": PERIODIC_ROWS,
+            "robin": np.array([[1, 0, 0, 0], [0, 0, -(0.5 + 1j), 1]])}
+    return wc.bc_from_physical(rows[kind], "functional")
+
+
+_ANGLE = st.floats(-np.pi, np.pi)
+
+
+@pytest.mark.parametrize("curve", ["c_q0", "c_qx", "c_qcos", "c_exp"])
+@given(st.sampled_from(["unitary", "dirichlet", "neumann", "periodic"]),
+       _ANGLE, _ANGLE, _ANGLE, _ANGLE, st.floats(0.5, 300.0), st.floats(0.01, np.pi - 0.01))
+def test_section_norm_of_a_selfadjoint_condition_is_the_same_at_conj_lambda(
+        request, curve, kind, phi, chi, alpha, beta, r, theta):
+    # W(conj lambda) is the J-orthogonal complement of W(lambda) and a
+    # self-adjoint condition is its own: the reflection that proximity uses
+    c = request.getfixturevalue(curve)
+    if kind == "unitary" or c.n == 1:
+        bc = wc.bc_from_unitary(_unitary(c.n, phi, chi, alpha, beta))
+    else:
+        bc = _condition(kind)
+    lam = r * np.exp(1j * theta)
+    up, down = sections(c, bc, [lam, np.conj(lam)])[2]
+    assert abs(down - up) <= 1e-13 * max(1.0, abs(up))
+
+
+@pytest.mark.parametrize("lam", [1 + 1j, 3 + 2j, 10 + 5j, 20 + 20j])
+def test_section_norm_of_other_conditions_differs_at_conj_lambda(c_q0, c_exp, lam):
+    # so the half circle is for self-adjoint conditions only
+    for c, bc in ((c_q0, _condition("robin")), (c_exp, _condition("chart"))):
+        assert not bc.selfadjoint
+        up, down = sections(c, bc, [lam, np.conj(lam)])[2]
+        assert abs(down - up) > 0.1
+
+
+@pytest.mark.parametrize("curve, kind, r", [
+    ("c_q0", "dirichlet", 0.7), ("c_q0", "dirichlet", 50.37), ("c_q0", "neumann", 10.37),
+    ("c_qcos", "periodic", 30.37), ("c_qx", "neumann", 123.4),
+    ("c_exp", "unitary", 100.0), ("c_exp", "unitary", 1e4),
+    ("c_q0", "robin", 10.37), ("c_exp", "chart", 10.0)])
+def test_proximity_over_the_half_circle_is_that_over_the_whole(request, curve, kind, r):
+    # self-adjoint conditions integrate the upper half circle; the robin and
+    # chart conditions are not self-adjoint and integrate the whole
+    c, bc = request.getfixturevalue(curve), _condition(kind)
+    full = value_dist._adaptive_gl(lambda ths: value_dist._neg_lognorm(c, bc, r, ths),
+                                   np.linspace(0.0, 2 * np.pi, 9), 1e-7) / (2 * np.pi)
+    assert wc.proximity(c, bc, r) == pytest.approx(full, rel=1e-12, abs=0)
 
 
 def test_proximity_exponential_omega_zero(c_exp):

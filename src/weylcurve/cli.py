@@ -302,7 +302,8 @@ def cmd_height(cfg, p, c, bcs):
     for r, hv, pp, pm in zip(radii, hs, phases, phases[len(radii):]):
         rows.append([float(r), pp, pm, float(hv)])
         recs.append({"r": r, "phase_plus": pp, "phase_minus": pm, "h": float(hv)})
-    ot = value_dist.order_type_of_heights(radii, hs) if radii[-1] / radii[0] >= 100 else None
+    ot = value_dist.order_type_of_heights(radii, hs) \
+        if value_dist.spans_two_decades(radii) else None
     payload = {"command": "height", "table": recs}
     if ot:
         payload["order_estimate"] = ot["rho"]
@@ -317,27 +318,20 @@ def cmd_fmt(cfg, p, c, bcs):
         raise ValidationError("command_params.r_grid must list at least two radii")
     if not bcs:
         raise ValidationError("fmt needs at least one boundary condition")
-    rows = []
-    summaries = []
-    reps = [value_dist.fmt_report(c, bc, r_grid) for bc in bcs]
+    reps = value_dist.fmt_report(c, bcs, r_grid)
     # the heights do not depend on the condition
-    ot = value_dist.order_type_of_heights(reps[0].r_grid, reps[0].height) \
-        if max(r_grid) / min(r_grid) >= 100 else None
+    radii, hs = reps[0].r_grid, reps[0].height
+    ot = value_dist.order_type_of_heights(radii, hs) \
+        if value_dist.spans_two_decades(radii) else None
+    rows, summaries = [], []
     for bc, rep in zip(bcs, reps):
-        dd = value_dist.report_defects(rep)
-        for i, r in enumerate(rep.r_grid):
-            rows.append([bc.label, float(r), float(rep.phase_plus[i]),
-                         float(rep.phase_minus[i]), float(rep.height[i]),
-                         float(rep.counting[i]), float(rep.proximity[i]),
-                         float(rep.fmt_residual[i])])
-        summary = {"bc": bc.label, "residual_range": rep.residual_range,
-                   "residual_ratio": rep.residual_ratio,
-                   "drift_slope": rep.drift_slope,
-                   "delta": dd["delta"], "Delta": dd["Delta"]}
-        if ot:
-            summary["rho"] = ot["rho"]
-            summary["tau"] = ot["tau"]
-        summaries.append(summary)
+        rows += [[bc.label, *map(float, row)]
+                 for row in zip(rep.r_grid, rep.phase_plus, rep.phase_minus, rep.height,
+                                rep.counting, rep.proximity, rep.fmt_residual)]
+        summaries.append({"bc": bc.label, "residual_range": rep.residual_range,
+                          "residual_ratio": rep.residual_ratio,
+                          "drift_slope": rep.drift_slope,
+                          "delta": rep.delta, "Delta": rep.Delta, **(ot or {})})
     _emit(cfg, {"command": "fmt", "summaries": summaries},
           rows, ["bc", "r", "phase_plus", "phase_minus", "h", "N", "m", "residual"])
 

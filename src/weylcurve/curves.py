@@ -59,7 +59,7 @@ class CurveProvider:
     """
 
     def __init__(self, n, domain, eval_fn, deriv_fn=None, frame_fn=None,
-                 provenance=None, h0=DEFAULT_H0, allow_real=False,
+                 h0=DEFAULT_H0, allow_real=False,
                  speed_fn=None, many_fn=None, prefetch_fn=None, section_fn=None):
         if domain not in ("entire", "upper_half_plane_pair"):
             raise ValidationError(f"unknown provider domain {domain!r}")
@@ -72,7 +72,6 @@ class CurveProvider:
         self.many_fn = many_fn
         self.prefetch_fn = prefetch_fn
         self.section_fn = section_fn
-        self.provenance = provenance or {"kind": "custom", "params": {}}
         self.h0 = float(h0)
         self.allow_real = bool(allow_real)
         self.derivative_kind = "exact" if deriv_fn is not None else "stencil"
@@ -171,9 +170,6 @@ class CurveProvider:
             return np.array([self.frame(lam) for lam in lams]).reshape(-1, 2 * self.n, self.n)
         Bs = self.B_many(lams)
         return np.concatenate([np.broadcast_to(np.eye(self.n), Bs.shape), Bs], axis=1)
-
-    def descriptor(self) -> dict:
-        return dict(self.provenance)
 
 
 # -- the real-axis phase path --------------------------------------------
@@ -382,8 +378,6 @@ def constant(B0) -> CurveProvider:
         n, "upper_half_plane_pair",
         eval_fn=lambda lam: B0.copy(),
         deriv_fn=lambda lam: np.zeros((n, n), dtype=complex),
-        provenance={"kind": "builtin", "params": {"name": "constant",
-                                                  "B0": _cser(B0)}},
         allow_real=True)
 
 
@@ -399,9 +393,7 @@ def shifted_identity(a: float = 1.0, n: int = 1) -> CurveProvider:
         return 2j / (lam + (a + 1) * 1j) ** 2 * np.eye(n)
 
     return CurveProvider(
-        n, "upper_half_plane_pair", eval_fn=ev, deriv_fn=dv,
-        provenance={"kind": "builtin",
-                    "params": {"name": "shifted_identity", "a": a, "n": n}})
+        n, "upper_half_plane_pair", eval_fn=ev, deriv_fn=dv)
 
 
 def exponential() -> CurveProvider:
@@ -433,13 +425,8 @@ def exponential() -> CurveProvider:
         1, "entire",
         eval_fn=lambda lam: np.array([[np.exp(1j * lam)]]),
         deriv_fn=lambda lam: np.array([[1j * np.exp(1j * lam)]]),
-        provenance={"kind": "builtin", "params": {"name": "exponential"}},
         speed_fn=lambda us: np.ones(len(us)), many_fn=lambda lams: np.exp(1j * lams)[:, None, None],
         section_fn=section)
-
-
-def _cser(m: np.ndarray):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
 # -- curvature -----------------------------------------------------------
@@ -576,9 +563,6 @@ def reparameterize(c: CurveProvider, g) -> CurveProvider:
         c.n, c.domain, eval_fn=lambda lam: c.B(m(lam)),
         deriv_fn=dv if c.derivative_kind == "exact" else None,
         frame_fn=(lambda lam: c.frame(m(lam))) if c._frame_fn is not None else None,
-        provenance={"kind": "transformed",
-                    "params": {"base": c.descriptor(), "action": "sl2",
-                               "g": [[float(x) for x in row] for row in g]}},
         h0=c.h0, allow_real=c.allow_real,
         speed_fn=speed if c.speed_fn is not None else None,
         many_fn=(lambda lams: c.B_many(m(lams))) if c.many_fn is not None else None,
@@ -615,6 +599,4 @@ def congruence(c: CurveProvider, g) -> CurveProvider:
     return CurveProvider(
         c.n, c.domain, eval_fn=ev,
         deriv_fn=dv if c.derivative_kind == "exact" else None,
-        provenance={"kind": "transformed",
-                    "params": {"base": c.descriptor(), "action": "congruence"}},
         h0=c.h0, allow_real=c.allow_real, prefetch_fn=c.prefetch_fn)

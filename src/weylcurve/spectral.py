@@ -103,7 +103,6 @@ class Eigenvalue:
     lam: complex
     multiplicity: int
     residual: float
-    method: str
 
 
 # -- characteristic function ----------------------------------------------
@@ -211,13 +210,18 @@ def _crossings(dphi, th0, th1) -> np.ndarray:
     return n.astype(int)
 
 
+def _endpoint_count(c: CurveProvider, bc: BoundaryCondition, a: float, b: float) -> tuple:
+    """(count_real in (a, b], the unwrapped det B phase change over [a, b])."""
+    _, Bs, phis = _real_samples(c, a, b)
+    th = _eigenphases(bc.chart_unitary, Bs[[0, -1]])
+    return int(_crossings(phis[-1] - phis[0], th[0], th[1])), float(phis[-1] - phis[0])
+
+
 def count_real(c: CurveProvider, bc: BoundaryCondition, a: float, b: float) -> int:
     """Eigenvalue count (with multiplicity) in (a, b] from the unwrapped det B phase."""
     if bc.chart_unitary is None:
         raise ValidationError("count_real requires a chart-unitary boundary condition")
-    _, Bs, phis = _real_samples(c, a, b)
-    th = _eigenphases(bc.chart_unitary, Bs[[0, -1]])
-    return int(_crossings(phis[-1] - phis[0], th[0], th[1]))
+    return _endpoint_count(c, bc, a, b)[0]
 
 
 def _find_roots(f, a, b, fa, fb):
@@ -343,6 +347,25 @@ def _crossing_roots(c, U, us, Bs, phis):
     return np.concatenate(roots), np.concatenate(mults)
 
 
+def _merge_clusters(roots, mults) -> tuple:
+    """Sorted arrays (lams, mults) of the clusters of refined roots: a root
+    within CLUSTER_TOL_BASE (1 + |root|) of the one before it joins its
+    cluster, which the cluster's first root stands for."""
+    order = np.argsort(roots, kind="stable")
+    roots, mults = roots[order], mults[order]
+    starts = np.flatnonzero(np.diff(roots, prepend=-np.inf)
+                            >= CLUSTER_TOL_BASE * (1 + np.abs(roots)))
+    return roots[starts], np.add.reduceat(mults, starts)
+
+
+def _real_spectrum(c: CurveProvider, bc: BoundaryCondition, a: float, b: float) -> tuple:
+    """Sorted arrays (lams, mults) of a self-adjoint chart condition's
+    eigenvalues in (a, b], clusters merged."""
+    if is_degenerate(c, bc, samples=np.linspace(a, b, 16)):
+        raise DegenerateBCError("characteristic function vanishes identically; spectrum = C")
+    return _merge_clusters(*_crossing_roots(c, bc.chart_unitary, *_real_samples(c, a, b)))
+
+
 def eigenvalues_real(c: CurveProvider, bc: BoundaryCondition, interval):
     """All eigenvalues of a self-adjoint condition in a real interval (a, b]."""
     if not bc.selfadjoint:
@@ -354,23 +377,12 @@ def eigenvalues_real(c: CurveProvider, bc: BoundaryCondition, interval):
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValidationError("empty interval")
-    if is_degenerate(c, bc, samples=np.linspace(a, b, 16)):
-        raise DegenerateBCError("characteristic function vanishes identically; spectrum = C")
-    roots, mults = _crossing_roots(c, bc.chart_unitary, *_real_samples(c, a, b))
-    # merge refined roots that belong to one cluster
-    merged = []
-    for lam, mult in sorted(zip(roots.tolist(), mults.tolist())):
-        tol = CLUSTER_TOL_BASE * (1 + abs(lam))
-        if merged and lam - merged[-1][0] < tol:
-            merged[-1][1] += mult
-        else:
-            merged.append([lam, mult])
-    if not merged:
+    lams, mults = _real_spectrum(c, bc, a, b)
+    if not lams.size:
         return []
-    lams = np.array([lam for lam, _ in merged])
-    return [Eigenvalue(lam=complex(lam), multiplicity=int(mult), residual=float(r),
-                       method="real_scan")
-            for (lam, mult), r in zip(merged, _residuals(c, bc, lams))]
+    return [Eigenvalue(lam=complex(lam), multiplicity=mult, residual=r)
+            for lam, mult, r in zip(lams.tolist(), mults.tolist(),
+                                    _residuals(c, bc, lams).tolist())]
 
 
 # -- contour search --------------------------------------------------------
@@ -575,7 +587,7 @@ def eigenvalues_complex(c: CurveProvider, bc: BoundaryCondition, rectangle):
         return []
     lams = _lockstep((_newton(*leaf) for leaf in leaves),
                      lambda zs: sections(c, bc, zs)[0].tolist())
-    found = [Eigenvalue(lam=lam, multiplicity=w, residual=float(r), method="contour")
+    found = [Eigenvalue(lam=lam, multiplicity=w, residual=float(r))
              for lam, (_, w, _), r in zip(lams, leaves, _residuals(c, bc, lams))]
     found.sort(key=lambda e: (e.lam.real, e.lam.imag))
     return found
@@ -641,36 +653,50 @@ RING_TOL_BASE = 1e-6
 ZERO_TOL = 1e-8
 
 
+def _disc_spectrum(c: CurveProvider, bc: BoundaryCondition, r: float) -> tuple:
+    """Sorted arrays (lams, mults) of the eigenvalues in |lambda| <= r (1 + 1e-3)
+    and some beyond: the real sweep for a self-adjoint chart condition on an
+    entire curve, else the contour search of the square of half-side 1.05 r."""
+    if bc.selfadjoint and c.domain == "entire" and bc.chart_unitary is not None:
+        return _real_spectrum(c, bc, -r * (1 + 1e-3) - 1e-6, r * (1 + 1e-3) + 1e-6)
+    s = 1.05 * r
+    evs = eigenvalues_complex(c, bc, (-s, s, -s, s))
+    return (np.array([e.lam for e in evs], dtype=complex),
+            np.array([e.multiplicity for e in evs], dtype=int))
+
+
 def counting(c: CurveProvider, bc: BoundaryCondition, r: float) -> dict:
-    """n_T(r) and the logarithmically weighted count N_T(r)."""
+    """n_T(r) and the logarithmically weighted count N_T(r), at the middle
+    of the nearest moduli below and above (at most r (1 + 1e-3)) the ring
+    RING_TOL_BASE (1 + r) about r, where that ring holds an eigenvalue."""
     r = float(r)
     if r <= 0:
         raise ValidationError("radius must be positive")
-    if bc.selfadjoint and c.domain == "entire":
-        evs = eigenvalues_real(c, bc, (-r * (1 + 1e-3) - 1e-6, r * (1 + 1e-3) + 1e-6))
-    else:
-        evs = eigenvalues_complex(c, bc, (-1.1 * r, 1.1 * r, -1.1 * r, 1.1 * r))
-    moduli = sorted(abs(e.lam) for e in evs)
+    lams, mults = _disc_spectrum(c, bc, r)
+    moduli = np.hypot(lams.real, lams.imag)
     ring_tol = RING_TOL_BASE * (1 + r)
     r_used = r
-    if any(abs(m - r) < ring_tol for m in moduli):
-        below = max((m for m in moduli if m < r - ring_tol), default=0.0)
-        above = min((m for m in moduli if m > r + ring_tol), default=r * (1 + 1e-3))
+    if np.any(np.abs(moduli - r) < ring_tol):
+        below = moduli[moduli < r - ring_tol].max(initial=0.0)
+        above = moduli[moduli > r + ring_tol].min(initial=r * (1 + 1e-3))
         r_used = 0.5 * (below + above)
-    n_T, N_T = counting_sums(evs, r_used)
-    return {"n_T": n_T, "N_T": N_T, "r_used": float(r_used)}
+    n_T, N_T = counting_sums(lams, mults, [r_used])
+    return {"n_T": int(n_T[0]), "N_T": float(N_T[0]), "r_used": float(r_used)}
 
 
-def counting_sums(evs, r: float) -> tuple:
-    """(n(r), N(r)): the multiplicities of the eigenvalues strictly inside r,
-    and their sum weighted by log(r / |lam|), or by log r where |lam| < ZERO_TOL."""
-    n, N = 0, 0.0
-    for e in evs:
-        m = abs(e.lam)
-        if m < r:
-            n += e.multiplicity
-            N += e.multiplicity * np.log(r if m < ZERO_TOL else r / m)
-    return int(n), float(N)
+def counting_sums(lams, mults, radii) -> tuple:
+    """Arrays (n, N) over the radii: the multiplicities of the eigenvalues
+    strictly inside each radius r, and their sum weighted by log(r / |lam|),
+    or by log r where |lam| < ZERO_TOL: bitwise the sums of a scalar loop
+    over lams, as N adds its terms in their order and |lam| is hypot, as
+    Python's abs (numpy's complex abs can differ in the last bit)."""
+    moduli = np.hypot(np.real(lams), np.imag(lams))
+    radii = np.asarray(radii, dtype=float)[:, None]
+    inside = moduli < radii
+    logs = np.log(radii / np.where(moduli < ZERO_TOL, 1.0, moduli))
+    terms = np.where(inside, mults * logs, 0.0)
+    return (np.where(inside, mults, 0).sum(axis=1),
+            np.cumsum(np.hstack([np.zeros_like(radii), terms]), axis=1)[:, -1])
 
 
 def interlace(c: CurveProvider, bc1: BoundaryCondition, bc2: BoundaryCondition,
@@ -696,10 +722,8 @@ def phase_count(c: CurveProvider, bc: BoundaryCondition, r: float) -> dict:
     """
     if not bc.selfadjoint or bc.chart_unitary is None:
         raise ValidationError("phase_count requires a self-adjoint chart condition")
-    _, Bs, phis = _real_samples(c, -float(r), float(r))
-    phase_integral = float(phis[-1] - phis[0]) / TWO_PI
-    th = _eigenphases(bc.chart_unitary, Bs[[0, -1]])
-    n_T = int(_crossings(phis[-1] - phis[0], th[0], th[1]))
+    n_T, dphi = _endpoint_count(c, bc, -float(r), float(r))
+    phase_integral = dphi / TWO_PI
     gap = abs(phase_integral - n_T)
     if gap > c.n + 1.0:
         raise NumericalError(f"phase-count gap {gap:.3f} exceeds the theoretical bound")

@@ -633,9 +633,6 @@ def curve_provider(p: SLProblem) -> CurveProvider:
 
     return CurveProvider(
         2, "entire", eval_fn=ev, frame_fn=fr,
-        provenance={"kind": "sturm_liouville",
-                    "params": {"potential": p.potential.to_json(),
-                               "length": p.length}},
         h0=1e-3, speed_fn=speed,
         # one batched solve ahead of the per-lambda B and frame calls of
         # B_many and frame_many, which then read the memo

@@ -15,9 +15,10 @@ import numpy as np
 
 from .curves import CurveProvider
 from .errors import NumericalError, ValidationError
-from .spectral import (BoundaryCondition, DegenerateBCError, char_function,
-                       counting_sums, eigenvalues_complex, eigenvalues_real,
-                       is_degenerate, sections)
+from .spectral import BoundaryCondition, _disc_spectrum, counting_sums, sections
+# re-exported: bench/tracing.py wraps them in this namespace too
+from .spectral import (char_function, eigenvalues_complex, eigenvalues_real,  # noqa: F401
+                       is_degenerate)
 
 TWO_PI = 2 * np.pi
 
@@ -171,37 +172,37 @@ class VDReport:
     residual_range: float
     residual_ratio: float
     drift_slope: float
-    label: str = ""
+    delta: float
+    Delta: float
 
 
-def fmt_report(c: CurveProvider, bc: BoundaryCondition, r_grid) -> VDReport:
-    """First-Main-Theorem table h, N, m and the residual h - m - N."""
+def fmt_report(c: CurveProvider, bcs, r_grid) -> list:
+    """One VDReport per condition of bcs: the First-Main-Theorem table h, N, m,
+    the residual h - m - N and the defects.  h and the phases at +-r belong
+    to the curve, so they are computed once for all of the conditions."""
     radii = np.asarray([float(r) for r in r_grid])
     if np.any(radii <= 0) or radii.size < 2:
         raise ValidationError("need at least two positive radii")
     radii = np.sort(radii)
-    if is_degenerate(c, bc):
-        raise DegenerateBCError("degenerate boundary condition; FMT undefined")
-    rmax = radii[-1]
-    # one eigenvalue sweep reused for every radius; it runs first, so the
-    # heights are read off the phase path it covered
-    if bc.selfadjoint and c.domain == "entire" and bc.chart_unitary is not None:
-        evs = eigenvalues_real(c, bc, (-1.05 * rmax - 1.0, 1.05 * rmax + 1.0))
-    else:
-        evs = eigenvalues_complex(c, bc, (-1.05 * rmax, 1.05 * rmax,
-                                          -1.05 * rmax, 1.05 * rmax))
+    # one eigenvalue search per condition, reused for every radius, which
+    # raises DegenerateBCError for a degenerate one; the searches run first,
+    # so the heights are read off the phase path they covered
+    spectra = [_disc_spectrum(c, bc, radii[-1]) for bc in bcs]
     h = height_grid(c, radii)
-    n_counts, N = map(np.array, zip(*(counting_sums(evs, r) for r in radii)))
-    m = np.array([proximity(c, bc, r) for r in radii])
-    resid = h - m - N
     phase_p, phase_m = np.split(total_phase(c, np.concatenate([radii, -radii])), 2)
-    span = float(resid.max() - resid.min())
-    ratio = float(np.abs(resid).max() / max(h[-1], 1e-300))
-    slope = float(np.polyfit(h, resid, 1)[0]) if len(radii) > 2 else 0.0
-    return VDReport(r_grid=radii, phase_plus=phase_p, phase_minus=phase_m,
-                    height=h, counting=N, n_counts=n_counts, proximity=m,
-                    fmt_residual=resid, residual_range=span,
-                    residual_ratio=ratio, drift_slope=slope, label=bc.label)
+    reports = []
+    for bc, (lams, mults) in zip(bcs, spectra):
+        n_counts, N = counting_sums(lams, mults, radii)
+        m = np.array([proximity(c, bc, r) for r in radii])
+        resid = h - m - N
+        reports.append(VDReport(
+            r_grid=radii, phase_plus=phase_p, phase_minus=phase_m, height=h, counting=N,
+            n_counts=n_counts, proximity=m, fmt_residual=resid,
+            residual_range=float(resid.max() - resid.min()),
+            residual_ratio=float(np.abs(resid).max() / max(h[-1], 1e-300)),
+            drift_slope=float(np.polyfit(h, resid, 1)[0]) if len(radii) > 2 else 0.0,
+            **_tail_defects(radii, h, lambda tail: m[tail])))
+    return reports
 
 
 def order_type(c: CurveProvider, r_grid) -> dict:
@@ -210,10 +211,15 @@ def order_type(c: CurveProvider, r_grid) -> dict:
     return order_type_of_heights(radii, height_grid(c, radii))
 
 
+def spans_two_decades(radii) -> bool:
+    """Whether sorted radii span the two decades order_type needs."""
+    return radii[-1] / radii[0] >= 100 * (1 - 1e-9)
+
+
 def order_type_of_heights(radii, h) -> dict:
     """order_type read off the heights h already computed on the sorted radii."""
     radii, h = np.asarray(radii, dtype=float), np.asarray(h, dtype=float)
-    if radii[-1] / radii[0] < 100 * (1 - 1e-9):
+    if not spans_two_decades(radii):
         raise ValidationError("order_type needs a grid spanning >= 2 decades")
     if h[-1] <= 1e-9:
         return {"rho": 0.0, "tau": float(max(h.max(), 0.0))}
@@ -243,7 +249,3 @@ def defects(c: CurveProvider, bc: BoundaryCondition, r_grid) -> dict:
     return _tail_defects(radii, height_grid(c, radii),
                          lambda tail: np.array([proximity(c, bc, r) for r in radii[tail]]))
 
-
-def report_defects(rep: VDReport) -> dict:
-    """The defect estimates of `defects` read off a report's h and m."""
-    return _tail_defects(rep.r_grid, rep.height, lambda tail: rep.proximity[tail])

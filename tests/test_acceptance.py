@@ -281,8 +281,7 @@ def test_criterion_15_first_main_theorem(c_q0, bc_dirichlet):
          for i in range(5)]
     worst_range = worst_slope = 0.0
     h_max = wc.height(c_q0, FMT_RADII[-1])
-    for bc in bcs:
-        rep = wc.fmt_report(c_q0, bc, FMT_RADII)
+    for rep in wc.fmt_report(c_q0, bcs, FMT_RADII):
         worst_range = max(worst_range, rep.residual_range)
         worst_slope = max(worst_slope, abs(rep.drift_slope))
     ok = worst_range <= 0.1 * h_max and worst_slope <= 0.05

@@ -117,21 +117,24 @@ def test_height_and_fmt_read_order_off_their_heights(tmp_path, monkeypatch):
     height_grid = value_dist.height_grid
     monkeypatch.setattr(value_dist, "height_grid",
                         lambda c, radii: calls.append(list(radii)) or height_grid(c, radii))
-    grid = [1.0, 10.0, 100.0]
-    ref = wc.order_type(wc.exponential(), grid)
-    calls.clear()
-    cfg = exp_cfg(tmp_path, command_params={"r_grid": grid})
-    assert main(["height", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 0
-    doc = read_out(tmp_path)
-    assert (doc["order_estimate"], doc["type_estimate"]) == (ref["rho"], ref["tau"])
-    assert calls == [grid]
-    calls.clear()
-    cfg["boundary_conditions"].append({"mode": "chart", "label": "omega2", "rows": [[-1.0]]})
-    assert main(["fmt", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 0
-    # one height computation per condition (inside fmt_report), none for the order
-    assert calls == [grid, grid]
-    assert [(sm["rho"], sm["tau"]) for sm in read_out(tmp_path)["summaries"]] \
-        == [(ref["rho"], ref["tau"])] * 2
+    # a ratio within 1e-9 of a hundred spans the two decades order_type needs
+    for grid in ([1.0, 10.0, 100.0], [1.0, 10.0, 99.99999995]):
+        ref = wc.order_type(wc.exponential(), grid)
+        calls.clear()
+        cfg = exp_cfg(tmp_path, command_params={"r_grid": grid})
+        assert main(["height", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 0
+        doc = read_out(tmp_path)
+        assert (doc["order_estimate"], doc["type_estimate"]) == (ref["rho"], ref["tau"])
+        assert calls == [grid]
+        calls.clear()
+        cfg["boundary_conditions"].append({"mode": "chart", "label": "omega2",
+                                           "rows": [[-1.0]]})
+        assert main(["fmt", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 0
+        # one height computation for both conditions (inside fmt_report),
+        # none for the order
+        assert calls == [grid]
+        assert [(sm["rho"], sm["tau"]) for sm in read_out(tmp_path)["summaries"]] \
+            == [(ref["rho"], ref["tau"])] * 2
 
 
 def test_eig_complex_exponential_chart(tmp_path):

@@ -453,6 +453,90 @@ def test_counting_nudges_ring_at_eigenvalue(c_q0, bc_dirichlet):
     assert out["n_T"] in (1, 2)
 
 
+def test_counting_caps_the_ring_nudge_at_a_thousandth_of_r(c_exp):
+    # e^{i lam} = e^{i theta}: eigenvalues theta + 2 pi k.  At r = theta the
+    # next modulus, 2 pi - theta = r (1 + 1e-3) + 5e-7, lies inside the sweep
+    # but past r (1 + 1e-3), where the nudge stops; none lies below the ring
+    theta = (2 * np.pi - 5e-7) / (2 + 1e-3)
+    out = wc.counting(c_exp, wc.bc_from_unitary([[np.exp(1j * theta)]]), theta)
+    assert out["r_used"] == 0.5 * theta * (1 + 1e-3)
+    assert (out["n_T"], out["N_T"]) == (0, 0.0)
+
+
+# -- array forms against their scalar loops ------------------------------------------
+
+
+def _merge_loop(roots, mults):
+    """The cluster merge as a scalar loop: a root within the tolerance of
+    the first root of the cluster before it joins that cluster."""
+    merged = []
+    for lam, mult in sorted(zip(roots.tolist(), mults.tolist())):
+        if merged and lam - merged[-1][0] < spectral.CLUSTER_TOL_BASE * (1 + abs(lam)):
+            merged[-1][1] += mult
+        else:
+            merged.append([lam, mult])
+    return merged
+
+
+def _counting_loop(lams, mults, r):
+    n, N = 0, 0.0
+    for lam, mult in zip(lams, mults):
+        m = abs(lam)
+        if m < r:
+            n += mult
+            N += mult * np.log(r if m < spectral.ZERO_TOL else r / m)
+    return n, N
+
+
+_root = st.one_of(st.floats(-1e4, 1e4), st.floats(-2e-8, 2e-8), st.just(0.0))
+
+
+@st.composite
+def _clustered_roots(draw):
+    """Roots in clusters planted within half the cluster tolerance of their
+    first root, the clusters three tolerances apart, shuffled."""
+    bases = []
+    for b in sorted(draw(st.lists(_root, min_size=0, max_size=12))):
+        if not bases or b - bases[-1] >= 3 * spectral.CLUSTER_TOL_BASE * (1 + abs(b)):
+            bases.append(b)
+    roots = [b + u * spectral.CLUSTER_TOL_BASE * (1 + abs(b))
+             for b in bases
+             for u in [0.0] + draw(st.lists(st.floats(0.0, 0.5, exclude_max=True), max_size=3))]
+    order = draw(st.permutations(range(len(roots))))
+    mults = draw(st.lists(st.integers(1, 3), min_size=len(roots), max_size=len(roots)))
+    return np.array(roots)[list(order)], np.array(mults, dtype=int)
+
+
+@given(_clustered_roots())
+def test_cluster_merge_equals_the_scalar_loop(rm):
+    lams, mults = spectral._merge_clusters(*rm)
+    assert [[lam, m] for lam, m in zip(lams.tolist(), mults.tolist())] == _merge_loop(*rm)
+
+
+def test_a_chain_of_close_roots_is_one_cluster():
+    # each root within the tolerance of the one before it, the last beyond
+    # that of the first: one cluster, where _merge_loop makes two
+    tol = spectral.CLUSTER_TOL_BASE
+    lams, mults = spectral._merge_clusters(np.array([0.0, 0.6 * tol, 1.2 * tol]),
+                                           np.array([1, 1, 2]))
+    assert (lams.tolist(), mults.tolist()) == ([0.0], [4])
+
+
+@given(st.lists(st.tuples(st.complex_numbers(max_magnitude=1e4) | _root, st.integers(1, 3)),
+                max_size=20),
+       st.lists(st.floats(1e-9, 2e4), min_size=1, max_size=4), st.data())
+def test_counting_sums_equal_the_scalar_loop(roots, radii, data):
+    lams = [lam for lam, _ in roots]
+    mults = [m for _, m in roots]
+    if lams:
+        # a radius exactly on a modulus
+        radii = radii + [abs(data.draw(st.sampled_from(lams)))]
+    radii = [r for r in radii if r > 0]
+    n, N = spectral.counting_sums(np.array(lams, dtype=complex), np.array(mults, dtype=int),
+                                  radii)
+    assert list(zip(n.tolist(), N.tolist())) == [_counting_loop(lams, mults, r) for r in radii]
+
+
 def test_interlace_bound_dirichlet_neumann(c_q0, bc_dirichlet, bc_neumann):
     out = wc.interlace(c_q0, bc_dirichlet, bc_neumann, 30.0)
     assert out["bound_satisfied"]

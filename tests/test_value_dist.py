@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import weylcurve as wc
-from weylcurve import value_dist
+from weylcurve import spectral, value_dist
 from weylcurve.spectral import sections
 
 from conftest import DEGENERATE_ROWS_SPAN, DIRICHLET_ROWS, NEUMANN_ROWS, PERIODIC_ROWS
@@ -284,13 +284,27 @@ def test_proximity_omega_is_that_of_the_per_node_loop(c_q0, bc_dirichlet):
 
 def test_fmt_report_exponential(c_exp):
     bc = wc.bc_from_chart(np.array([[1.0]]))
-    rep = wc.fmt_report(c_exp, bc, np.linspace(5.0, 40.0, 8))
+    rep, = wc.fmt_report(c_exp, [bc], np.linspace(5.0, 40.0, 8))
     assert rep.r_grid.shape == (8,)
     assert np.all(rep.height > 0)
     assert np.all(rep.n_counts[:-1] <= rep.n_counts[1:])
     # FMT: h - m - N bounded with a small range relative to h(max)
     assert rep.residual_range <= 0.1 * rep.height[-1]
     assert abs(rep.drift_slope) <= 0.05
+
+
+def test_fmt_report_and_counting_read_a_real_spectrum_as_arrays(c_q0, bc_dirichlet,
+                                                                 monkeypatch):
+    # a self-adjoint condition on an entire curve: no Eigenvalue objects and
+    # no residuals, which nothing here reads
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-eigenvalue work")
+
+    monkeypatch.setattr(spectral, "Eigenvalue", refuse)
+    monkeypatch.setattr(spectral, "_residuals", refuse)
+    rep, = wc.fmt_report(c_q0, [bc_dirichlet], [10.37, 30.37])
+    assert rep.n_counts.tolist() == [3, 5]
+    assert wc.counting(c_q0, bc_dirichlet, 30.37)["n_T"] == 5
 
 
 def test_fmt_report_exponential_contour_overflow_is_typed():
@@ -302,7 +316,7 @@ def test_fmt_report_exponential_contour_overflow_is_typed():
         warnings.simplefilter("error")
         with pytest.raises(wc.NumericalError,
                            match=r"overflows at lambda = \(-10500-10500j\);") as err:
-            wc.fmt_report(wc.exponential(), wc.bc_from_chart([[0.5 + 0.2j]]),
+            wc.fmt_report(wc.exponential(), [wc.bc_from_chart([[0.5 + 0.2j]])],
                           [100.0, 1000.0, 10000.0])
     assert type(err.value) is wc.NumericalError
 
@@ -310,13 +324,13 @@ def test_fmt_report_exponential_contour_overflow_is_typed():
 def test_fmt_report_rejects_degenerate(c_q0):
     bad = wc.bc_from_physical(DEGENERATE_ROWS_SPAN, "span")
     with pytest.raises(wc.DegenerateBCError):
-        wc.fmt_report(c_q0, bad, [5.0, 10.0])
+        wc.fmt_report(c_q0, [bad], [5.0, 10.0])
 
 
 def test_fmt_report_needs_two_radii(c_exp):
     bc = wc.bc_from_chart(np.array([[1.0]]))
     with pytest.raises(wc.ValidationError):
-        wc.fmt_report(c_exp, bc, [10.0])
+        wc.fmt_report(c_exp, [bc], [10.0])
 
 
 # -- order / type / defects --------------------------------------------------------

@@ -13,9 +13,9 @@ from .symplectic import (GrassPoint, PseudoUnitary, cayley, chart_convert,
                          classify_subspace, form_eval, form_gram, graph_of,
                          mobius_pu, schubert_section, section_lognorm,
                          section_norm, transversality)
-from .curves import (CurvatureResult, CurveProvider, KernelBlock, congruence,
-                     constant, curvature, exponential, gram_min_eig,
-                     kernel_block, reparameterize, shifted_identity)
+from .curves import (CurvatureResult, CurveProvider, congruence, constant,
+                     curvature, exponential, gram_min_eig, kernel_block,
+                     reparameterize, shifted_identity)
 from .sturm import (FundamentalData, Potential, SLProblem, bc_from_physical,
                     curve_provider, degeneracy_scan, fundamental, gamma_minus,
                     gamma_plus, gamma_plus_gram, resolvent_residual, sl_weyl,
@@ -36,7 +36,7 @@ __all__ = [
     "GrassPoint", "PseudoUnitary", "form_gram", "form_eval",
     "classify_subspace", "chart_convert", "graph_of", "mobius_pu", "cayley",
     "transversality", "schubert_section", "section_lognorm", "section_norm",
-    "CurveProvider", "CurvatureResult", "KernelBlock", "constant",
+    "CurveProvider", "CurvatureResult", "constant",
     "shifted_identity", "exponential", "curvature", "kernel_block",
     "gram_min_eig", "reparameterize", "congruence",
     "Potential", "SLProblem", "FundamentalData", "fundamental", "sl_weyl",

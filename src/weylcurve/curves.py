@@ -2,9 +2,9 @@
 
 A CurveProvider packages the analytic map lambda -> B(lambda) (an n x n
 strict contraction on the upper half-plane), its derivative (exact when
-available, otherwise a fourth-order complex stencil), the Cayley-transformed
-Weyl function M(lambda), curvature/Chern data, reproducing-kernel blocks,
-and the group actions (SL(2,R) reparameterization, U(n,n) congruence).
+available, otherwise a fourth-order complex stencil), curvature/Chern data,
+reproducing-kernel blocks, and the group actions (SL(2,R)
+reparameterization, U(n,n) congruence).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
-from .symplectic import PseudoUnitary, cayley, mobius_pu
+from .symplectic import PseudoUnitary, mobius_pu
 
 DEFAULT_H0 = 1e-5
 COND_MAX = 1e12
@@ -74,7 +74,6 @@ class CurveProvider:
         self.section_fn = section_fn
         self.h0 = float(h0)
         self.allow_real = bool(allow_real)
-        self.derivative_kind = "exact" if deriv_fn is not None else "stencil"
         self.phase_path = PhasePath(self)
 
     def phase_speed(self, u: float) -> float:
@@ -147,9 +146,6 @@ class CurveProvider:
         fp, fm = self.B(lam + h), self.B(lam - h)
         gp, gm = self.B(lam + 1j * h), self.B(lam - 1j * h)
         return ((fp - fm) - 1j * (gp - gm)) / (4 * h)
-
-    def M(self, lam) -> np.ndarray:
-        return cayley(self.B(lam), "to_M")
 
     def frame(self, lam) -> np.ndarray:
         """A holomorphic 2n x n frame of the curve at lambda.
@@ -487,14 +483,9 @@ def curvature(c: CurveProvider, lam) -> CurvatureResult:
 # -- reproducing-kernel blocks -------------------------------------------
 
 
-@dataclass(frozen=True)
-class KernelBlock:
-    value: np.ndarray
-    branch: str
-
-
-def kernel_block(c: CurveProvider, lam, mu) -> KernelBlock:
-    """Reproducing-kernel block K(lambda, mu), branch by half-plane signs."""
+def kernel_block(c: CurveProvider, lam, mu) -> np.ndarray:
+    """Reproducing-kernel block K(lambda, mu), an (n, n) array, branch by
+    half-plane signs."""
     lam, mu = complex(lam), complex(mu)
     if c.domain != "entire" and (lam.imag == 0 or mu.imag == 0):
         raise DomainError("kernel_block needs points off the real axis")
@@ -503,21 +494,16 @@ def kernel_block(c: CurveProvider, lam, mu) -> KernelBlock:
     sm = mu.imag >= 0
     den = lam - mu.conjugate()
     if sl and sm:
-        val = 1j * (np.eye(c.n) - c.B(lam) @ c.B(mu).conj().T) / den
-        return KernelBlock(val, "pp")
+        return 1j * (np.eye(c.n) - c.B(lam) @ c.B(mu).conj().T) / den
     if not sl and not sm:
-        val = -1j * (np.eye(c.n) - c.B(lam.conjugate()).conj().T
-                     @ c.B(mu.conjugate())) / den
-        return KernelBlock(val, "mm")
+        return -1j * (np.eye(c.n) - c.B(lam.conjugate()).conj().T @ c.B(mu.conjugate())) / den
     if not sl and sm:
         if abs(den) < diag_tol:
-            return KernelBlock(1j * c.dB(lam.conjugate()).conj().T, "diagonal_limit")
-        val = 1j * (c.B(lam.conjugate()).conj().T - c.B(mu).conj().T) / den
-        return KernelBlock(val, "pm")
+            return 1j * c.dB(lam.conjugate()).conj().T
+        return 1j * (c.B(lam.conjugate()).conj().T - c.B(mu).conj().T) / den
     if abs(den) < diag_tol:
-        return KernelBlock(-1j * c.dB(lam), "diagonal_limit")
-    val = -1j * (c.B(lam) - c.B(mu.conjugate())) / den
-    return KernelBlock(val, "mp")
+        return -1j * c.dB(lam)
+    return -1j * (c.B(lam) - c.B(mu.conjugate())) / den
 
 
 def gram_min_eig(c: CurveProvider, points) -> float:
@@ -527,7 +513,7 @@ def gram_min_eig(c: CurveProvider, points) -> float:
     G = np.empty((m, m), dtype=complex)
     for i, (li, vi) in enumerate(pts):
         for j, (lj, vj) in enumerate(pts):
-            G[i, j] = np.vdot(vi, kernel_block(c, li, lj).value @ vj)
+            G[i, j] = np.vdot(vi, kernel_block(c, li, lj) @ vj)
     return float(np.linalg.eigvalsh((G + G.conj().T) / 2).min())
 
 
@@ -561,7 +547,7 @@ def reparameterize(c: CurveProvider, g) -> CurveProvider:
 
     return CurveProvider(
         c.n, c.domain, eval_fn=lambda lam: c.B(m(lam)),
-        deriv_fn=dv if c.derivative_kind == "exact" else None,
+        deriv_fn=dv if c._deriv_fn is not None else None,
         frame_fn=(lambda lam: c.frame(m(lam))) if c._frame_fn is not None else None,
         h0=c.h0, allow_real=c.allow_real,
         speed_fn=speed if c.speed_fn is not None else None,
@@ -598,5 +584,5 @@ def congruence(c: CurveProvider, g) -> CurveProvider:
 
     return CurveProvider(
         c.n, c.domain, eval_fn=ev,
-        deriv_fn=dv if c.derivative_kind == "exact" else None,
+        deriv_fn=dv if c._deriv_fn is not None else None,
         h0=c.h0, allow_real=c.allow_real, prefetch_fn=c.prefetch_fn)

@@ -25,8 +25,7 @@ import numpy as np
 
 from .curves import CurveProvider, _dets
 from .errors import ChartError, DegenerateBCError, NumericalError, ValidationError
-from .symplectic import (GrassPoint, chart_convert, classify_subspace, graph_of, null_space,
-                         rank_deficient)
+from .symplectic import GrassPoint, chart_convert, graph_of, null_space, rank_deficient
 # re-exported: bench/tracing.py wraps it in this namespace too
 from .symplectic import schubert_section  # noqa: F401
 
@@ -39,7 +38,7 @@ DEGEN_TOL = 1e-9
 M_MAX = 4
 SIZE_TOL = 1e-8
 ROOT_TOL = 1e-12
-ROOT_MAXITER = 2046  # log2 of the range of normal doubles, as in scipy
+ROOT_MAXITER = 2046  # log2 of the range of normal doubles
 
 
 @dataclass(frozen=True)
@@ -47,13 +46,17 @@ class BoundaryCondition:
     """An n-dimensional subspace of the boundary space, with chart data."""
 
     point: GrassPoint
-    selfadjoint: bool
     chart_unitary: Optional[np.ndarray]
     label: str = ""
 
     @property
     def n(self) -> int:
         return self.point.two_n // 2
+
+    @property
+    def selfadjoint(self) -> bool:
+        """A Lagrangian n-subspace is exactly the graph of a unitary."""
+        return self.chart_unitary is not None
 
 
 def make_bc(point: GrassPoint, label: str = "") -> BoundaryCondition:
@@ -63,8 +66,7 @@ def make_bc(point: GrassPoint, label: str = "") -> BoundaryCondition:
     except ChartError:  # outside the contraction chart
         Y = None
     unitary = Y is not None and np.linalg.norm(Y @ Y.conj().T - np.eye(len(Y)), ord=2) < 1e-8
-    return BoundaryCondition(point=point, selfadjoint=classify_subspace(point) == "lagrangian",
-                             chart_unitary=Y if unitary else None, label=label)
+    return BoundaryCondition(point=point, chart_unitary=Y if unitary else None, label=label)
 
 
 def bc_from_unitary(U, label: str = "") -> BoundaryCondition:
@@ -73,8 +75,7 @@ def bc_from_unitary(U, label: str = "") -> BoundaryCondition:
     dev = np.linalg.norm(U @ U.conj().T - np.eye(U.shape[0]), ord=2)
     if dev > 1e-8:
         raise ValidationError("chart matrix is not unitary")
-    return BoundaryCondition(point=graph_of(U), selfadjoint=True,
-                             chart_unitary=U, label=label)
+    return BoundaryCondition(point=graph_of(U), chart_unitary=U, label=label)
 
 
 def bc_from_chart(Y, label: str = "") -> BoundaryCondition:
@@ -224,62 +225,57 @@ def count_real(c: CurveProvider, bc: BoundaryCondition, a: float, b: float) -> i
     return _endpoint_count(c, bc, a, b)[0]
 
 
-def _find_roots(f, a, b, fa, fb):
+def _find_roots(f, a, b, fa, fb) -> np.ndarray:
     """Roots of f in the brackets [a_k, b_k] of two arrays, all at once, by
-    Chandrupatla's method (Adv. Eng. Softw. 28(3), 1997) with the update,
-    termination and step rules of scipy.optimize.elementwise.find_root, to
-    ROOT_TOL absolute and relative.
+    the Anderson-Bjorck regula falsi (BIT 13, 1973).
 
     f(x, k) takes the points x of the brackets k still open and returns
     f there; fa and fb are f at the bracket ends, which the caller holds.
-    Returns (roots, status), status 0 where a root was found, -1 where f
-    has one sign on the bracket, -2 where the iterations ran out, -3 where
-    a value is not finite.
+    Each step takes the secant point of the two ends, kept half the stop
+    width inside them, or the midpoint where that step is not shorter than
+    half the step before last (as in Brent's method), so that a strongly
+    curved f cannot stall it.  Where f there has the sign of the newest
+    end, the older end's value is scaled by 1 - f(x) / f(newest), or by
+    1/2 if that is not positive; else the newest end becomes the older one.
+    A bracket stops once narrower than ROOT_TOL (1 + min |end|), or at an
+    exact zero of f, with the end of smaller unscaled |f| as its root.
+    NumericalError names the first bracket with ends of one sign, a value
+    not finite, or no stop within ROOT_MAXITER steps.
     """
-    x1, x2 = np.array(a, dtype=float), np.array(b, dtype=float)
-    k = np.arange(len(x1))
-    f1, f2 = np.array(fa, dtype=float), np.array(fb, dtype=float)
-    roots, status = np.full(len(x1), np.nan), np.full(len(x1), -2)
-    t = 0.5
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for nit in range(ROOT_MAXITER + 1):
-            if nit:
-                x = x1 + t * (x2 - x1)
-                fx = f(x, k)
-                # the bracket is (x, x2) or (x, x1), the third point the other end
-                same = np.sign(fx) == np.sign(f1)
-                x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-                x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-                x1, f1 = x, fx
-            # termination, in scipy's order of precedence
-            low = np.abs(f1) < np.abs(f2)
-            xmin, fmin = np.where(low, x1, x2), np.where(low, f1, f2)
-            code = np.ones(len(k), dtype=int)
-            code[np.abs(fmin) <= np.finfo(float).tiny] = 0
-            code[(code == 1) & (np.sign(f1) == np.sign(f2))] = -1
-            code[(code == 1) & (~(np.isfinite(x1) & np.isfinite(x2))
-                                | (np.isnan(f1) & np.isnan(f2)))] = -3
-            xmin = np.where(code < 0, np.nan, xmin)
-            dx = np.abs(x2 - x1)
-            tol = np.abs(xmin) * ROOT_TOL + ROOT_TOL
-            code[dx < tol] = 0
-            done = code < 1
-            roots[k[done]], status[k[done]] = xmin[done], code[done]
-            go = ~done
-            if not go.any():
-                break
-            k, x1, f1, x2, f2, dx, tol = (v[go] for v in (k, x1, f1, x2, f2, dx, tol))
-            if nit:
-                x3, f3 = x3[go], f3[go]
-                # inverse quadratic interpolation where it is safe, else bisection
-                xi = (x1 - x2) / (x3 - x2)
-                phi = (f1 - f2) / (f3 - f2)
-                alpha = (x3 - x1) / (x2 - x1)
-                iqi = ((1 - np.sqrt(1 - xi)) < phi) & (phi < np.sqrt(xi))
-                t = np.where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2)
-                             - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
-                t = np.clip(t, 0.5 * tol / dx, 1 - 0.5 * tol / dx)
-    return roots, status
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    k = np.arange(len(a))
+    x1, x2, f1, f2 = a, b, np.array(fa, dtype=float), np.array(fb, dtype=float)
+    g1 = f1  # the older end's value, scaled
+    d1 = d2 = np.full(len(a), np.inf)  # the lengths of the last two steps
+    roots = np.empty(len(a))
+
+    def fail(bad, what):
+        if bad.any():
+            i = k[np.argmax(bad)]
+            raise NumericalError(f"crossing refinement failed in ({a[i]}, {b[i]}]: {what}")
+
+    fail(~np.isfinite([a, b, f1, f2]).all(axis=0), "a value is not finite")
+    fail(np.sign(f1) * np.sign(f2) > 0, "f has one sign at the ends")
+    for nit in range(ROOT_MAXITER + 1):
+        half = 0.5 * ROOT_TOL * (1 + np.minimum(np.abs(x1), np.abs(x2)))
+        done = (np.abs(x2 - x1) < 2 * half) | (f1 == 0) | (f2 == 0)
+        roots[k[done]] = np.where(np.abs(f1) < np.abs(f2), x1, x2)[done]
+        k, x1, x2, f1, f2, g1, d1, d2, half = (
+            v[~done] for v in (k, x1, x2, f1, f2, g1, d1, d2, half))
+        if not k.size:
+            return roots
+        fail(np.full(k.size, nit == ROOT_MAXITER), f"open after {ROOT_MAXITER} steps")
+        x = np.clip(x2 - f2 * (x2 - x1) / (f2 - g1),
+                    np.minimum(x1, x2) + half, np.maximum(x1, x2) - half)
+        x = np.where(np.abs(x - x2) > 0.5 * d2, 0.5 * (x1 + x2), x)
+        d1, d2 = np.abs(x - x2), d1
+        fx = np.asarray(f(x, k), dtype=float)
+        fail(~np.isfinite(fx), "a value is not finite")
+        newest = np.sign(fx) == np.sign(f2)
+        m = 1 - fx / f2
+        g1 = np.where(newest, g1 * np.where(m > 0, m, 0.5), f2)
+        x1, f1 = np.where(newest, x1, x2), np.where(newest, f1, f2)
+        x2, f2 = x, fx
 
 
 def _crossing_roots(c, U, us, Bs, phis):
@@ -307,13 +303,20 @@ def _crossing_roots(c, U, us, Bs, phis):
         B = c.B_many(u)
         return u, np.angle(_dets(B) / d0[k]), _eigenphases(U, B)
 
+    def above(t, j):
+        # after j > 0 crossings: the distance of the eigenphase nearest above
+        # 1, continuous through the first crossing.  It is 0 again at each
+        # later one, where the j-th nearest is taken: 0 only if all j
+        # crossings are at that point
+        t = np.sort(t, axis=-1)
+        return np.where(t[:, 0] > 0, t[:, 0], np.take_along_axis(t, j[:, None] - 1, -1)[:, 0])
+
     def psi(u, i):
         # before the first crossing in (x, u]: minus the counterclockwise
-        # distance of the eigenphase nearest below 1; after it: the
-        # distance of the one nearest above; continuous through the root
+        # distance of the eigenphase nearest below 1; after it: above
         _, p, t = sample(u, step[i])
-        crossed = _crossings(p - x[1][i], x[2][i], t) > 0
-        return np.where(crossed, t.min(axis=-1), t.max(axis=-1) - TWO_PI)
+        j = _crossings(p - x[1][i], x[2][i], t)
+        return np.where(j > 0, above(t, np.maximum(j, 1)), t.max(axis=-1) - TWO_PI)
 
     roots, mults = [np.empty(0)], [np.empty(0, dtype=int)]
     while m.any():
@@ -321,12 +324,7 @@ def _crossing_roots(c, U, us, Bs, phis):
         x, y = (tuple(v[keep] for v in e) for e in (x, y))
         step, m = step[keep], m[keep]
         # no crossing yet at a part's left end, its crossings all made at the right
-        r, status = _find_roots(psi, x[0], y[0], x[2].max(axis=-1) - TWO_PI,
-                                y[2].min(axis=-1))
-        if np.any(status):
-            k = np.flatnonzero(status)[0]
-            raise NumericalError(f"crossing refinement failed in ({x[0][k]}, {y[0][k]}] "
-                                 f"(status {int(status[k])})")
+        r = _find_roots(psi, x[0], y[0], x[2].max(axis=-1) - TWO_PI, above(y[2], m))
         roots.append(r)
         mults.append(m)
         past = r + CLUSTER_TOL_BASE * (1 + np.abs(r))
@@ -372,8 +370,6 @@ def eigenvalues_real(c: CurveProvider, bc: BoundaryCondition, interval):
         raise ValidationError("eigenvalues_real requires a self-adjoint condition")
     if c.domain != "entire":
         raise ValidationError("eigenvalues_real requires an entire provider")
-    if bc.chart_unitary is None:
-        raise ValidationError("self-adjoint condition lost its chart unitary")
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValidationError("empty interval")
@@ -657,7 +653,7 @@ def _disc_spectrum(c: CurveProvider, bc: BoundaryCondition, r: float) -> tuple:
     """Sorted arrays (lams, mults) of the eigenvalues in |lambda| <= r (1 + 1e-3)
     and some beyond: the real sweep for a self-adjoint chart condition on an
     entire curve, else the contour search of the square of half-side 1.05 r."""
-    if bc.selfadjoint and c.domain == "entire" and bc.chart_unitary is not None:
+    if bc.selfadjoint and c.domain == "entire":
         return _real_spectrum(c, bc, -r * (1 + 1e-3) - 1e-6, r * (1 + 1e-3) + 1e-6)
     s = 1.05 * r
     evs = eigenvalues_complex(c, bc, (-s, s, -s, s))
@@ -703,7 +699,7 @@ def interlace(c: CurveProvider, bc1: BoundaryCondition, bc2: BoundaryCondition,
               r: float) -> dict:
     """Eigenvalue counts of two self-adjoint conditions in (-r, r)."""
     for bc in (bc1, bc2):
-        if not bc.selfadjoint or bc.chart_unitary is None:
+        if not bc.selfadjoint:
             raise ValidationError("interlace requires self-adjoint chart conditions")
     if c.domain != "entire":
         raise ValidationError("interlace requires an entire provider")
@@ -720,7 +716,7 @@ def phase_count(c: CurveProvider, bc: BoundaryCondition, r: float) -> dict:
     identity and det(U* B) = det(U*) det B, so the phase integral equals
     the unwrapped det-B phase difference and is chart-independent.
     """
-    if not bc.selfadjoint or bc.chart_unitary is None:
+    if not bc.selfadjoint:
         raise ValidationError("phase_count requires a self-adjoint chart condition")
     n_T, dphi = _endpoint_count(c, bc, -float(r), float(r))
     phase_integral = dphi / TWO_PI

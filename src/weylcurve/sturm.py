@@ -660,16 +660,22 @@ def _moment_matrix(fd: FundamentalData) -> np.ndarray:
     ], dtype=complex)
 
 
+def _gamma_coeffs(fds, sign: int, rhs=np.eye(2)) -> np.ndarray:
+    """Coefficients in (c, s) of gamma_+ (sign +1) or gamma_- (sign -1)
+    applied to the columns of rhs: a (K, 2, m) stack over the
+    FundamentalData of fds, from one solve of their boundary systems."""
+    return np.linalg.solve([_gamma_system(fd, sign) for fd in fds], rhs)
+
+
 def _gamma(p: SLProblem, lam, phi, sign: int) -> dict:
     lam = complex(lam)
     phi = np.asarray(phi, dtype=complex).ravel()
     fd = fundamental(p, lam)
-    A = _gamma_system(fd, sign)
-    sv = np.linalg.svd(A, compute_uv=False)
+    sv = np.linalg.svd(_gamma_system(fd, sign), compute_uv=False)
     if sv.min() <= 1e-12 * sv.max():
         raise NumericalError(f"boundary system for gamma_{'+' if sign > 0 else '-'} "
                              "is singular at this lambda")
-    coeffs = np.linalg.solve(A, phi)
+    coeffs = _gamma_coeffs([fd], sign, phi[:, None])[0, :, 0]
     norm_sq = complex(coeffs.conj() @ _moment_matrix(fd) @ coeffs).real
     return {"coeffs": coeffs, "l2_norm_sq": norm_sq}
 
@@ -689,7 +695,7 @@ def _gamma_plus_gram(fds) -> tuple:
     the columns of C are the coefficients in (c, s) of gamma_+ e_j, mom is
     the moment matrix of (c, s), and C* mom C is the L^2 Gram of the fields
     gamma_+ e_j, not yet symmetrized."""
-    C = np.linalg.inv([_gamma_system(fd, +1) for fd in fds])
+    C = _gamma_coeffs(fds, +1)
     mom = np.array([_moment_matrix(fd) for fd in fds])
     return C, mom, C.conj().swapaxes(1, 2) @ mom @ C
 

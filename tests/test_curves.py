@@ -91,15 +91,15 @@ def test_curvature_rejects_lower_half_plane():
 def test_kernel_hermitian_pair_symmetry(c_qx):
     lam, mu = 0.4 + 1.1j, -0.9 + 0.6j
     for la, mb in [(lam, mu), (lam, np.conj(mu)), (np.conj(lam), mu)]:
-        k1 = wc.kernel_block(c_qx, la, mb).value
-        k2 = wc.kernel_block(c_qx, mb, la).value
+        k1 = wc.kernel_block(c_qx, la, mb)
+        k2 = wc.kernel_block(c_qx, mb, la)
         assert np.allclose(k1.conj().T, k2, atol=1e-9)
 
 
 def test_kernel_diag_limits(c_qx):
     lam = 1.5 + 0.9j
-    near = wc.kernel_block(c_qx, lam, np.conj(lam) + 1e-9).value
-    lim = wc.kernel_block(c_qx, lam, np.conj(lam)).value
+    near = wc.kernel_block(c_qx, lam, np.conj(lam) + 1e-9)
+    lim = wc.kernel_block(c_qx, lam, np.conj(lam))
     assert np.allclose(near, lim, atol=1e-5 * (1 + np.abs(lim).max()))
 
 

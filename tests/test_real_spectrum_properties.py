@@ -61,6 +61,8 @@ def _problem(V, a, b, alpha, beta, points=(LO, HI)):
 
 @given(su2, rate, rate, angle, angle, st.booleans())
 @example((0.3, 1.0, 2.0), 1.0, 1.0, 0.5, 0.5, True)
+# the first secant point of a step with two crossings lands exactly on the second
+@example((0.75, 0.0, 0.0), 0.34375, 1.0, 3.25, 3.0, False)
 def test_eigenvalues_real_closed_form(v, a, b, alpha, beta, double):
     if double:
         b, beta = a, alpha
@@ -118,3 +120,18 @@ def test_crossings_closer_than_the_cluster_tolerance_are_one_double_root(v, a, a
     evs = wc.eigenvalues_real(_curve(V, a, a), wc.bc_from_unitary(U), (LO, HI))
     assert [e.multiplicity for e in evs] == [2] * len(exact)
     assert [e.lam.real for e in evs] == pytest.approx(exact, abs=1e-8)
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 0.5), (0.5, 3.0)])
+@pytest.mark.parametrize("d", [1e-3, 0.2])
+def test_a_crossing_on_the_knot_at_zero_leaves_the_one_before_it(a, b, d):
+    # V = I and alpha = 0: the eigenphase a lam is exactly 0 at the knot
+    # lam = 0, so the nearest eigenphase is 0 at the right end of a step
+    # whose first crossing, at -d, lies inside it
+    beta = 2 * np.pi - d * b
+    exact = np.sort(np.concatenate([_branch(a, 0.0, LO, HI), _branch(b, beta, LO, HI)]))
+    evs = wc.eigenvalues_real(_curve(np.eye(2), a, b),
+                              wc.bc_from_unitary(np.diag([1.0, np.exp(1j * beta)])), (LO, HI))
+    got = np.array([e.lam.real for e in evs for _ in range(e.multiplicity)])
+    assert got == pytest.approx(exact, abs=1e-8)
+    assert -d == pytest.approx(got[np.argmin(np.abs(got + d))], abs=1e-10)

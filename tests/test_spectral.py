@@ -54,6 +54,20 @@ def test_make_bc_leaves_no_unitary_chart_only_outside_the_chart(monkeypatch):
         wc.make_bc(point)
 
 
+def _rotation_to_nine_digits():
+    t = 0.7
+    return np.round([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]], 9)
+
+
+@pytest.mark.parametrize("U", [np.diag([1 + 1e-9, 1.0]), _rotation_to_nine_digits()])
+def test_unitary_and_chart_constructors_agree_near_the_tolerance(U):
+    # a Lagrangian n-subspace is exactly the graph of a unitary, so both
+    # constructors call a nearly unitary chart self-adjoint
+    by_unitary, by_chart = wc.bc_from_unitary(U), wc.bc_from_chart(U)
+    assert by_unitary.selfadjoint and by_chart.selfadjoint
+    assert np.allclose(by_chart.chart_unitary, by_unitary.chart_unitary, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("mode", ["functional", "span"])
 @pytest.mark.parametrize("scale", [1e-300, 1e-11, 1.0, 1e11, 1e300])
 def test_canonical_rows_are_checked_for_rank_at_their_own_scale(mode, scale):
@@ -591,6 +605,9 @@ def test_resolvent_residual_random_f(p_qcos, bc_neumann):
 
 @given(st.floats(0.0, 2 * np.pi, exclude_max=True), st.floats(-2e4, 2e4), st.floats(-2e4, 2e4))
 @example(0.3, -10501.0, 10501.0)
+@example(0.0, -10501.0, 10501.0)
+@example(np.pi, -10501.0, 10501.0)
+@example(2 * np.pi - 1e-3, -10501.0, 10501.0)
 def test_exponential_real_spectrum_closed_form(c_exp, theta, a, b):
     # U = e^{i theta}: the eigenvalues are theta + 2 pi k, each simple
     a, b = min(a, b), max(a, b)
@@ -700,13 +717,12 @@ def test_a_root_past_which_no_crossing_is_consumed_raises(monkeypatch, bc_period
     from weylcurve import spectral
 
     c = wc.curve_provider(wc.SLProblem(potential=wc.Potential.zero()))
-    monkeypatch.setattr(spectral, "_find_roots",
-                        lambda f, a, b, fa, fb: (np.array(a, dtype=float), np.zeros(len(a), int)))
+    monkeypatch.setattr(spectral, "_find_roots", lambda f, a, b, fa, fb: np.array(a, dtype=float))
     with pytest.raises(wc.NumericalError, match=r"no crossing consumed at the root .* in \("):
         wc.eigenvalues_real(c, bc_periodic, (0.5, 10.0))
 
 
-# -- the bracketed root search against scipy's -----------------------------------
+# -- the bracketed root search ---------------------------------------------------
 
 
 def _scipy_find_roots(f, a, b, *ends):
@@ -715,7 +731,8 @@ def _scipy_find_roots(f, a, b, *ends):
 
     res = find_root(f, (a, b), args=(np.arange(len(a)),),
                     tolerances=dict(xatol=1e-12, xrtol=1e-12))
-    return res.x, res.status
+    assert not np.any(res.status)
+    return res.x
 
 
 @pytest.mark.parametrize("name, interval", [("q0", (-0.5, 450.0)), ("cos", (-2.0, 150.0)),
@@ -739,13 +756,62 @@ def test_root_search_is_that_of_scipy_find_root(monkeypatch, c_q0, c_qcos, c_exp
     ours_calls, calls[:] = list(calls), []
     monkeypatch.setattr(spectral, "_find_roots", _scipy_find_roots)
     ref = np.array([e.lam.real for e in wc.eigenvalues_real(c, bc, interval)])
-    # the same roots from the same evaluations, batch by batch: after the
-    # sweep's one call for the interval ends off the knots, less scipy's two
-    # evaluations of the bracket ends, whose values the sweep holds
+    # scipy's Chandrupatla search as the oracle: the same roots to the
+    # tolerance, from no more points of B
     assert len(ours) == len(ref) > 10
-    assert np.all(np.abs(ours - ref) <= 1e-13 * (1 + np.abs(ref)))
-    assert ours_calls[0] == calls[0] <= 2
-    assert ours_calls[1:] == calls[3:]
+    assert np.all(np.abs(ours - ref) <= spectral.ROOT_TOL * (1 + np.abs(ref)))
+    assert sum(ours_calls) <= sum(calls)
+
+
+@pytest.mark.parametrize("kind, exact", [
+    ("dirichlet", [k * k for k in range(1, 22)]),
+    ("neumann", [k * k for k in range(22)]),
+    ("periodic", [4 * k * k for k in range(11)]),
+])
+def test_q0_real_spectrum_is_k_squared(c_q0, bc_dirichlet, bc_neumann, bc_periodic, kind, exact):
+    bc = {"dirichlet": bc_dirichlet, "neumann": bc_neumann, "periodic": bc_periodic}[kind]
+    evs = wc.eigenvalues_real(c_q0, bc, (-0.5, 450.0))
+    got = np.array([e.lam.real for e in evs])
+    exact = np.array(exact, dtype=float)
+    assert [e.multiplicity for e in evs] == [1 if kind != "periodic" or k == 0 else 2
+                                             for k in range(len(exact))]
+    assert np.all(np.abs(got - exact) <= 5e-13 * (1 + exact))
+
+
+_MONOTONE = {
+    "linear": lambda d: d,
+    "cubic": lambda d: d ** 3,
+    "cubic+linear": lambda d: d ** 3 + 1e-3 * d,
+    "expm1": lambda d: np.expm1(3.0 * d),
+    "arctan": lambda d: np.arctan(40.0 * d),
+    "sinh": lambda d: np.sinh(d),
+}
+
+
+@given(st.lists(st.tuples(st.floats(-1e4, 1e4), st.floats(1e-9, 10.0), st.floats(1e-9, 10.0),
+                          st.sampled_from(sorted(_MONOTONE)), st.sampled_from([1.0, -1.0]),
+                          st.booleans()),
+                min_size=1, max_size=8))
+# flat on one side, steep on the other: the secant steps alone stall
+@example([(0.0, 4.0, 4.0, "expm1", 1.0, False), (3.0, 1e-9, 10.0, "cubic", -1.0, True)])
+def test_root_search_solves_monotone_functions_to_the_tolerance(brackets):
+    from weylcurve.spectral import ROOT_TOL, _find_roots
+
+    r = np.array([t[0] for t in brackets])
+    a = np.array([t[0] - t[1] for t in brackets])
+    b = np.array([t[0] + t[2] for t in brackets])
+    # either orientation: a bracket may run from its right end to its left
+    flip = np.array([t[5] for t in brackets])
+    a, b = np.where(flip, b, a), np.where(flip, a, b)
+    assume(np.all((a - r) * (b - r) < 0))
+
+    def f(x, k):
+        return np.array([brackets[i][4] * _MONOTONE[brackets[i][3]](xi - r[i])
+                         for xi, i in zip(x.tolist(), k.tolist())])
+
+    k = np.arange(len(r))
+    got = _find_roots(f, a, b, f(a, k), f(b, k))
+    assert np.all(np.abs(got - r) <= ROOT_TOL * (1 + np.abs(r)))
 
 
 def test_root_search_flags_a_bracket_without_a_sign_change():
@@ -754,13 +820,43 @@ def test_root_search_flags_a_bracket_without_a_sign_change():
     def f(x, k):
         return np.where(k == 1, 1.0 + x * x, np.cos(x))
 
-    a, b = np.array([0.0, 0.0, 3.0]), np.array([3.0, 3.0, 6.0])
+    a, b = np.array([0.0, -1.0, 3.0]), np.array([3.0, 2.0, 6.0])
     k = np.arange(len(a))
-    roots, status = _find_roots(f, a, b, f(a, k), f(b, k))
-    ref_roots, ref_status = _scipy_find_roots(f, a, b)
-    assert status.tolist() == ref_status.tolist() == [0, -1, 0]
-    assert np.array_equal(roots, ref_roots, equal_nan=True)
-    assert roots[0] == pytest.approx(np.pi / 2, abs=1e-12)
+    with pytest.raises(wc.NumericalError,
+                       match=r"failed in \(-1.0, 2.0\]: f has one sign at the ends"):
+        _find_roots(f, a, b, f(a, k), f(b, k))
+    good = np.array([0, 2])
+    got = _find_roots(lambda x, i: f(x, good[i]), a[good], b[good], f(a[good], good),
+                      f(b[good], good))
+    assert got == pytest.approx([np.pi / 2, 3 * np.pi / 2], abs=1e-12)
+
+
+def test_root_search_raises_on_a_value_not_finite():
+    from weylcurve.spectral import _find_roots
+
+    def f(x, k):
+        # the second bracket's first interior point has no value
+        return np.where(k == 1, np.nan, x - 1.0)
+
+    a, b = np.array([0.0, 0.0]), np.array([3.0, 4.0])
+    with pytest.raises(wc.NumericalError, match=r"failed in \(0.0, 4.0\]: a value is not finite"):
+        _find_roots(f, a, b, a - 1.0, b - 1.0)
+    with pytest.raises(wc.NumericalError, match=r"failed in \(0.0, 3.0\]: a value is not finite"):
+        _find_roots(f, a, b, np.array([-1.0, -1.0]), np.array([np.inf, 3.0]))
+
+
+def test_root_search_raises_when_a_bracket_stays_open(monkeypatch):
+    from weylcurve import spectral
+
+    monkeypatch.setattr(spectral, "ROOT_MAXITER", 3)
+
+    def f(x, k):
+        return (x - 1.0) ** 3
+
+    a, b = np.array([0.0, 0.5]), np.array([1.0, 4.0])
+    # the first bracket holds its root at an end, the second needs more steps
+    with pytest.raises(wc.NumericalError, match=r"failed in \(0.5, 4.0\]: open after 3 steps"):
+        spectral._find_roots(f, a, b, f(a, None), f(b, None))
 
 
 def test_failed_crossing_refinement_raises(monkeypatch, c_q0, bc_dirichlet):
@@ -771,5 +867,6 @@ def test_failed_crossing_refinement_raises(monkeypatch, c_q0, bc_dirichlet):
     monkeypatch.setattr(spectral, "_find_roots",
                         lambda f, a, b, fa, fb: search(lambda x, k: np.abs(f(x, k)), a, b,
                                                        np.abs(fa), np.abs(fb)))
-    with pytest.raises(wc.NumericalError, match=r"crossing refinement failed .*\(status -1\)"):
+    with pytest.raises(wc.NumericalError,
+                       match=r"crossing refinement failed in \(.*\]: f has one sign at the ends"):
         wc.eigenvalues_real(c_q0, bc_dirichlet, (0.5, 10.0))

@@ -580,10 +580,9 @@ def test_gamma_minus_is_B_times_gamma_plus(p_qx, c_qx):
     # Gamma_-(gamma_+(lam) e_j) = B(lam) e_j  column by column
     lam = 1.7 + 0.6j
     B = c_qx.B(lam)
-    from weylcurve.sturm import _gamma_system, fundamental as fund
+    from weylcurve.sturm import _gamma_coeffs, _gamma_system, fundamental as fund
     fd = fund(p_qx, lam)
-    C = np.linalg.inv(_gamma_system(fd, +1))
-    got = _gamma_system(fd, -1) @ C
+    got = _gamma_system(fd, -1) @ _gamma_coeffs([fd], +1)[0]
     assert np.allclose(got, B, atol=1e-9)
 
 

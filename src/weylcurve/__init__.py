@@ -23,7 +23,7 @@ from .sturm import (FundamentalData, Potential, SLProblem, bc_from_physical,
 from .spectral import (BoundaryCondition, Eigenvalue, bc_from_canonical,
                        bc_from_chart, bc_from_unitary, char_function,
                        count_real, counting, eigenvalues_complex,
-                       eigenvalues_real, interlace, is_degenerate, make_bc,
+                       eigenvalues_real, interlace, is_degenerate,
                        monotone_margin, multiplicity, phase_count)
 from .value_dist import (VDReport, defects, fmt_report, height, height_grid,
                          order_type, proximity, proximity_omega, total_phase)
@@ -42,7 +42,7 @@ __all__ = [
     "Potential", "SLProblem", "FundamentalData", "fundamental", "sl_weyl",
     "curve_provider", "gamma_plus", "gamma_minus", "gamma_plus_gram",
     "bc_from_physical", "solve_bvp", "degeneracy_scan",
-    "BoundaryCondition", "Eigenvalue", "make_bc", "bc_from_unitary",
+    "BoundaryCondition", "Eigenvalue", "bc_from_unitary",
     "bc_from_chart", "bc_from_canonical", "char_function", "is_degenerate",
     "eigenvalues_real", "eigenvalues_complex", "multiplicity", "count_real",
     "counting", "interlace", "phase_count", "monotone_margin",

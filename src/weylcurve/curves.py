@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, NumericalError, ValidationError
 from .symplectic import PseudoUnitary, mobius_pu
 
-DEFAULT_H0 = 1e-5
+STENCIL_H0 = 1e-3  # the derivative stencil's step at |lambda| <= 1 (_stencil)
 COND_MAX = 1e12
 
 
@@ -35,14 +35,18 @@ class CurveProvider:
         evaluation is allowed only when allow_real is set (boundary values
         of the upper branch, e.g. the constant curve).
 
-    Optional capabilities: speed_fn(us) maps a 1-D float array of real u to
-    the array of the exact phase speed at each of them, and element k must
-    not depend on the rest of the array; without it the speed is the trace
-    formula at each u.  many_fn(lams) maps a 1-D complex array of K lambdas
-    to the (K, n, n) stack of B at each of them, under the same branch rules
-    as B, and element k must equal B(lams[k]); B_many falls back to one B
-    call per lambda without it; exponential() supplies it together with its
-    exact speed, 1 everywhere.  prefetch_fn(lams) readies the work that B and
+    eval_fn(lam) is B at one lambda; the other capabilities are optional.
+    deriv_fn(lam) is the exact B'; without it dB is a fourth-order complex
+    stencil of step STENCIL_H0 max(1, |lambda|)^(1/2).  frame_fn(lam) is a
+    holomorphic 2n x n frame; without it the frame is the chart stack (I; B).
+    speed_fn(us) maps a 1-D float array of real u to the array of the exact
+    phase speed at each of them, and element k must not depend on the rest
+    of the array; without it the speed is the trace formula at each u.
+    many_fn(lams) maps a 1-D complex array of K lambdas to the (K, n, n)
+    stack of B at each of them, under the same branch rules as B, and
+    element k must equal B(lams[k]); B_many falls back to one B call per
+    lambda without it; exponential() supplies it together with its exact
+    speed, 1 everywhere.  prefetch_fn(lams) readies the work that B and
     frame will need at each lambda of a 1-D complex array, in one batch:
     without many_fn, B_many and frame_many call it once with the whole
     array and then B or frame once per lambda, which then read what it
@@ -59,8 +63,7 @@ class CurveProvider:
     """
 
     def __init__(self, n, domain, eval_fn, deriv_fn=None, frame_fn=None,
-                 h0=DEFAULT_H0, allow_real=False,
-                 speed_fn=None, many_fn=None, prefetch_fn=None, section_fn=None):
+                 allow_real=False, speed_fn=None, many_fn=None, prefetch_fn=None, section_fn=None):
         if domain not in ("entire", "upper_half_plane_pair"):
             raise ValidationError(f"unknown provider domain {domain!r}")
         self.n = int(n)
@@ -72,7 +75,6 @@ class CurveProvider:
         self.many_fn = many_fn
         self.prefetch_fn = prefetch_fn
         self.section_fn = section_fn
-        self.h0 = float(h0)
         self.allow_real = bool(allow_real)
         self.phase_path = PhasePath(self)
 
@@ -138,7 +140,7 @@ class CurveProvider:
     def _stencil(self, lam: complex) -> np.ndarray:
         # curves of interest oscillate on the sqrt(|lambda|) scale, so the
         # stencil step grows with the square root rather than |lambda|
-        h = self.h0 * max(1.0, abs(lam)) ** 0.5
+        h = STENCIL_H0 * max(1.0, abs(lam)) ** 0.5
         if self.domain != "entire" and abs(lam.imag) <= 2.05 * h:
             # vertical stencil points would cross the real axis
             warnings.warn("derivative stencil degraded to second order near the real axis")
@@ -436,20 +438,6 @@ class CurvatureResult:
     schwarz_pick_margin: float
 
 
-def _chern_from_traces(r: np.ndarray) -> np.ndarray:
-    """Coefficients c_1..c_n of det(t - r) = t^n - c1 t^{n-1} + c2 ... .
-
-    Newton's identities on traces of powers (Faddeev-LeVerrier recursion).
-    """
-    n = r.shape[0]
-    p = [np.trace(np.linalg.matrix_power(r, k)) for k in range(1, n + 1)]
-    e = [1.0 + 0j]
-    for k in range(1, n + 1):
-        s = sum((-1) ** (j - 1) * e[k - j] * p[j - 1] for j in range(1, k + 1))
-        e.append(s / k)
-    return np.array([z.real for z in e[1:]])
-
-
 def curvature(c: CurveProvider, lam) -> CurvatureResult:
     """Curvature r = I - 4 v^2 K^{-1} B'* Kt^{-1} B' at lambda in C_+."""
     lam = complex(lam)
@@ -475,9 +463,10 @@ def curvature(c: CurveProvider, lam) -> CurvatureResult:
     Ksi = (V / np.sqrt(w)) @ V.conj().T
     r_sym = Ks @ r @ Ksi
     r_sym = (r_sym + r_sym.conj().T) / 2
-    margin = float(np.linalg.eigvalsh(r_sym).min())
-    return CurvatureResult(r=r, r_sym=r_sym, chern=_chern_from_traces(r_sym),
-                           schwarz_pick_margin=margin)
+    # the Chern numbers c_k of det(t - r_sym) = t^n - c1 t^{n-1} + c2 t^{n-2} - ...
+    rho = np.linalg.eigvalsh(r_sym)
+    chern = np.poly(rho)[1:] * (-1.0) ** np.arange(1, c.n + 1)
+    return CurvatureResult(r=r, r_sym=r_sym, chern=chern, schwarz_pick_margin=float(rho.min()))
 
 
 # -- reproducing-kernel blocks -------------------------------------------
@@ -549,8 +538,7 @@ def reparameterize(c: CurveProvider, g) -> CurveProvider:
         c.n, c.domain, eval_fn=lambda lam: c.B(m(lam)),
         deriv_fn=dv if c._deriv_fn is not None else None,
         frame_fn=(lambda lam: c.frame(m(lam))) if c._frame_fn is not None else None,
-        h0=c.h0, allow_real=c.allow_real,
-        speed_fn=speed if c.speed_fn is not None else None,
+        allow_real=c.allow_real, speed_fn=speed if c.speed_fn is not None else None,
         many_fn=(lambda lams: c.B_many(m(lams))) if c.many_fn is not None else None,
         prefetch_fn=(lambda lams: c.prefetch_fn(m(lams))) if c.prefetch_fn is not None else None,
         section_fn=((lambda point, lams: c.section_fn(point, m(lams)))
@@ -585,4 +573,4 @@ def congruence(c: CurveProvider, g) -> CurveProvider:
     return CurveProvider(
         c.n, c.domain, eval_fn=ev,
         deriv_fn=dv if c._deriv_fn is not None else None,
-        h0=c.h0, allow_real=c.allow_real, prefetch_fn=c.prefetch_fn)
+        allow_real=c.allow_real, prefetch_fn=c.prefetch_fn)

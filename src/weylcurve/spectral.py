@@ -16,6 +16,7 @@ interlacing and phase-count bounds, and the monotone phase margin.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -43,30 +44,30 @@ ROOT_MAXITER = 2046  # log2 of the range of normal doubles
 
 @dataclass(frozen=True)
 class BoundaryCondition:
-    """An n-dimensional subspace of the boundary space, with chart data."""
+    """An n-dimensional subspace of the boundary space; its chart data are read off it."""
 
     point: GrassPoint
-    chart_unitary: Optional[np.ndarray]
     label: str = ""
 
     @property
     def n(self) -> int:
         return self.point.two_n // 2
 
+    @functools.cached_property
+    def chart_unitary(self) -> Optional[np.ndarray]:
+        """The contraction-chart value of the subspace where it is unitary
+        to 1e-8, else None (also outside the chart)."""
+        try:
+            Y = chart_convert(self.point)
+        except ChartError:  # outside the contraction chart
+            return None
+        unitary = np.linalg.norm(Y @ Y.conj().T - np.eye(len(Y)), ord=2) < 1e-8
+        return Y if unitary else None
+
     @property
     def selfadjoint(self) -> bool:
         """A Lagrangian n-subspace is exactly the graph of a unitary."""
         return self.chart_unitary is not None
-
-
-def make_bc(point: GrassPoint, label: str = "") -> BoundaryCondition:
-    """Attach classification and chart data to a GrassPoint."""
-    try:
-        Y = chart_convert(point)
-    except ChartError:  # outside the contraction chart
-        Y = None
-    unitary = Y is not None and np.linalg.norm(Y @ Y.conj().T - np.eye(len(Y)), ord=2) < 1e-8
-    return BoundaryCondition(point=point, chart_unitary=Y if unitary else None, label=label)
 
 
 def bc_from_unitary(U, label: str = "") -> BoundaryCondition:
@@ -75,12 +76,25 @@ def bc_from_unitary(U, label: str = "") -> BoundaryCondition:
     dev = np.linalg.norm(U @ U.conj().T - np.eye(U.shape[0]), ord=2)
     if dev > 1e-8:
         raise ValidationError("chart matrix is not unitary")
-    return BoundaryCondition(point=graph_of(U), chart_unitary=U, label=label)
+    return BoundaryCondition(graph_of(U), label)
 
 
 def bc_from_chart(Y, label: str = "") -> BoundaryCondition:
     """Condition from an arbitrary chart value Y (frame stack (I; Y))."""
-    return make_bc(graph_of(np.asarray(Y, dtype=complex)), label=label)
+    return BoundaryCondition(graph_of(np.asarray(Y, dtype=complex)), label)
+
+
+def _rows_frame(rows: np.ndarray, mode: str) -> np.ndarray:
+    """The frame of the subspace that a k x m condition matrix of rank k
+    describes: mode "span", the span of its rows; mode "functional", the
+    null space of the rows as linear constraints."""
+    if rank_deficient(rows):
+        raise ValidationError(f"boundary-condition matrix must have full rank {len(rows)}")
+    if mode == "span":
+        return rows.T
+    if mode == "functional":
+        return null_space(rows)
+    raise ValidationError("mode must be 'span' or 'functional'")
 
 
 def bc_from_canonical(rows, mode: str, label: str = "") -> BoundaryCondition:
@@ -88,15 +102,7 @@ def bc_from_canonical(rows, mode: str, label: str = "") -> BoundaryCondition:
     rows = np.asarray(rows, dtype=complex)
     if rows.ndim != 2 or rows.shape[1] != 2 * rows.shape[0]:
         raise ValidationError("canonical rows must form an n x 2n matrix")
-    if rank_deficient(rows):
-        raise ValidationError("boundary-condition matrix must have full rank")
-    if mode == "span":
-        frame = rows.T
-    elif mode == "functional":
-        frame = null_space(rows)
-    else:
-        raise ValidationError("mode must be 'span' or 'functional'")
-    return make_bc(GrassPoint.from_frame(frame), label=label)
+    return BoundaryCondition(GrassPoint(_rows_frame(rows, mode)), label)
 
 
 @dataclass(frozen=True)
@@ -188,9 +194,13 @@ def _real_samples(c: CurveProvider, a: float, b: float):
 
 def _eigenphases(U, Bs) -> np.ndarray:
     """The eigenphases of U* B for each B of a (K, n, n) stack, each taken
-    in [0, 2 pi): a (K, n) array; that of a 1 x 1 product is its entry's."""
+    in [0, 2 pi), where an angle just below 0 that the modulo rounds to 2 pi
+    is folded to 0: a (K, n) array; that of a 1 x 1 product is its entry's."""
     M = U.conj().T @ Bs
-    return np.angle(M[..., 0] if M.shape[-1] == 1 else np.linalg.eigvals(M)) % TWO_PI
+    th = np.angle(M[..., 0] if M.shape[-1] == 1 else np.linalg.eigvals(M))
+    th %= TWO_PI
+    th[th == TWO_PI] = 0.0
+    return th
 
 
 def _crossings(dphi, th0, th1) -> np.ndarray:
@@ -697,7 +707,7 @@ def counting_sums(lams, mults, radii) -> tuple:
 
 def interlace(c: CurveProvider, bc1: BoundaryCondition, bc2: BoundaryCondition,
               r: float) -> dict:
-    """Eigenvalue counts of two self-adjoint conditions in (-r, r)."""
+    """Eigenvalue counts of two self-adjoint conditions in (-r, r] (count_real)."""
     for bc in (bc1, bc2):
         if not bc.selfadjoint:
             raise ValidationError("interlace requires self-adjoint chart conditions")

@@ -32,10 +32,11 @@ from numpy.polynomial import polynomial as npoly
 
 from .curves import CurveProvider
 from .errors import NumericalError, ValidationError
-from .spectral import BoundaryCondition, make_bc
-from .symplectic import GrassPoint, null_space, rank_deficient
+from .spectral import BoundaryCondition, _rows_frame
+from .symplectic import GrassPoint, null_space
 
 LAMBDA_MAX = 1e6
+BVP_NODES = 2049  # uniform grid points of the Green's-function solves
 SQRT2 = np.sqrt(2.0)
 
 # Maps physical boundary data (y(0), y'(0), y(pi), y'(pi)) to canonical
@@ -52,12 +53,22 @@ TRIPLET_MAP = np.array([
 
 @dataclass(frozen=True)
 class Potential:
-    """Real potential q on [0, pi]: zero, polynomial, or cubic table."""
+    """Real potential q on [0, pi]: polynomial, or cubic table.  The kind
+    "zero" is the polynomial 0."""
 
     kind: str
     coeffs: Optional[tuple] = None
     x: Optional[tuple] = None
     q: Optional[tuple] = None
+
+    def __post_init__(self):
+        if self.kind == "zero":
+            object.__setattr__(self, "kind", "polynomial")
+            object.__setattr__(self, "coeffs", (0.0,))
+        if self.kind not in ("polynomial", "table"):
+            raise ValidationError(f"unknown potential kind {self.kind!r}")
+        if self.kind == "polynomial" and not self.coeffs:
+            raise ValidationError("polynomial potential needs coefficients")
 
     @classmethod
     def zero(cls) -> "Potential":
@@ -85,29 +96,21 @@ class Potential:
 
     def evaluator(self, length: float):
         """Vectorised evaluator of q: an array of points to an array of values."""
-        if self.kind == "zero":
-            return lambda x: np.zeros(np.shape(x))
         if self.kind == "polynomial":
             coeffs = np.asarray(self.coeffs, dtype=float)
             return lambda x: npoly.polyval(np.asarray(x, dtype=float), coeffs)
-        if self.kind == "table":
-            if self.x[0] > 0.0 or self.x[-1] < length:
-                raise ValidationError("table grid must cover the interval")
-            spl = self._table_spline()
-            return lambda x: spl(np.asarray(x, dtype=float))
-        raise ValidationError(f"unknown potential kind {self.kind!r}")
+        if self.x[0] > 0.0 or self.x[-1] < length:
+            raise ValidationError("table grid must cover the interval")
+        spl = self._table_spline()
+        return lambda x: spl(np.asarray(x, dtype=float))
 
     def deriv_evaluator(self, length: float):
         """Vectorised evaluator of q' (the forcing of w = c - s')."""
-        if self.kind == "zero":
-            return lambda x: np.zeros(np.shape(x))
         if self.kind == "polynomial":
             dcoeffs = npoly.polyder(np.asarray(self.coeffs, dtype=float))
             return lambda x: npoly.polyval(np.asarray(x, dtype=float), dcoeffs)
-        if self.kind == "table":
-            spl = self._table_spline().derivative()
-            return lambda x: spl(np.asarray(x, dtype=float))
-        raise ValidationError(f"unknown potential kind {self.kind!r}")
+        spl = self._table_spline().derivative()
+        return lambda x: spl(np.asarray(x, dtype=float))
 
     def to_json(self) -> dict:
         d = {"kind": self.kind}
@@ -121,13 +124,11 @@ class Potential:
     @classmethod
     def from_json(cls, d: dict) -> "Potential":
         kind = d.get("kind")
-        if kind == "zero":
-            return cls.zero()
         if kind == "polynomial":
             return cls.polynomial(d.get("coeffs", []))
         if kind == "table":
             return cls.table(d.get("x", []), d.get("q", []))
-        raise ValidationError(f"unknown potential kind {kind!r}")
+        return cls(kind=kind)
 
 
 @dataclass(frozen=True)
@@ -146,8 +147,8 @@ class FundamentalData:
     # both solutions grow like e^{pi sqrt(-lam)} on the negative axis while
     # their difference stays far smaller (it is exactly 0 for constant q),
     # so forming it from the separate endpoints loses all precision there
-    w: complex = 0j
-    wp: complex = 0j  # endpoint derivative of w (its magnitude envelope)
+    w: complex
+    wp: complex  # endpoint derivative of w (its magnitude envelope)
 
     @property
     def wronskian(self) -> complex:
@@ -160,11 +161,11 @@ class SLProblem:
     length: float = float(np.pi)
     ode_rtol: float = 1e-10
 
-    _memo: dict = field(default_factory=dict, compare=False, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, compare=False, repr=False)
-    _qfun_cache: list = field(default_factory=list, compare=False, repr=False)
-    # q samples per panel count, and (max |q|, max |q'|) under key "scale"
-    _panel_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
+                                  compare=False, repr=False)
+    # q sampled per panel count
+    _panel_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.length <= 0:
@@ -172,16 +173,19 @@ class SLProblem:
         if not 0 < self.ode_rtol <= 1e-4:
             raise ValidationError("ODE tolerance must lie in (0, 1e-4]")
 
-    def _qfun(self):
-        if not self._qfun_cache:
-            self._qfun_cache.append(self.potential.evaluator(self.length))
-        return self._qfun_cache[0]
+    @functools.cached_property
+    def _q(self):
+        return self.potential.evaluator(self.length)
 
-    def _qdfun(self):
-        if len(self._qfun_cache) < 2:
-            self._qfun()
-            self._qfun_cache.append(self.potential.deriv_evaluator(self.length))
-        return self._qfun_cache[1]
+    @functools.cached_property
+    def _qd(self):
+        return self.potential.deriv_evaluator(self.length)
+
+    @functools.cached_property
+    def _q_scale(self) -> tuple:
+        """(max |q|, max |q'|) on 1,025 points of [0, L]."""
+        xs = np.linspace(0.0, self.length, 1025)
+        return float(np.max(np.abs(self._q(xs)))), float(np.max(np.abs(self._qd(xs))))
 
 
 # Sixth-order Magnus (Blanes, Casas & Ros 2000): the three Gauss nodes of a
@@ -252,9 +256,9 @@ def _sample_panels(p: SLProblem, n: int) -> _Panels:
     x0 = h * np.arange(n)
     sub = h * _QUAD_NODES
     # one evaluator call samples the whole-panel and the partial-step nodes
-    coef = _magnus_terms(p._qfun(), np.concatenate([x0, np.repeat(x0, sub.size)]),
+    coef = _magnus_terms(p._q, np.concatenate([x0, np.repeat(x0, sub.size)]),
                          np.concatenate([np.full(n, h), np.tile(sub, n)]))
-    qd = p._qdfun()(x0[:, None] + sub)
+    qd = p._qd(x0[:, None] + sub)
     return _Panels(h=h, step=tuple(v[:n] for v in coef),
                    sub=tuple(v[n:].reshape(n, -1) for v in coef),
                    forcing=-qd * (h * _QUAD_WEIGHTS))
@@ -269,12 +273,7 @@ def _panel_count(p: SLProblem, lam: complex) -> int:
     and q = x on [-2, 450], 1,024 at |lambda| = 1e4, and 16 to 64 for q = 0 at
     |lambda| <= 450.  tests/test_sturm.py checks the result against DOP853 at
     rtol 1e-13."""
-    scale = p._panel_cache.get("scale")
-    if scale is None:
-        xs = np.linspace(0.0, p.length, 1025)
-        scale = p._panel_cache["scale"] = (float(np.max(np.abs(p._qfun()(xs)))),
-                                           float(np.max(np.abs(p._qdfun()(xs)))))
-    q_max, qd_max = scale
+    q_max, qd_max = p._q_scale
     k = math.sqrt(1.0 + abs(lam) + q_max)
     h = (p.ode_rtol / _QUAD_ERR) ** (1 / 12) / k
     if qd_max > 0:
@@ -632,8 +631,7 @@ def curve_provider(p: SLProblem) -> CurveProvider:
         return t
 
     return CurveProvider(
-        2, "entire", eval_fn=ev, frame_fn=fr,
-        h0=1e-3, speed_fn=speed,
+        2, "entire", eval_fn=ev, frame_fn=fr, speed_fn=speed,
         # one batched solve ahead of the per-lambda B and frame calls of
         # B_many and frame_many, which then read the memo
         prefetch_fn=lambda lams: fundamental_many(p, lams),
@@ -718,7 +716,7 @@ def solution_values(p: SLProblem, lam, xs) -> tuple:
         k = np.clip(np.floor(xs / pan.h).astype(int), 0, Y.shape[-1] - 2)
         x0 = k * pan.h
         tau = xs - x0
-        (al, be), (ga, de) = _magnus_exp(_magnus_terms(p._qfun(), x0, tau), lam)
+        (al, be), (ga, de) = _magnus_exp(_magnus_terms(p._q, x0, tau), lam)
         (c_, s_), (cp_, sp_) = Y[..., k]
         vals = (al * c_ + be * cp_, ga * c_ + de * cp_, al * s_ + be * sp_, ga * s_ + de * sp_)
     if not all(np.all(np.isfinite(v.view(float))) for v in vals):
@@ -739,18 +737,7 @@ def bc_from_physical(rows, mode: str, label: str = "") -> BoundaryCondition:
     rows = np.asarray(rows, dtype=complex)
     if rows.shape != (2, 4):
         raise ValidationError("boundary condition needs a 2x4 matrix")
-    if rank_deficient(rows):
-        raise ValidationError("boundary-condition matrix must have rank 2")
-    if mode == "span":
-        phys_frame = rows.T
-    elif mode == "functional":
-        phys_frame = null_space(rows)
-        if phys_frame.shape[1] != 2:
-            raise ValidationError("functional rows do not cut out a 2-d subspace")
-    else:
-        raise ValidationError("mode must be 'span' or 'functional'")
-    point = GrassPoint.from_frame(TRIPLET_MAP @ phys_frame)
-    return make_bc(point, label=label)
+    return BoundaryCondition(GrassPoint(TRIPLET_MAP @ _rows_frame(rows, mode)), label)
 
 
 def _bc_functional_rows_phys(bc: BoundaryCondition) -> np.ndarray:
@@ -801,16 +788,17 @@ def _solve_bvp_rows(rows_phys, xs, cs, fv):
     return yp + alpha * cv + beta * sv
 
 
-def solve_bvp(p: SLProblem, bc: BoundaryCondition, lam, f, num: int = 2049):
-    """Samples of (T_bc - lambda)^{-1} f on a uniform grid of [0, L]."""
-    xs = np.linspace(0.0, p.length, num)
+def solve_bvp(p: SLProblem, bc: BoundaryCondition, lam, f):
+    """Samples of (T_bc - lambda)^{-1} f on the uniform grid of BVP_NODES
+    points of [0, L]."""
+    xs = np.linspace(0.0, p.length, BVP_NODES)
     return xs, _solve_bvp_rows(_bc_functional_rows_phys(bc), xs,
                                solution_values(p, lam, xs), _samples(f, xs))
 
 
-def resolvent_residual(p: SLProblem, bc: BoundaryCondition, lam: float, f,
-                       num: int = 2049) -> float:
-    """Relative L^2 residual of the Krein-type resolvent difference formula.
+def resolvent_residual(p: SLProblem, bc: BoundaryCondition, lam: float, f) -> float:
+    """Relative L^2 residual of the Krein-type resolvent difference formula,
+    on the grid of solve_bvp.
 
     Compares (T_bc - lam)^{-1} f - (T_+ - lam)^{-1} f against
     i gamma_+(lam) (B(lam)^{-1} U - I)^{-1} gamma_+(lam)* f.
@@ -820,7 +808,7 @@ def resolvent_residual(p: SLProblem, bc: BoundaryCondition, lam: float, f,
     if bc.chart_unitary is None:
         raise ValidationError("resolvent_residual requires a chart-unitary condition")
     lam = float(lam)
-    xs = np.linspace(0.0, p.length, num)
+    xs = np.linspace(0.0, p.length, BVP_NODES)
     fv = _samples(f, xs)
     cs = solution_values(p, lam, xs)
     y_bc = _solve_bvp_rows(_bc_functional_rows_phys(bc), xs, cs, fv)

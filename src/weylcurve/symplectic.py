@@ -111,10 +111,6 @@ class GrassPoint:
     def __post_init__(self):
         object.__setattr__(self, "frame", canonicalize(self.frame))
 
-    @classmethod
-    def from_frame(cls, frame) -> "GrassPoint":
-        return cls(frame)
-
     @property
     def k(self) -> int:
         return self.frame.shape[1]
@@ -194,7 +190,7 @@ def graph_of(B) -> GrassPoint:
     if B.shape[0] != B.shape[1]:
         raise ValidationError("graph_of needs a square matrix")
     n = B.shape[0]
-    return GrassPoint.from_frame(np.vstack([np.eye(n), B]))
+    return GrassPoint(np.vstack([np.eye(n), B]))
 
 
 def mobius_pu(g, B) -> np.ndarray:

@@ -21,6 +21,7 @@ from .spectral import (char_function, eigenvalues_complex, eigenvalues_real,  # 
                        is_degenerate)
 
 TWO_PI = 2 * np.pi
+PROXIMITY_TOL = 1e-7  # _adaptive_gl's relative panel tolerance in proximity
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL7_NODES, _GL7_WEIGHTS = np.polynomial.legendre.leggauss(7)
@@ -123,9 +124,9 @@ def _neg_lognorm(c: CurveProvider, bc: BoundaryCondition, r: float, theta):
     return -ln
 
 
-def proximity(c: CurveProvider, bc: BoundaryCondition, r: float,
-              tol: float = 1e-7) -> float:
-    """m(r) = -(1/2pi) int_0^{2pi} ln section_norm(V_y, W(r e^{i theta})) d theta.
+def proximity(c: CurveProvider, bc: BoundaryCondition, r: float) -> float:
+    """m(r) = -(1/2pi) int_0^{2pi} ln section_norm(V_y, W(r e^{i theta})) d theta,
+    by _adaptive_gl at PROXIMITY_TOL.
 
     W(conj lambda) is the J-orthogonal complement of W(lambda), and a
     self-adjoint V_y is its own, so the section norm is even in theta.  A
@@ -134,11 +135,13 @@ def proximity(c: CurveProvider, bc: BoundaryCondition, r: float,
     """
     r = float(r)
     edges = np.linspace(0.0, TWO_PI, 9)[:5 if bc.selfadjoint else 9]
-    return _adaptive_gl(lambda ths: _neg_lognorm(c, bc, r, ths), edges, tol) / edges[-1]
+    return _adaptive_gl(lambda ths: _neg_lognorm(c, bc, r, ths), edges,
+                        PROXIMITY_TOL) / edges[-1]
 
 
-def proximity_omega(c: CurveProvider, Omega, r: float, tol: float = 1e-7) -> float:
-    """Chart-form proximity -(1/2pi) int_0^pi ln |det(B - O) det(I - B* O)|.
+def proximity_omega(c: CurveProvider, Omega, r: float) -> float:
+    """Chart-form proximity -(1/2pi) int_0^pi ln |det(B - O) det(I - B* O)|,
+    at PROXIMITY_TOL as proximity.
 
     Differs from the definitional integral by a bounded r-independent
     constant; exposed as a cross-check.
@@ -153,7 +156,7 @@ def proximity_omega(c: CurveProvider, Omega, r: float, tol: float = 1e-7) -> flo
             raise NumericalError("chart determinant vanished on the circle")
         return -(l1 + l2)
 
-    return _adaptive_gl(f, np.linspace(0.0, np.pi, 5), tol) / TWO_PI
+    return _adaptive_gl(f, np.linspace(0.0, np.pi, 5), PROXIMITY_TOL) / TWO_PI
 
 
 # -- reports ----------------------------------------------------------------

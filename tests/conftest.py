@@ -6,9 +6,13 @@ from hypothesis import settings
 
 import weylcurve as wc
 
-# Property tests draw the same bounded set of examples on every run, so the
-# suite stays reproducible and its run time bounded; solves are too slow for
-# a per-example deadline.
+# Property tests are derandomized and keep no example database, so two runs
+# of one source tree draw the same examples, at most max_examples per test;
+# solves are too slow for a per-example deadline.  Hypothesis (6.155) also
+# draws literals that it mines from the local modules, the code under test
+# and these tests, and no setting turns that off: an edit to any literal can
+# change what is drawn.  So each case a property test has found is pinned
+# as an @example.
 settings.register_profile("weylcurve", derandomize=True, deadline=None,
                           max_examples=50, database=None)
 settings.load_profile("weylcurve")

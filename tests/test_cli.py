@@ -86,6 +86,28 @@ def test_scan_csv_paired_columns(tmp_path):
     assert len(lines) == 6
 
 
+def test_scan_curvature_and_monotone_columns(tmp_path):
+    # B = e^{i lam} at lam = x + i v: r = 1 - 4 v^2 e^{-2v} / (1 - e^{-2v})^2,
+    # which is both c1 and the Schwarz-Pick margin for n = 1, and the phase
+    # speed at the real point x is 1
+    cfg = exp_cfg(tmp_path, out_name="out.csv",
+                  command_params={"start": [0.0, 0.5], "stop": [3.0, 2.0], "num": 4,
+                                  "quantities": ["chern", "monotone_margin"]})
+    cfg["output"]["format"] = "csv"
+    rc = main(["scan", "--config", write_cfg(tmp_path, "c.json", cfg)])
+    assert rc == 0
+    lines = (tmp_path / "out.csv").read_text().strip().splitlines()
+    assert lines[0].split(",") == ["re_lambda", "im_lambda", "c1", "schwarz_pick_margin",
+                                   "monotone_margin"]
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert rows.shape == (4, 5)
+    v = rows[:, 1]
+    r = 1 - 4 * v ** 2 * np.exp(-2 * v) / (1 - np.exp(-2 * v)) ** 2
+    assert np.allclose(rows[:, 2], r, rtol=0, atol=1e-8)
+    assert np.allclose(rows[:, 3], r, rtol=0, atol=1e-8)
+    assert np.allclose(rows[:, 4], 1.0, rtol=0, atol=1e-12)
+
+
 def test_height_with_order(tmp_path):
     cfg = exp_cfg(tmp_path, command_params={"r_grid": [1.0, 10.0, 100.0]})
     rc = main(["height", "--config", write_cfg(tmp_path, "c.json", cfg)])

@@ -231,6 +231,20 @@ def test_congruence_chern_invariance(c_qx):
         assert np.allclose(got, base, atol=1e-7 * (1 + np.abs(base).max()))
 
 
+def test_congruence_of_an_exact_derivative_keeps_the_chern_numbers():
+    # shifted_identity has an exact B', so the congruence forms B_g' exactly
+    # (no stencil); its curvature is unitarily conjugate to the base curve's
+    c = wc.shifted_identity(1.0, 2)
+    for lam in (0.5 + 1.5j, -2.0 + 0.3j):
+        base = wc.curvature(c, lam).chern
+        for _ in range(3):
+            cg = wc.congruence(c, random_pseudo_unitary(rng, 2))
+            assert np.allclose(wc.curvature(cg, lam).chern, base, rtol=0, atol=1e-10)
+            h = 1e-6
+            fd = (cg.B(lam + h) - cg.B(lam - h)) / (2 * h)
+            assert np.allclose(cg.dB(lam), fd, rtol=0, atol=1e-7 * (1 + np.abs(fd).max()))
+
+
 def test_lower_half_plane_reflection(c_qx):
     lam = 0.4 + 0.9j
     # conjugation symmetry of the entire SL curve: B(conj lam) = (B(lam)*)^{-1}

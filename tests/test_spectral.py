@@ -44,14 +44,14 @@ def test_char_function_depends_on_the_condition_not_its_rows(c_q0, mode):
 def test_make_bc_leaves_no_unitary_chart_only_outside_the_chart(monkeypatch):
     # (0; I) is outside the contraction chart
     point = wc.GrassPoint(np.vstack([np.zeros((2, 2)), np.eye(2)]))
-    assert wc.make_bc(point).chart_unitary is None
+    assert wc.BoundaryCondition(point).chart_unitary is None
 
     def broken(point):
         raise RuntimeError("a fault inside chart_convert")
 
     monkeypatch.setattr(spectral, "chart_convert", broken)
     with pytest.raises(RuntimeError, match="inside chart_convert"):
-        wc.make_bc(point)
+        wc.BoundaryCondition(point).chart_unitary
 
 
 def _rotation_to_nine_digits():
@@ -776,6 +776,28 @@ def test_q0_real_spectrum_is_k_squared(c_q0, bc_dirichlet, bc_neumann, bc_period
     assert [e.multiplicity for e in evs] == [1 if kind != "periodic" or k == 0 else 2
                                              for k in range(len(exact))]
     assert np.all(np.abs(got - exact) <= 5e-13 * (1 + exact))
+
+
+# the q = 0 eigenvalues below 9 with their multiplicities; 0 and 1 are
+# points of the cap lattice, so a knot of every phase path that reaches them
+_Q0_BELOW_9 = {"dirichlet": [(1, 1), (4, 1)], "neumann": [(0, 1), (1, 1), (4, 1)],
+               "periodic": [(0, 1), (4, 2)]}
+
+
+@given(st.sampled_from(sorted(_Q0_BELOW_9)), st.integers(-2, 8), st.integers(-2, 8))
+@example("neumann", 0, 5)
+@example("neumann", -1, 0)
+@example("periodic", 0, 5)
+def test_q0_intervals_are_half_open_at_an_eigenvalue_on_an_end(
+        c_q0, bc_dirichlet, bc_neumann, bc_periodic, kind, a, b):
+    # (a, b] holds an eigenvalue at b and none at a, also where it lies on a knot
+    assume(a < b)
+    bc = {"dirichlet": bc_dirichlet, "neumann": bc_neumann, "periodic": bc_periodic}[kind]
+    exact = [(lam, m) for lam, m in _Q0_BELOW_9[kind] if a < lam <= b]
+    evs = wc.eigenvalues_real(c_q0, bc, (a, b))
+    assert [e.multiplicity for e in evs] == [m for _, m in exact]
+    assert all(abs(e.lam - lam) <= 5e-13 * (1 + lam) for e, (lam, _) in zip(evs, exact))
+    assert wc.count_real(c_q0, bc, a, b) == sum(m for _, m in exact)
 
 
 _MONOTONE = {

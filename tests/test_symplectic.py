@@ -62,8 +62,18 @@ def test_classify_graph_of_strict_contraction_positive():
 
 def test_classify_negative_definite():
     # span of the minus-factor: frame (0; I)
-    pt = wc.GrassPoint.from_frame(np.vstack([np.zeros((2, 2)), np.eye(2)]))
+    pt = wc.GrassPoint(np.vstack([np.zeros((2, 2)), np.eye(2)]))
     assert wc.classify_subspace(pt) == "negative_definite"
+
+
+@pytest.mark.parametrize("frame, kind", [
+    # e1 is positive and e3 negative for the form: the compressed form is diag(1, -1)
+    ([[1, 0], [0, 0], [0, 1], [0, 0]], "indefinite"),
+    # e1 and the isotropic e2 + e4: diag(1, 0)
+    ([[1, 0], [0, 1], [0, 0], [0, 1]], "degenerate"),
+])
+def test_classify_indefinite_and_degenerate(frame, kind):
+    assert wc.classify_subspace(wc.GrassPoint(np.array(frame, dtype=complex))) == kind
 
 
 def test_chart_roundtrip():
@@ -73,7 +83,7 @@ def test_chart_roundtrip():
 
 
 def test_chart_convert_outside_chart_raises():
-    pt = wc.GrassPoint.from_frame(np.vstack([np.zeros((2, 2)), np.eye(2)]))
+    pt = wc.GrassPoint(np.vstack([np.zeros((2, 2)), np.eye(2)]))
     with pytest.raises(wc.ChartError):
         wc.chart_convert(pt)
 
@@ -111,7 +121,7 @@ def test_pseudo_unitary_validation():
 
 def test_transversality():
     p = wc.graph_of(np.zeros((2, 2)))
-    q = wc.GrassPoint.from_frame(np.vstack([np.zeros((2, 2)), np.eye(2)]))
+    q = wc.GrassPoint(np.vstack([np.zeros((2, 2)), np.eye(2)]))
     t = wc.transversality(p, q)
     assert t["transversal"] and t["dim_intersection"] == 0
     t2 = wc.transversality(p, p)
@@ -120,7 +130,7 @@ def test_transversality():
 
 def test_section_norm_bounded_by_one():
     for _ in range(25):
-        v = wc.GrassPoint.from_frame(
+        v = wc.GrassPoint(
             rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
         w = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
         assert wc.section_norm(v, w) <= 1.0 + 1e-12
@@ -137,7 +147,7 @@ def test_section_zero_iff_intersection():
 
 
 def test_section_lognorm_matches_norm():
-    v = wc.GrassPoint.from_frame(
+    v = wc.GrassPoint(
         rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
     w = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     assert np.exp(section_lognorm(v, w)) == pytest.approx(wc.section_norm(v, w))

@@ -307,6 +307,28 @@ def test_fmt_report_and_counting_read_a_real_spectrum_as_arrays(c_q0, bc_dirichl
     assert wc.counting(c_q0, bc_dirichlet, 30.37)["n_T"] == 5
 
 
+def test_fmt_report_and_counting_read_a_non_selfadjoint_spectrum_off_the_contour(c_q0):
+    # y(0) = 0, y'(pi) = alpha y(pi) with alpha = 0.5 + i is not self-adjoint:
+    # both search the square of half-side 1.05 r for the disc of radius r
+    alpha = 0.5 + 1j
+    bc = wc.bc_from_physical(np.array([[1, 0, 0, 0], [0, 0, -alpha, 1]]), "functional")
+    radii = np.array([10.37, 20.37])
+    s = 1.05 * radii[-1]
+    evs = wc.eigenvalues_complex(c_q0, bc, (-s, s, -s, s))
+    moduli = np.array([abs(e.lam) for e in evs])
+    mults = np.array([e.multiplicity for e in evs])
+    n_ref = [int(mults[moduli < r].sum()) for r in radii]
+    N_ref = [float(np.sum(mults[moduli < r] * np.log(r / moduli[moduli < r]))) for r in radii]
+    assert 0 < n_ref[0] < n_ref[1]
+    rep, = wc.fmt_report(c_q0, [bc], radii)
+    assert rep.n_counts.tolist() == n_ref
+    assert np.allclose(rep.counting, N_ref, rtol=1e-12, atol=0)
+    assert np.all(np.isfinite(rep.proximity))
+    out = wc.counting(c_q0, bc, radii[-1])
+    assert (out["n_T"], out["r_used"]) == (n_ref[1], radii[-1])
+    assert out["N_T"] == pytest.approx(N_ref[1], rel=1e-12)
+
+
 def test_fmt_report_exponential_contour_overflow_is_typed():
     # a chart without a unitary condition goes to the contour on +-1.05e4,
     # where e^{i lambda} leaves the floating-point range: a plain

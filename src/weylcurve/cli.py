@@ -27,10 +27,6 @@ from .errors import (DegenerateBCError, NumericalError, ValidationError,
 
 SCHEMA_VERSION = 1
 
-COMMANDS = ("eig", "eig-complex", "curvature", "scan", "height", "fmt",
-            "phase-count", "interlace", "kernel-check", "classify-bc",
-            "resolvent-check")
-
 
 def _cplx(v, where):
     if isinstance(v, (int, float)):
@@ -41,29 +37,31 @@ def _cplx(v, where):
     raise ValidationError(f"{where}: expected a number or [re, im] pair, got {v!r}")
 
 
+def _num(v, where, kind=float):
+    """v, a number or a string that parses as one, as a kind (float or int)."""
+    try:
+        return kind(v)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{where}: expected a number, got {v!r}") from None
+
+
+def _nums(v, where) -> list:
+    if not isinstance(v, list):
+        raise ValidationError(f"{where}: expected a list of numbers, got {v!r}")
+    return [_num(t, where) for t in v]
+
+
 def _cmatrix(rows, where):
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ValidationError(f"{where}: expected a list of rows")
     return np.array([[_cplx(v, where) for v in r] for r in rows])
 
 
-def _ser(x):
-    """Recursively convert results to JSON-ready structures."""
-    if isinstance(x, dict):
-        return {k: _ser(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_ser(v) for v in x]
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    if isinstance(x, (float, np.floating)):
-        return float(x)
+def _json_default(x):
+    """json.dumps's hook: complex values as [re, im], arrays and numpy scalars by tolist."""
     if isinstance(x, (complex, np.complexfloating)):
         return [float(x.real), float(x.imag)]
-    if isinstance(x, np.ndarray):
-        return [_ser(v) for v in x.tolist()]
-    return x
+    return x.tolist()
 
 
 def _atomic_write(path: str, data: str):
@@ -95,9 +93,8 @@ def _emit(cfg, payload, csv_rows=None, csv_header=None):
             w.writerow([repr(v) if isinstance(v, float) else v for v in row])
         text = buf.getvalue()
     else:
-        doc = {"schema_version": SCHEMA_VERSION}
-        doc.update(_ser(payload))
-        text = json.dumps(doc, indent=2) + "\n"
+        doc = {"schema_version": SCHEMA_VERSION, **payload}
+        text = json.dumps(doc, indent=2, default=_json_default) + "\n"
     if path:
         _atomic_write(path, text)
     else:
@@ -145,8 +142,8 @@ def build_problem(cfg):
         sl = prob["sturm_liouville"]
         pot = sturm.Potential.from_json(sl.get("potential", {"kind": "zero"}))
         p = sturm.SLProblem(potential=pot,
-                            length=float(sl.get("interval", np.pi)),
-                            ode_rtol=float(sl.get("rtol", 1e-10)))
+                            length=_num(sl.get("interval", np.pi), "sturm_liouville.interval"),
+                            ode_rtol=_num(sl.get("rtol", 1e-10), "sturm_liouville.rtol"))
         return p, sturm.curve_provider(p)
     if "builtin_curve" in prob:
         b = prob["builtin_curve"]
@@ -158,8 +155,9 @@ def build_problem(cfg):
             return None, curves.constant(_cmatrix(params.get("B0", [[0.0]]),
                                                   "builtin_curve.params.B0"))
         if name == "shifted_identity":
-            return None, curves.shifted_identity(a=float(params.get("a", 1.0)),
-                                                 n=int(params.get("n", 1)))
+            return None, curves.shifted_identity(
+                a=_num(params.get("a", 1.0), "builtin_curve.params.a"),
+                n=_num(params.get("n", 1), "builtin_curve.params.n", int))
         raise ValidationError(f"unknown builtin curve {name!r}")
     raise ValidationError("problem must be 'sturm_liouville' or 'builtin_curve'")
 
@@ -211,11 +209,12 @@ def cmd_eig(cfg, p, c, bcs, command="eig"):
     region = _params(cfg).get(key)
     if not (isinstance(region, list) and len(region) == size):
         raise ValidationError(f"command_params.{key} must be {shape}")
+    bounds = _nums(region, f"command_params.{key}")
     find = spectral.eigenvalues_real if command == "eig" else spectral.eigenvalues_complex
     reports = []
     for bc in bcs:
         try:
-            evs = find(c, bc, region)
+            evs = find(c, bc, bounds)
             reports.append({"bc": bc.label, key: region,
                             "eigenvalues": [{"lambda": e.lam, "mult": e.multiplicity,
                                              "residual": e.residual} for e in evs],
@@ -248,7 +247,7 @@ def cmd_scan(cfg, p, c, bcs):
     cp = _params(cfg)
     start = _cplx(cp.get("start"), "command_params.start")
     stop = _cplx(cp.get("stop"), "command_params.stop")
-    num = int(cp.get("num", 101))
+    num = _num(cp.get("num", 101), "command_params.num", int)
     if num < 2:
         raise ValidationError("command_params.num must be >= 2")
     quantities = cp.get("quantities", ["B"])
@@ -272,10 +271,8 @@ def cmd_scan(cfg, p, c, bcs):
         lam = start + (stop - start) * t
         row = [lam.real, lam.imag]
         B = c.B(lam)
-        if want_B:
-            for i in range(c.n):
-                for j in range(c.n):
-                    row += [float(B[i, j].real), float(B[i, j].imag)]
+        if want_B:  # row by row, each entry as (re, im)
+            row += [float(part) for b in B.ravel() for part in (b.real, b.imag)]
         if want_gap:
             if U is None:
                 raise ValidationError("det_gap scan needs a chart-unitary boundary condition")
@@ -291,7 +288,7 @@ def cmd_scan(cfg, p, c, bcs):
 
 def cmd_height(cfg, p, c, bcs):
     cp = _params(cfg)
-    r_grid = [float(v) for v in cp.get("r_grid", [])]
+    r_grid = _nums(cp.get("r_grid", []), "command_params.r_grid")
     if not r_grid:
         raise ValidationError("command_params.r_grid must be a nonempty list")
     radii = sorted(r_grid)
@@ -313,7 +310,7 @@ def cmd_height(cfg, p, c, bcs):
 
 def cmd_fmt(cfg, p, c, bcs):
     cp = _params(cfg)
-    r_grid = [float(v) for v in cp.get("r_grid", [])]
+    r_grid = _nums(cp.get("r_grid", []), "command_params.r_grid")
     if len(r_grid) < 2:
         raise ValidationError("command_params.r_grid must list at least two radii")
     if not bcs:
@@ -336,25 +333,25 @@ def cmd_fmt(cfg, p, c, bcs):
           rows, ["bc", "r", "phase_plus", "phase_minus", "h", "N", "m", "residual"])
 
 
-def cmd_phase_count(cfg, p, c, bcs):
-    cp = _params(cfg)
-    r = float(cp.get("r", 0))
+def _radius(cfg) -> float:
+    r = _num(_params(cfg).get("r", 0), "command_params.r")
     if r <= 0:
         raise ValidationError("command_params.r must be positive")
+    return r
+
+
+def cmd_phase_count(cfg, p, c, bcs):
+    r = _radius(cfg)
     reports = [dict(bc=bc.label, **spectral.phase_count(c, bc, r)) for bc in bcs]
     _emit(cfg, {"command": "phase-count", "reports": reports})
 
 
 def cmd_interlace(cfg, p, c, bcs):
-    cp = _params(cfg)
-    r = float(cp.get("r", 0))
-    if r <= 0:
-        raise ValidationError("command_params.r must be positive")
+    r = _radius(cfg)
     if len(bcs) < 2:
         raise ValidationError("interlace needs two boundary conditions")
     res = spectral.interlace(c, bcs[0], bcs[1], r)
-    _emit(cfg, {"command": "interlace", "bc1": bcs[0].label,
-                "bc2": bcs[1].label, **_ser(res)})
+    _emit(cfg, {"command": "interlace", "bc1": bcs[0].label, "bc2": bcs[1].label, **res})
 
 
 def cmd_kernel_check(cfg, p, c, bcs):
@@ -369,8 +366,8 @@ def cmd_kernel_check(cfg, p, c, bcs):
             pts.append((lam, np.array(vec)))
     else:
         rnd = cp.get("random", {})
-        rng = np.random.default_rng(int(rnd.get("seed", 0)))
-        for _ in range(int(rnd.get("count", 8))):
+        rng = np.random.default_rng(_num(rnd.get("seed", 0), "command_params.random.seed", int))
+        for _ in range(_num(rnd.get("count", 8), "command_params.random.count", int)):
             lam = complex(rng.uniform(-5, 5), rng.uniform(0.3, 3) * rng.choice([-1, 1]))
             vec = rng.standard_normal(c.n) + 1j * rng.standard_normal(c.n)
             pts.append((lam, vec))
@@ -395,12 +392,12 @@ def cmd_resolvent_check(cfg, p, c, bcs):
     if p is None:
         raise ValidationError("resolvent-check needs a Sturm-Liouville problem")
     cp = _params(cfg)
-    lam = float(cp.get("lambda", 0.5))
+    lam = _num(cp.get("lambda", 0.5), "command_params.lambda")
     fdef = cp.get("f", {"kind": "trig", "coeffs_sin": [0, 0, 1.0]})
     if fdef.get("kind") != "trig":
         raise ValidationError("f.kind must be 'trig'")
-    cs = [float(v) for v in fdef.get("coeffs_sin", [])]
-    cc = [float(v) for v in fdef.get("coeffs_cos", [])]
+    cs = _nums(fdef.get("coeffs_sin", []), "command_params.f.coeffs_sin")
+    cc = _nums(fdef.get("coeffs_cos", []), "command_params.f.coeffs_cos")
 
     def f(x):
         return sum(a * np.sin((k + 1) * x) for k, a in enumerate(cs)) + \
@@ -438,7 +435,7 @@ def run(command: str, cfg: dict) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="weylcurve",
                                      description="Weyl-curve spectral toolkit")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=HANDLERS)
     parser.add_argument("--config", required=True, help="path to JSON config")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config entry")

@@ -35,28 +35,23 @@ class CurveProvider:
         evaluation is allowed only when allow_real is set (boundary values
         of the upper branch, e.g. the constant curve).
 
-    eval_fn(lam) is B at one lambda; the other capabilities are optional.
-    deriv_fn(lam) is the exact B'; without it dB is a fourth-order complex
-    stencil of step STENCIL_H0 max(1, |lambda|)^(1/2).  frame_fn(lam) is a
-    holomorphic 2n x n frame; without it the frame is the chart stack (I; B).
-    speed_fn(us) maps a 1-D float array of real u to the array of the exact
-    phase speed at each of them, and element k must not depend on the rest
-    of the array; without it the speed is the trace formula at each u.
-    many_fn(lams) maps a 1-D complex array of K lambdas to the (K, n, n)
-    stack of B at each of them, under the same branch rules as B, and
-    element k must equal B(lams[k]); B_many falls back to one B call per
-    lambda without it; exponential() supplies it together with its exact
-    speed, 1 everywhere.  prefetch_fn(lams) readies the work that B and
-    frame will need at each lambda of a 1-D complex array, in one batch:
-    without many_fn, B_many and frame_many call it once with the whole
-    array and then B or frame once per lambda, which then read what it
-    stored; the Sturm-Liouville provider solves every lambda of the array
-    in one fundamental_many call.  section_fn(point, lams) is the Schubert
-    section against the provider's frame, in a cancellation-safe form: it
-    maps a 1-D complex array of lambdas to three arrays, the section F, its
-    Hadamard scale (the noise ambient F should be compared to) and
-    ln |F| / vol(frame), -inf at zeros; without it spectral.sections reads
-    the section off frame_many.
+    eval_fn(lam) is B at one lambda.  The other capabilities are optional,
+    and all but deriv_fn map a 1-D array of K points to K results, result k
+    depending on point k alone:
+      - deriv_fn(lam): the exact B'; else dB is a fourth-order complex
+        stencil of step STENCIL_H0 max(1, |lambda|)^(1/2).
+      - many_fn(lams): the (K, n, n) stack of B under B's branch rules, as
+        exponential() has it; else B_many calls B once per lambda.
+      - prefetch_fn(lams): readies in one batch what B will read at each
+        lambda (the Sturm-Liouville provider's one fundamental_many call);
+        only B_many calls it, ahead of its B calls.
+      - frame_fn(lams): the (K, 2n, n) stack of a holomorphic frame; else
+        the frame is the chart stack (I; B).
+      - speed_fn(us): the exact phase speed at each real u; else the trace
+        formula at each u.
+      - section_fn(point, lams): the arrays (F, Hadamard scale, ln |F| /
+        vol(frame)) of the Schubert section in a cancellation-safe form;
+        else spectral.sections applies symplectic.frame_sections to frame_many.
     phase_path holds the real-axis phase of det B shared by the spectral
     and value-distribution layers; each round of its cover reads B and the
     speeds at all of its new knots from one B_many and one phase_speeds call.
@@ -100,14 +95,10 @@ class CurveProvider:
 
     def B(self, lam) -> np.ndarray:
         lam = complex(lam)
-        if self.domain == "entire":
-            return np.asarray(self._eval_fn(lam), dtype=complex)
-        if lam.imag > 0:
+        if self.domain == "entire" or lam.imag > 0 or (lam.imag == 0 and self.allow_real):
             return np.asarray(self._eval_fn(lam), dtype=complex)
         if lam.imag == 0:
-            if not self.allow_real:
-                raise DomainError("real evaluation on a half-plane-only provider")
-            return np.asarray(self._eval_fn(lam), dtype=complex)
+            raise DomainError("real evaluation on a half-plane-only provider")
         up = np.asarray(self._eval_fn(lam.conjugate()), dtype=complex)
         sv = np.linalg.svd(up, compute_uv=False)
         if sv.min() <= 1e-14 * max(sv.max(), 1e-300):
@@ -115,16 +106,14 @@ class CurveProvider:
         return np.linalg.inv(up.conj().T)
 
     def B_many(self, lams) -> np.ndarray:
-        """B at every lambda of a 1-D array, as a (K, n, n) stack."""
+        """B at every lambda of a 1-D array, as a (K, n, n) stack: one many_fn
+        call, or one prefetch_fn call and then one B call per lambda."""
         lams = np.asarray(lams, dtype=complex)
         if self.many_fn is not None:
             return np.asarray(self.many_fn(lams), dtype=complex)
-        self._prefetch(lams)
-        return np.array([self.B(lam) for lam in lams], dtype=complex).reshape(-1, self.n, self.n)
-
-    def _prefetch(self, lams) -> None:
         if self.prefetch_fn is not None:
             self.prefetch_fn(lams)
+        return np.array([self.B(lam) for lam in lams], dtype=complex).reshape(-1, self.n, self.n)
 
     def dB(self, lam) -> np.ndarray:
         lam = complex(lam)
@@ -150,22 +139,16 @@ class CurveProvider:
         return ((fp - fm) - 1j * (gp - gm)) / (4 * h)
 
     def frame(self, lam) -> np.ndarray:
-        """A holomorphic 2n x n frame of the curve at lambda.
-
-        Default is the chart stack (I; B); backends may supply an entire
-        frame that stays holomorphic through kernel points of B.
-        """
-        if self._frame_fn is not None:
-            return np.asarray(self._frame_fn(complex(lam)), dtype=complex)
-        return np.vstack([np.eye(self.n), self.B(lam)])
+        """A holomorphic 2n x n frame of the curve at lambda: the one-point
+        call of frame_many."""
+        return self.frame_many(np.array([complex(lam)]))[0]
 
     def frame_many(self, lams) -> np.ndarray:
         """The frames at every lambda of a 1-D array, as a (K, 2n, n) stack:
-        the chart stacks (I; B) from B_many, or, where the provider has its
-        own frame, one prefetch of the array and one frame call per lambda."""
+        one frame_fn call, or the chart stacks (I; B) from B_many."""
+        lams = np.asarray(lams, dtype=complex)
         if self._frame_fn is not None:
-            self._prefetch(np.asarray(lams, dtype=complex))
-            return np.array([self.frame(lam) for lam in lams]).reshape(-1, 2 * self.n, self.n)
+            return np.asarray(self._frame_fn(lams), dtype=complex)
         Bs = self.B_many(lams)
         return np.concatenate([np.broadcast_to(np.eye(self.n), Bs.shape), Bs], axis=1)
 
@@ -522,7 +505,7 @@ def reparameterize(c: CurveProvider, g) -> CurveProvider:
     a, b, cc, d = g[0, 0], g[0, 1], g[1, 0], g[1, 1]
 
     def m(lam):
-        # lam is one lambda or an array of them (batched values, sections)
+        # lam is one lambda or an array of them (the batched capabilities)
         den = -cc * lam + a
         if np.any(np.abs(den) < 1e-13 * (1 + np.abs(lam))):
             raise DomainError("Moebius reparameterization pole at this lambda")
@@ -537,7 +520,7 @@ def reparameterize(c: CurveProvider, g) -> CurveProvider:
     return CurveProvider(
         c.n, c.domain, eval_fn=lambda lam: c.B(m(lam)),
         deriv_fn=dv if c._deriv_fn is not None else None,
-        frame_fn=(lambda lam: c.frame(m(lam))) if c._frame_fn is not None else None,
+        frame_fn=(lambda lams: c.frame_many(m(lams))) if c._frame_fn is not None else None,
         allow_real=c.allow_real, speed_fn=speed if c.speed_fn is not None else None,
         many_fn=(lambda lams: c.B_many(m(lams))) if c.many_fn is not None else None,
         prefetch_fn=(lambda lams: c.prefetch_fn(m(lams))) if c.prefetch_fn is not None else None,

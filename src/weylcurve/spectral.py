@@ -24,13 +24,13 @@ from typing import Optional
 
 import numpy as np
 
-from .curves import CurveProvider, _dets
+from .curves import TWO_PI, CurveProvider, _dets
 from .errors import ChartError, DegenerateBCError, NumericalError, ValidationError
-from .symplectic import GrassPoint, chart_convert, graph_of, null_space, rank_deficient
+from .symplectic import (GrassPoint, chart_convert, frame_sections, graph_of, null_space,
+                         rank_deficient)
 # re-exported: bench/tracing.py wraps it in this namespace too
 from .symplectic import schubert_section  # noqa: F401
 
-TWO_PI = 2 * np.pi
 MAX_STEP_PHASE = 0.45 * np.pi
 SPECULATIVE_STEPS = 8  # trial points a contour segment yields per round
 CLUSTER_TOL_BASE = 1e-7
@@ -121,20 +121,13 @@ def sections(c: CurveProvider, bc: BoundaryCondition, lams) -> tuple:
     noise ambient the value should be compared to, and ln |F| / vol(frame_W),
     -inf at zeros.
 
-    The provider's section_fn where it has one; otherwise one pass over the
-    stacked frames, with the log norm by slogdet, so it does not overflow
-    where the frame volume does.
+    The provider's section_fn where it has one; otherwise frame_sections
+    of the stacked frames.
     """
     lams = np.asarray(lams, dtype=complex)
     if c.section_fn is not None:
         return c.section_fn(bc.point, lams)
-    frames = c.frame_many(lams)
-    M = np.concatenate([np.broadcast_to(bc.point.frame, frames.shape), frames], axis=2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.prod(np.linalg.norm(M, axis=1), axis=1)
-        sign, logdet = np.linalg.slogdet(M)
-        _, loggram = np.linalg.slogdet(frames.conj().transpose(0, 2, 1) @ frames)
-        return np.linalg.det(M), scale, np.where(sign == 0, -np.inf, logdet - 0.5 * loggram)
+    return frame_sections(bc.point, c.frame_many(lams))
 
 
 def char_function(c: CurveProvider, bc: BoundaryCondition, lam) -> complex:

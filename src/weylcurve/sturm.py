@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import threading
 from dataclasses import dataclass, field
 from typing import Optional
@@ -76,13 +77,11 @@ class Potential:
 
     @classmethod
     def polynomial(cls, coeffs) -> "Potential":
-        coeffs = tuple(float(a) for a in coeffs)
-        return cls(kind="polynomial", coeffs=coeffs)
+        return cls(kind="polynomial", coeffs=_floats(coeffs, "coeffs"))
 
     @classmethod
     def table(cls, x, q) -> "Potential":
-        x = tuple(float(v) for v in x)
-        q = tuple(float(v) for v in q)
+        x, q = _floats(x, "x"), _floats(q, "q")
         if len(x) != len(q) or len(x) < 4:
             raise ValidationError("table potential needs matching grids of length >= 4")
         if any(b <= a for a, b in zip(x, x[1:])):
@@ -123,12 +122,24 @@ class Potential:
 
     @classmethod
     def from_json(cls, d: dict) -> "Potential":
+        if not isinstance(d, dict):
+            raise ValidationError(f"potential: expected an object, got {d!r}")
         kind = d.get("kind")
         if kind == "polynomial":
             return cls.polynomial(d.get("coeffs", []))
         if kind == "table":
             return cls.table(d.get("x", []), d.get("q", []))
         return cls(kind=kind)
+
+
+def _floats(values, where) -> tuple:
+    """values, a sequence of numbers (a string is not one), as a tuple of floats."""
+    if not isinstance(values, str):
+        try:
+            return tuple(float(v) for v in values)
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"potential {where}: expected a list of numbers, got {values!r}")
 
 
 @dataclass(frozen=True)
@@ -494,6 +505,12 @@ def fundamental(p: SLProblem, lam) -> FundamentalData:
     return hit if hit is not None else fundamental_many(p, [lam])[0]
 
 
+def _stack(fds, *names) -> np.ndarray:
+    """The fields names of the FundamentalData fds, a (len(names), K) array."""
+    get = operator.attrgetter(*names)
+    return np.array([get(fd) for fd in fds], dtype=complex).reshape(-1, len(names)).T
+
+
 def sl_weyl(p: SLProblem, lam) -> dict:
     """Weyl function M (None at poles) and contractive Weyl function B
     (_weyl_B)."""
@@ -571,8 +588,7 @@ def _section(p: SLProblem, point: GrassPoint, lams) -> tuple:
     where the Gram determinant itself cancels catastrophically).
     """
     lams = np.ravel(np.asarray(lams, dtype=complex))
-    c_, cp_, s_, sp_, w_, wp_ = np.array([(fd.c, fd.cp, fd.s, fd.sp, fd.w, fd.wp)
-                                          for fd in fundamental_many(p, lams)]).T
+    c_, cp_, s_, sp_, w_, wp_ = _stack(fundamental_many(p, lams), "c", "cp", "s", "sp", "w", "wp")
     const, q02, alpha, q03, q13 = _section_cofactors(
         np.ascontiguousarray(point.frame, dtype=complex).tobytes())
     terms = (const, q02 * s_, alpha * c_, -q03 * w_, -q13 * cp_)
@@ -605,15 +621,10 @@ def curve_provider(p: SLProblem) -> CurveProvider:
     def ev(lam):
         return _weyl_B(fundamental(p, lam))
 
-    def fr(lam):
-        fd = fundamental(p, lam)
-        phys = np.array([
-            [1, 0],
-            [0, 1],
-            [fd.c, fd.s],
-            [fd.cp, fd.sp],
-        ], dtype=complex)
-        return TRIPLET_MAP @ phys
+    def fr(lams):
+        # the physical fundamental frames (I; [[c, s], [c', s']])
+        cs = _stack(fundamental_many(p, lams), "c", "s", "cp", "sp").T.reshape(-1, 2, 2)
+        return TRIPLET_MAP @ np.concatenate([np.broadcast_to(np.eye(2), cs.shape), cs], axis=1)
 
     def speed(us):
         # phase speed trace(-i B^{-1} B') equals the trace of the L^2 Gram
@@ -632,8 +643,8 @@ def curve_provider(p: SLProblem) -> CurveProvider:
 
     return CurveProvider(
         2, "entire", eval_fn=ev, frame_fn=fr, speed_fn=speed,
-        # one batched solve ahead of the per-lambda B and frame calls of
-        # B_many and frame_many, which then read the memo
+        # one batched solve ahead of the per-lambda B calls of B_many, which
+        # then read the memo
         prefetch_fn=lambda lams: fundamental_many(p, lams),
         section_fn=lambda point, lams: _section(p, point, lams))
 
@@ -641,40 +652,37 @@ def curve_provider(p: SLProblem) -> CurveProvider:
 # -- gamma-fields ---------------------------------------------------------
 
 
-def _gamma_system(fd: FundamentalData, sign: int) -> np.ndarray:
-    """2x2 matrix whose columns are Gamma+- of the fundamental solutions."""
-    i = 1j * sign
-    return np.array([
-        [i, 1],
-        [-fd.cp + i * fd.c, -fd.sp + i * fd.s],
-    ], dtype=complex) / SQRT2
+def _gamma_system(fds, sign: int) -> np.ndarray:
+    """The 2x2 matrices whose columns are Gamma+- of the fundamental
+    solutions, a (K, 2, 2) stack over the FundamentalData of fds."""
+    c_, cp_, s_, sp_ = _stack(fds, "c", "cp", "s", "sp")
+    i, one = 1j * sign, np.ones_like(c_)
+    return np.stack([i * one, one, -cp_ + i * c_, -sp_ + i * s_], axis=-1).reshape(-1, 2, 2) / SQRT2
 
 
-def _moment_matrix(fd: FundamentalData) -> np.ndarray:
-    """Hermitian L^2 Gram of the basis (c, s): entry [a,b] = <basis_b, basis_a>."""
-    return np.array([
-        [fd.m_cc, np.conj(fd.m_cs)],
-        [fd.m_cs, fd.m_ss],
-    ], dtype=complex)
+def _moment_matrix(fds) -> np.ndarray:
+    """Hermitian L^2 Grams of the basis (c, s), entry [a,b] = <basis_b,
+    basis_a>: a (K, 2, 2) stack over the FundamentalData of fds."""
+    m_cc, m_cs, m_ss = _stack(fds, "m_cc", "m_cs", "m_ss")
+    return np.stack([m_cc, m_cs.conj(), m_cs, m_ss], axis=-1).reshape(-1, 2, 2)
 
 
 def _gamma_coeffs(fds, sign: int, rhs=np.eye(2)) -> np.ndarray:
     """Coefficients in (c, s) of gamma_+ (sign +1) or gamma_- (sign -1)
     applied to the columns of rhs: a (K, 2, m) stack over the
     FundamentalData of fds, from one solve of their boundary systems."""
-    return np.linalg.solve([_gamma_system(fd, sign) for fd in fds], rhs)
+    return np.linalg.solve(_gamma_system(fds, sign), rhs)
 
 
 def _gamma(p: SLProblem, lam, phi, sign: int) -> dict:
-    lam = complex(lam)
     phi = np.asarray(phi, dtype=complex).ravel()
     fd = fundamental(p, lam)
-    sv = np.linalg.svd(_gamma_system(fd, sign), compute_uv=False)
+    sv = np.linalg.svd(_gamma_system([fd], sign)[0], compute_uv=False)
     if sv.min() <= 1e-12 * sv.max():
         raise NumericalError(f"boundary system for gamma_{'+' if sign > 0 else '-'} "
                              "is singular at this lambda")
     coeffs = _gamma_coeffs([fd], sign, phi[:, None])[0, :, 0]
-    norm_sq = complex(coeffs.conj() @ _moment_matrix(fd) @ coeffs).real
+    norm_sq = complex(coeffs.conj() @ _moment_matrix([fd])[0] @ coeffs).real
     return {"coeffs": coeffs, "l2_norm_sq": norm_sq}
 
 
@@ -694,7 +702,7 @@ def _gamma_plus_gram(fds) -> tuple:
     the moment matrix of (c, s), and C* mom C is the L^2 Gram of the fields
     gamma_+ e_j, not yet symmetrized."""
     C = _gamma_coeffs(fds, +1)
-    mom = np.array([_moment_matrix(fd) for fd in fds])
+    mom = _moment_matrix(fds)
     return C, mom, C.conj().swapaxes(1, 2) @ mom @ C
 
 
@@ -833,13 +841,9 @@ def resolvent_residual(p: SLProblem, bc: BoundaryCondition, lam: float, f) -> fl
 
 def degeneracy_scan(p: SLProblem, grid=None) -> dict:
     """Weak algebraic degeneracy test: does c(pi, .) == s'(pi, .)?"""
-    if grid is None:
-        grid = np.linspace(0.0, 60.0, 41)
-    grid = np.asarray(grid, dtype=float)
+    grid = np.asarray(np.linspace(0.0, 60.0, 41) if grid is None else grid, dtype=float)
     if grid.size < 32:
         raise ValidationError("degeneracy_scan needs at least 32 sample points")
-    dev = 0.0
-    for u in grid:
-        fd = fundamental(p, u)
-        dev = max(dev, abs(fd.c - fd.sp))
+    c_, sp_ = _stack(fundamental_many(p, grid), "c", "sp")
+    dev = np.abs(c_ - sp_).max()
     return {"weakly_degenerate": bool(dev < 1e-8), "max_deviation": float(dev)}

@@ -244,25 +244,36 @@ def transversality(P: GrassPoint, Q: GrassPoint) -> dict:
     }
 
 
-def schubert_section(Vy: GrassPoint, W) -> complex:
-    """det [frame_Vy | frame_W]; zero iff the subspaces meet nontrivially."""
+def frame_sections(point: GrassPoint, frames) -> tuple:
+    """Arrays (F, scale, log norm) over a (K, 2n, n) stack of frames W:
+    F = det [frame_point | W], its Hadamard scale and ln |F| / vol(W), -inf
+    at zeros, by slogdet, so that it does not overflow where vol(W) does."""
+    M = np.concatenate([np.broadcast_to(point.frame, frames.shape), frames], axis=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.prod(np.linalg.norm(M, axis=1), axis=1)
+        sign, logdet = np.linalg.slogdet(M)
+        _, loggram = np.linalg.slogdet(frames.conj().transpose(0, 2, 1) @ frames)
+        return np.linalg.det(M), scale, np.where(sign == 0, -np.inf, logdet - 0.5 * loggram)
+
+
+def _one_frame(Vy: GrassPoint, W) -> tuple:
+    """frame_sections of the one frame W, a GrassPoint or a matrix."""
     Wf = W.frame if isinstance(W, GrassPoint) else _as_matrix(W)
     if Wf.shape != Vy.frame.shape:
         raise ValidationError("frames must have matching shapes")
-    return complex(np.linalg.det(np.hstack([Vy.frame, Wf])))
+    return frame_sections(Vy, Wf[None])
+
+
+def schubert_section(Vy: GrassPoint, W) -> complex:
+    """det [frame_Vy | frame_W]; zero iff the subspaces meet nontrivially."""
+    return complex(_one_frame(Vy, W)[0][0])
 
 
 def section_lognorm(Vy: GrassPoint, W) -> float:
     """ln of section_norm; -inf at zeros.  Overflow-safe via slogdet."""
-    Wf = W.frame if isinstance(W, GrassPoint) else _as_matrix(W)
-    sign, logdet = np.linalg.slogdet(np.hstack([Vy.frame, Wf]))
-    if sign == 0:
-        return -np.inf
-    _, loggram = np.linalg.slogdet(Wf.conj().T @ Wf)
-    return float(logdet - 0.5 * loggram)
+    return float(_one_frame(Vy, W)[2][0])
 
 
 def section_norm(Vy: GrassPoint, W) -> float:
     """|schubert_section| normalized by the frame volume of W; <= 1."""
-    ln = section_lognorm(Vy, W)
-    return 0.0 if ln == -np.inf else float(np.exp(ln))
+    return float(np.exp(section_lognorm(Vy, W)))

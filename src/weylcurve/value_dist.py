@@ -13,14 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CurveProvider
+from .curves import TWO_PI, CurveProvider
 from .errors import NumericalError, ValidationError
 from .spectral import BoundaryCondition, _disc_spectrum, counting_sums, sections
 # re-exported: bench/tracing.py wraps them in this namespace too
 from .spectral import (char_function, eigenvalues_complex, eigenvalues_real,  # noqa: F401
                        is_degenerate)
 
-TWO_PI = 2 * np.pi
 PROXIMITY_TOL = 1e-7  # _adaptive_gl's relative panel tolerance in proximity
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)

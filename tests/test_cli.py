@@ -207,6 +207,66 @@ def test_malformed_bc_exits_2(tmp_path, capsys):
     assert "rank" in capsys.readouterr().err
 
 
+def _set(path, value):
+    """A config edit: value at the dotted path of the config."""
+    def apply(cfg):
+        *head, last = path.split(".")
+        node = cfg
+        for key in head:
+            node = node.setdefault(key, {})
+        node[last] = value
+    return apply
+
+
+SL = "problem.sturm_liouville"
+TRIG = {"kind": "trig", "coeffs_sin": [1.0]}
+
+
+@pytest.mark.parametrize("command, params, edit, key", [
+    ("eig", {"interval": [0.5, 10.0]}, _set(f"{SL}.interval", [0, 3.14]), "interval"),
+    ("eig", {"interval": [0.5, 10.0]}, _set(f"{SL}.rtol", "x"), "rtol"),
+    ("eig", {"interval": [0.5, 10.0]}, _set(f"{SL}.potential", 5), "potential"),
+    ("eig", {"interval": [0.5, 10.0]},
+     _set(f"{SL}.potential", {"kind": "polynomial", "coeffs": "abc"}), "coeffs"),
+    ("eig", {"interval": [0.5, 10.0]},  # not read digit by digit as the polynomial 3
+     _set(f"{SL}.potential", {"kind": "polynomial", "coeffs": "30"}), "coeffs"),
+    ("eig", {"interval": [0.5, 10.0]},
+     _set(f"{SL}.potential", {"kind": "table", "x": [0, 1, 2, "z"], "q": [0, 0, 0, 0]}), "x"),
+    ("eig", {"interval": ["a", 10.0]}, None, "interval"),
+    ("eig-complex", {"rectangle": [0.3, 10.0, "b", 1.0]}, None, "rectangle"),
+    ("height", {"r_grid": ["a", 2]}, None, "r_grid"),
+    ("height", {"r_grid": 5}, None, "r_grid"),
+    ("fmt", {"r_grid": [1.0, None]}, None, "r_grid"),
+    ("scan", {"start": 0.5, "stop": 2.0, "num": "x"}, None, "num"),
+    ("phase-count", {"r": "x"}, None, "command_params.r"),
+    ("interlace", {"r": [1]}, None, "command_params.r"),
+    ("kernel-check", {"random": {"seed": "x"}}, None, "random.seed"),
+    ("kernel-check", {"random": {"count": "2.5"}}, None, "random.count"),
+    ("resolvent-check", {"lambda": "x", "f": TRIG}, None, "lambda"),
+    ("resolvent-check", {"f": {"kind": "trig", "coeffs_cos": ["a"]}}, None, "coeffs_cos"),
+    ("resolvent-check", {"f": {"kind": "trig", "coeffs_sin": 3}}, None, "coeffs_sin"),
+    ("height", {"r_grid": [1.0]}, _set("problem", {"builtin_curve": {
+        "name": "shifted_identity", "params": {"a": "x"}}}), "params.a"),
+    ("height", {"r_grid": [1.0]}, _set("problem", {"builtin_curve": {
+        "name": "shifted_identity", "params": {"n": "2.5"}}}), "params.n"),
+])
+def test_malformed_numbers_exit_2(tmp_path, capsys, command, params, edit, key):
+    cfg = sl_cfg(tmp_path, command_params=params)
+    if edit is not None:
+        edit(cfg)
+    rc = main([command, "--config", write_cfg(tmp_path, "c.json", cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and key in err
+
+
+def test_numbers_as_strings_are_read(tmp_path):
+    cfg = sl_cfg(tmp_path, command_params={"interval": ["0.5", "10"]})
+    cfg["problem"]["sturm_liouville"].update(interval="3.141592653589793", rtol="1e-10")
+    assert main(["eig", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 0
+    assert read_out(tmp_path)["reports"][0]["count"] == 3
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     rc = main(["eig", "--config", str(tmp_path / "nope.json")])
     assert rc == 2

@@ -289,6 +289,34 @@ def test_B_many_equals_stacked_B(c_q0, name, points):
     assert np.array_equal(got, np.array([c.B(lam) for lam in lams]).reshape(got.shape))
 
 
+@pytest.mark.parametrize("name", ["sturm_liouville", "reparameterized_sl", "exponential"])
+@given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(0.1, 50.0), st.booleans()),
+                max_size=6))
+def test_frame_many_equals_stacked_frame(c_q0, name, points):
+    c = {"sturm_liouville": c_q0, "exponential": wc.exponential(),
+         "reparameterized_sl": wc.reparameterize(c_q0, np.array([[2.0, 0.5], [0.2, 0.55]]))}[name]
+    # off the real axis, where the reparameterization has its pole
+    lams = np.array([complex(x, y if up else -y) for x, y, up in points], dtype=complex)
+    got = c.frame_many(lams)
+    assert got.shape == (len(lams), 2 * c.n, c.n)
+    assert np.array_equal(got, np.array([c.frame(lam) for lam in lams]).reshape(got.shape))
+
+
+def test_reparameterized_sl_frames_take_one_batched_solve(monkeypatch):
+    from weylcurve import sturm
+
+    p = wc.SLProblem(potential=wc.Potential.zero())
+    cg = wc.reparameterize(wc.curve_provider(p), np.array([[2.0, 0.5], [0.2, 0.55]]))
+    lams = np.array([0.5, 3.0, 7.25 + 1j, 40.0])
+    calls = []
+    many = sturm.fundamental_many
+    monkeypatch.setattr(sturm, "fundamental_many", lambda q, ls: calls.append(len(ls)) or many(q, ls))
+    monkeypatch.setattr(sturm, "fundamental", lambda q, lam: pytest.fail("a per-lambda solve"))
+    frames = cg.frame_many(lams)
+    assert calls == [4] and len(p._memo) == 4
+    assert frames.shape == (4, 4, 2)
+
+
 def test_B_many_takes_real_arrays():
     c = wc.exponential()
     us = np.linspace(-2e4, 2e4, 101)

@@ -582,8 +582,20 @@ def test_gamma_minus_is_B_times_gamma_plus(p_qx, c_qx):
     B = c_qx.B(lam)
     from weylcurve.sturm import _gamma_coeffs, _gamma_system, fundamental as fund
     fd = fund(p_qx, lam)
-    got = _gamma_system(fd, -1) @ _gamma_coeffs([fd], +1)[0]
+    got = _gamma_system([fd], -1)[0] @ _gamma_coeffs([fd], +1)[0]
     assert np.allclose(got, B, atol=1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_POTENTIALS))
+def test_stacked_gamma_systems_and_moments_are_the_one_element_stacks(name):
+    from weylcurve.sturm import _gamma_system, _moment_matrix
+    fds = fundamental_many(ORACLE_PROBLEMS[name],
+                           [0.0, 2.5, -40.0, 7.0 + 3.0j, 300.0 - 20.0j, -1e3 + 1j])
+    for stack in (lambda f: _gamma_system(f, +1), lambda f: _gamma_system(f, -1), _moment_matrix):
+        got = stack(fds)
+        assert got.shape == (len(fds), 2, 2)
+        assert np.array_equal(got, np.concatenate([stack([fd]) for fd in fds]))
+    assert _moment_matrix([]).shape == _gamma_system([], 1).shape == (0, 2, 2)
 
 
 def test_gamma_plus_singular_in_lower_half(p_q0):

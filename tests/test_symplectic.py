@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import weylcurve as wc
-from weylcurve.symplectic import _chart_rows, canonicalize, null_space, section_lognorm
+from weylcurve.symplectic import (_chart_rows, canonicalize, frame_sections, null_space,
+                                  section_lognorm)
 
 from conftest import random_contraction, random_pseudo_unitary, _haar_unitary
 
@@ -151,6 +152,31 @@ def test_section_lognorm_matches_norm():
         rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
     w = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     assert np.exp(section_lognorm(v, w)) == pytest.approx(wc.section_norm(v, w))
+
+
+@given(st.integers(1, 3), st.integers(0, 4), st.data())
+def test_frame_sections_are_the_one_frame_sections(n, k, data):
+    # a stack of k frames W, one of them meeting V, against a drawn V
+    re, im = data.draw(arrays(float, (2, k + 1, 2 * n, n), elements=st.floats(-1.0, 1.0)))
+    try:
+        v = wc.GrassPoint(re[0] + 1j * im[0])
+    except wc.ValidationError:  # a rank-deficient V
+        assume(False)
+    ws = re[1:] + 1j * im[1:]
+    if k:
+        ws[0, :, 0] = v.frame[:, 0]
+    F, scale, ln = frame_sections(v, ws)
+    assert F.shape == scale.shape == ln.shape == (k,)
+    assert F.tolist() == [wc.schubert_section(v, w) for w in ws]
+    assert ln.tolist() == [section_lognorm(v, w) for w in ws]
+    assert np.all(np.abs(F) <= scale * (1 + 1e-12))
+
+
+def test_one_frame_sections_check_the_shape():
+    v = wc.graph_of(np.eye(2))
+    for section in (wc.schubert_section, section_lognorm, wc.section_norm):
+        with pytest.raises(wc.ValidationError):
+            section(v, np.ones((4, 1)))
 
 
 # -- the numpy null space against scipy -------------------------------------

@@ -45,6 +45,15 @@ def _num(v, where, kind=float):
         raise ValidationError(f"{where}: expected a number, got {v!r}") from None
 
 
+def _obj(v, where, kind=dict):
+    """v, a config section read by key (or, kind list, a list of them), as
+    what it must be."""
+    if not isinstance(v, kind):
+        raise ValidationError(f"{where}: expected {'an object' if kind is dict else 'a list'}, "
+                              f"got {v!r}")
+    return v
+
+
 def _nums(v, where) -> list:
     if not isinstance(v, list):
         raise ValidationError(f"{where}: expected a list of numbers, got {v!r}")
@@ -78,7 +87,7 @@ def _atomic_write(path: str, data: str):
 
 
 def _emit(cfg, payload, csv_rows=None, csv_header=None):
-    out = cfg.get("output", {})
+    out = _obj(cfg.get("output", {}), "output")
     path = out.get("path")
     fmt = out.get("format", "json")
     if fmt not in ("json", "csv"):
@@ -139,16 +148,16 @@ def build_problem(cfg):
     if not isinstance(prob, dict) or len(prob) != 1:
         raise ValidationError("config needs exactly one problem source under 'problem'")
     if "sturm_liouville" in prob:
-        sl = prob["sturm_liouville"]
+        sl = _obj(prob["sturm_liouville"], "problem.sturm_liouville")
         pot = sturm.Potential.from_json(sl.get("potential", {"kind": "zero"}))
         p = sturm.SLProblem(potential=pot,
                             length=_num(sl.get("interval", np.pi), "sturm_liouville.interval"),
                             ode_rtol=_num(sl.get("rtol", 1e-10), "sturm_liouville.rtol"))
         return p, sturm.curve_provider(p)
     if "builtin_curve" in prob:
-        b = prob["builtin_curve"]
+        b = _obj(prob["builtin_curve"], "problem.builtin_curve")
         name = b.get("name")
-        params = b.get("params", {})
+        params = _obj(b.get("params", {}), "builtin_curve.params")
         if name == "exponential":
             return None, curves.exponential()
         if name == "constant":
@@ -164,11 +173,10 @@ def build_problem(cfg):
 
 def build_bcs(cfg, p):
     out = []
-    for i, item in enumerate(cfg.get("boundary_conditions", [])):
+    for i, item in enumerate(_obj(cfg.get("boundary_conditions", []), "boundary_conditions",
+                                  list)):
         where = f"boundary_conditions[{i}]"
-        if not isinstance(item, dict):
-            raise ValidationError(f"{where}: expected an object")
-        mode = item.get("mode")
+        mode = _obj(item, where).get("mode")
         label = item.get("label", f"bc{i}")
         rows = _cmatrix(item.get("rows"), f"{where}.rows")
         try:
@@ -190,10 +198,7 @@ def build_bcs(cfg, p):
 
 
 def _params(cfg):
-    cp = cfg.get("command_params", {})
-    if not isinstance(cp, dict):
-        raise ValidationError("command_params must be an object")
-    return cp
+    return _obj(cfg.get("command_params", {}), "command_params")
 
 
 # -- command handlers ---------------------------------------------------------
@@ -358,14 +363,15 @@ def cmd_kernel_check(cfg, p, c, bcs):
     cp = _params(cfg)
     pts = []
     if "points" in cp:
-        for item in cp["points"]:
+        for item in _obj(cp["points"], "command_params.points", list):
+            item = _obj(item, "command_params.points item")
             lam = _cplx(item.get("lambda"), "kernel point lambda")
             vec = [_cplx(v, "kernel point vector") for v in item.get("vector", [])]
             if len(vec) != c.n:
                 raise ValidationError("kernel vector length must equal n")
             pts.append((lam, np.array(vec)))
     else:
-        rnd = cp.get("random", {})
+        rnd = _obj(cp.get("random", {}), "command_params.random")
         rng = np.random.default_rng(_num(rnd.get("seed", 0), "command_params.random.seed", int))
         for _ in range(_num(rnd.get("count", 8), "command_params.random.count", int)):
             lam = complex(rng.uniform(-5, 5), rng.uniform(0.3, 3) * rng.choice([-1, 1]))
@@ -393,7 +399,7 @@ def cmd_resolvent_check(cfg, p, c, bcs):
         raise ValidationError("resolvent-check needs a Sturm-Liouville problem")
     cp = _params(cfg)
     lam = _num(cp.get("lambda", 0.5), "command_params.lambda")
-    fdef = cp.get("f", {"kind": "trig", "coeffs_sin": [0, 0, 1.0]})
+    fdef = _obj(cp.get("f", {"kind": "trig", "coeffs_sin": [0, 0, 1.0]}), "command_params.f")
     if fdef.get("kind") != "trig":
         raise ValidationError("f.kind must be 'trig'")
     cs = _nums(fdef.get("coeffs_sin", []), "command_params.f.coeffs_sin")

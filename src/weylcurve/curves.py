@@ -53,8 +53,9 @@ class CurveProvider:
         vol(frame)) of the Schubert section in a cancellation-safe form;
         else spectral.sections applies symplectic.frame_sections to frame_many.
     phase_path holds the real-axis phase of det B shared by the spectral
-    and value-distribution layers; each round of its cover reads B and the
-    speeds at all of its new knots from one B_many and one phase_speeds call.
+    and value-distribution layers; each round of its cover reads the speeds
+    and B at all of its new knots from one phase_speeds and one B_many
+    call.
     """
 
     def __init__(self, n, domain, eval_fn, deriv_fn=None, frame_fn=None,
@@ -80,7 +81,8 @@ class CurveProvider:
 
     def phase_speeds(self, us) -> np.ndarray:
         """The phase speed at every u of a 1-D real array: one speed_fn call,
-        or without it the trace formula at each u."""
+        or without it the trace formula at each u, with B from one B_many
+        call."""
         us = np.asarray(us, dtype=float)
         if self.speed_fn is not None:
             speeds = np.asarray(self.speed_fn(us), dtype=float)
@@ -88,8 +90,8 @@ class CurveProvider:
                 raise ValidationError("speed_fn must map a 1-D array of u to the "
                                       "array of the speeds there")
             return speeds
-        return np.array([np.trace(-1j * np.linalg.solve(self.B(u), self.dB(u))).real
-                         for u in us.tolist()])
+        return np.array([np.trace(-1j * np.linalg.solve(B, self.dB(u))).real
+                         for B, u in zip(self.B_many(us), us.tolist())])
 
     # -- evaluation ------------------------------------------------------
 
@@ -231,8 +233,8 @@ class PhasePath:
     whole cells of the cap lattice (_lattice), each cut into equal steps
     that turn det B by about STEP_TARGET at the speed of its faster end;
     then every step that fails the step rule (_turns) is halved, round by
-    round, and each round evaluates its new knots in one B_many call and one
-    phase_speeds call.  A cell's knots depend on its ends alone, so the
+    round, and each round evaluates its new knots in one phase_speeds call
+    and one B_many call.  A cell's knots depend on its ends alone, so the
     knots depend only on which cells are covered, not on the order of the
     requests.  The phase is lifted step by step outward from 0, a knot of
     every path that reaches it, where it is the principal value of
@@ -258,15 +260,18 @@ class PhasePath:
 
     def _add(self, knots, xs):
         """knots (us, Bs, dets, speeds) with the points xs evaluated and
-        merged in: one B_many and one phase_speeds call."""
+        merged in: one phase_speeds and one B_many call, the speeds first,
+        so that a provider whose speeds need more of a solve than B (the
+        Sturm-Liouville moments) solves each knot once."""
         if not len(xs):
             return knots
         c = self.c
+        speeds = np.maximum(c.phase_speeds(xs), 0.0)
         Bs = c.B_many(xs)
         dets = _dets(Bs)
         if (dets == 0).any():
             raise NumericalError("det B vanished on the real axis; provider not entire here")
-        new = (xs, Bs, dets, np.maximum(c.phase_speeds(xs), 0.0))
+        new = (xs, Bs, dets, speeds)
         if knots is None:
             return new
         order = np.argsort(np.concatenate((knots[0], xs)), kind="stable")

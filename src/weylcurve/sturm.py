@@ -6,12 +6,14 @@ problem at fixed Gauss nodes of N uniform panels; each panel's transfer
 matrix is the sixth-order Magnus exponential (Blanes, Casas & Ros 2000) of
 a traceless 2x2 matrix affine in lambda, in closed form, which is exact for
 constant q; a Hillis-Steele scan of these products gives the fundamental
-matrix at every panel start.  The three L^2 moment integrals needed for
-gamma-field Gram matrices are 6-point Gauss quadratures of the panel-local
-solutions, reached by partial Magnus steps, and the difference w = c - s'
-is the panel sum of its variation-of-constants integrals.  N is a power of
-two set by the ODE tolerance, the size of q' and |lambda|; the tests check
-the result against DOP853 at rtol 1e-13.
+matrix at every panel start.  The difference w = c - s' is the panel sum
+of its variation-of-constants integrals, and the three L^2 moment integrals
+of the gamma-field Gram matrices (the phase speed) are 6-point Gauss
+quadratures of the panel-local solutions; both read the solutions at the
+quadrature nodes, reached by partial Magnus steps, and that node pass runs
+only where moments are read or q' is not zero.  N is a power of two set by
+the ODE tolerance, the size of q' and |lambda|; the tests check the result
+against DOP853 at rtol 1e-13.
 
 The module exposes the explicit 2x2 Weyl data (M, B), the boundary-triplet
 coordinate map, gamma-fields, boundary-condition constructors from physical
@@ -144,16 +146,15 @@ def _floats(values, where) -> tuple:
 
 @dataclass(frozen=True)
 class FundamentalData:
-    """Endpoint values and L^2 moments of the fundamental solutions."""
+    """Endpoint values of the fundamental solutions at x = L: all that B,
+    the sections and the frames read.  Their L^2 moments are a separate
+    read, _moments."""
 
     lam: complex
     c: complex
     cp: complex
     s: complex
     sp: complex
-    m_cc: complex  # integral |c|^2
-    m_cs: complex  # integral c * conj(s)
-    m_ss: complex  # integral |s|^2
     # the difference w = c - s' from its own variation-of-constants sum:
     # both solutions grow like e^{pi sqrt(-lam)} on the negative axis while
     # their difference stays far smaller (it is exactly 0 for constant q),
@@ -173,6 +174,8 @@ class SLProblem:
     ode_rtol: float = 1e-10
 
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # (m_cc, m_cs, m_ss) per lambda, filled by the passes that form them
+    _moment_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
                                   compare=False, repr=False)
     # q sampled per panel count
@@ -385,42 +388,55 @@ def _carry(E, P):
     return P[0, ..., 0], P[1, ..., 0]
 
 
-def _solve(pan: _Panels, lam: np.ndarray) -> np.ndarray:
-    """The nine FundamentalData fields (c, c', s, s', m_cc, m_cs, m_ss, w,
-    w') at one lambda (lam 0-d: shape (9,)) or at the lambdas of a column
-    (lam of shape (K, 1): shape (9, K)) that share the panel set pan.
+def _solve(pan: _Panels, lam: np.ndarray, moments: bool = False) -> np.ndarray:
+    """The six FundamentalData fields (c, c', s, s', w, w') at one lambda
+    (lam 0-d: shape (6,)) or at the lambdas of a column (lam of shape
+    (K, 1): shape (6, K)) that share the panel set pan; with moments, the
+    three L^2 moments (m_cc, m_cs, m_ss) follow as rows 6 to 8.
 
-    The endpoint values are the last prefix product.  The moments are
-    6-point Gauss sums of the solutions at the quadrature nodes of every
-    panel, reached by partial sixth-order Magnus steps.  w = c - s' obeys
+    The endpoint values are the last prefix product.  w = c - s' obeys
     w'' = (q - lam) w - q' s from zero data, so it is the sum over panels of
     the variation-of-constants integral of the forcing -q' s, each carried
     to the panel end by that panel's own propagators and then across the
-    rest of the interval; it never forms c - s'.  A lambda's fields come
-    from the same elementwise operations and per-lambda sums whatever the
-    batch, so they do not depend on it.  Real lambdas (a float lam) run in
-    float64 throughout and give real fields.
+    rest of the interval; it never forms c - s', and for constant q it is
+    0 exactly.  The moments are 6-point Gauss sums of the solutions at the
+    quadrature nodes of every panel.  The node pass, partial sixth-order
+    Magnus steps to those nodes, runs only for the moments or a forcing
+    that is not identically zero.  A lambda's fields come from the same
+    elementwise operations and per-lambda sums whatever the batch and
+    whether or not moments are formed, so they depend on neither.  Real
+    lambdas (a float lam) run in float64 throughout and give real fields.
     """
     E = _magnus_exp(pan.step, lam)
     Y = _prefix(E)
-    # A full pass's arrays over the quadrature nodes are large and numpy
-    # allocates every result, so each node array is dropped once spent and
-    # two products reuse a buffer (the same operations on the same operands):
-    # a pass holds at most five node arrays.  The first row of the partial
-    # steps' factors, as in _magnus_exp:
+    out = [Y[0, 0, ..., -1], Y[1, 0, ..., -1], Y[0, 1, ..., -1], Y[1, 1, ..., -1]]
+    forced = pan.forcing.any()
+    if not forced:
+        out += [np.zeros_like(out[0])] * 2
+        if not moments:
+            return np.array(out)
+    # A node pass's arrays are large and numpy allocates every result, so
+    # each node array is dropped once spent and two products reuse a buffer
+    # (the same operations on the same operands): a pass holds at most five
+    # node arrays.  The first row of the partial steps' factors, as in
+    # _magnus_exp:
     a0, a1, b, c0, c1 = pan.sub
     a = a0 + lam[..., None] * a1
     ch, sh = _cosh_sinhc(a * a + b * (c0 + lam[..., None] * c1))
     al, be = ch + sh * a, sh * b
     del a, ch, sh
     sn = al * Y[0, 1, ..., :-1, None] + be * Y[1, 1, ..., :-1, None]
-    # forcing at each node carried to the panel end: E_k E_kj^{-1} (0, f)
-    f = pan.forcing * sn
-    t = -be
-    t *= f
-    v0 = np.sum(t, axis=-1)
-    v1 = np.sum(np.multiply(al, f, out=t), axis=-1)
-    del f, t
+    if forced:
+        # forcing at each node carried to the panel end: E_k E_kj^{-1} (0, f)
+        f = pan.forcing * sn
+        t = -be
+        t *= f
+        v0 = np.sum(t, axis=-1)
+        v1 = np.sum(np.multiply(al, f, out=t), axis=-1)
+        del f, t
+        out += _carry(E, E[:, 0] * v0 + E[:, 1] * v1)
+        if not moments:
+            return np.array(out)
     cn = al * Y[0, 0, ..., :-1, None]
     cn += be * Y[1, 0, ..., :-1, None]
     del al, be
@@ -431,12 +447,10 @@ def _solve(pan: _Panels, lam: np.ndarray) -> np.ndarray:
 
     # squared before they are weighted, so a real lambda's moments overflow
     # where a complex one's do
-    m_cc = total(wq * (cn.real ** 2 + cn.imag ** 2))
-    m_cs = total(wq * cn * sn.conj())
-    m_ss = total(wq * (sn.real ** 2 + sn.imag ** 2))
-    w, wp = _carry(E, E[:, 0] * v0 + E[:, 1] * v1)
-    return np.array([Y[0, 0, ..., -1], Y[1, 0, ..., -1], Y[0, 1, ..., -1], Y[1, 1, ..., -1],
-                     m_cc, m_cs, m_ss, w, wp])
+    out.append(total(wq * (cn.real ** 2 + cn.imag ** 2)))
+    out.append(total(wq * cn * sn.conj()))
+    out.append(total(wq * (sn.real ** 2 + sn.imag ** 2)))
+    return np.array(out)
 
 
 def _overflow(lam: complex, what: str) -> NumericalError:
@@ -449,30 +463,39 @@ def _overflow(lam: complex, what: str) -> NumericalError:
 _BATCH_PANELS = 4096
 
 
-def fundamental_many(p: SLProblem, lams) -> list:
-    """FundamentalData at each lambda of lams, in their order, by panels.
+# the largest sum |c| + |c'| + |s| + |s'| + |w| + |w'| an endpoint read
+# returns: it leaves the readers' sums, moduli and k-scaled envelopes
+# (k <= 1e3 at LAMBDA_MAX) headroom of 1e8 below the double range
+_FIELD_MAX = 1e300
 
-    Memoized lambdas are read from the problem's memo.  The others are
-    grouped by panel count (all nodes of a circle share one) and by whether
-    they are real, and each group is propagated in passes of K lambdas with
-    K N <= 4096, one broadcast pass per chunk; a repeated lambda is solved
-    once.  Real lambdas run in float64 (q is real, so every field is) and
-    are stored as complex like the others.  The fields are bitwise those of
-    a one-lambda solve.  The first lambda in node order whose data leave
-    the floating-point range raises NumericalError, and nothing of the
-    batch is memoized then.
+
+def _solve_missing(p: SLProblem, lams, moments: bool) -> list:
+    """The memo keys of lams, once every lambda of lams that the memo of its
+    read lacks (the problem's memo, or with moments its moment memo) is
+    solved and memoized; a moment pass fills both memos.
+
+    The misses are grouped by panel count (all nodes of a circle share one)
+    and by whether they are real, and each group is propagated in passes of
+    K lambdas with K N <= 4096, one broadcast pass per chunk; a repeated
+    lambda is solved once.  Real lambdas run in float64 (q is real, so
+    every field is) and are stored as complex like the others.  The first
+    lambda in node order whose data leave the range (_FIELD_MAX for the
+    endpoint fields, the double range for the moments) raises
+    NumericalError, and nothing of the batch is memoized then.
     """
     lams = np.ravel(np.asarray(lams, dtype=complex)).tolist()
     for lam in lams:
         if abs(lam) > LAMBDA_MAX:
             raise ValidationError(f"|lambda| exceeds the supported range {LAMBDA_MAX:g}")
     keys = [(lam.real, lam.imag) for lam in lams]
-    out = [p._memo.get(key) for key in keys]
+    memo = p._moment_memo if moments else p._memo
     groups = {}
-    for lam, key, fd in zip(lams, keys, out):
-        if fd is None:
+    for lam, key in zip(lams, keys):
+        if key not in memo:
             groups.setdefault((_panel_count(p, lam), lam.imag == 0), {})[key] = lam
-    solved, overflowed = {}, set()
+    if not groups:
+        return keys
+    solved, moms, overflowed = {}, {}, set()
     with np.errstate(all="ignore"):
         for (n, real), todo in groups.items():
             pan, todo = _panels(p, n), list(todo.items())
@@ -483,18 +506,57 @@ def fundamental_many(p: SLProblem, lams) -> list:
                 # one lambda runs on 1-D panel arrays, where numpy's cost per
                 # call is lowest; a batch adds a leading lambda axis
                 at = np.array(col[0][0] if len(chunk) == 1 else col)
-                vals = _solve(pan, at).reshape(9, -1).astype(complex, copy=False)
-                for (key, lam), v, ok in zip(chunk, vals.T.tolist(),
-                                             np.isfinite(vals).all(axis=0)):
-                    solved[key] = FundamentalData(lam, *v)
-                    if not ok:
+                # the keyword only where it is set: an endpoint pass is the
+                # two-argument call
+                vals = _solve(pan, at, moments=True) if moments else _solve(pan, at)
+                vals = vals.reshape(len(vals), -1).astype(complex, copy=False)
+                # a NaN compares false and fails too
+                ok = np.abs(vals[:6]).sum(axis=0) <= _FIELD_MAX
+                ok &= np.isfinite(vals[6:]).all(axis=0)
+                for (key, lam), v, fine in zip(chunk, vals.T.tolist(), ok):
+                    solved[key] = FundamentalData(lam, *v[:6])
+                    if moments:
+                        moms[key] = v[6:]
+                    if not fine:
                         overflowed.add(key)
     for lam, key in zip(lams, keys):
         if key in overflowed:
-            raise _overflow(lam, "fundamental moment")
+            raise _overflow(lam, "fundamental moment" if moments else "fundamental")
     with p._lock:
         p._memo.update(solved)
-    return [fd if fd is not None else solved[key] for fd, key in zip(out, keys)]
+        p._moment_memo.update(moms)
+    return keys
+
+
+def fundamental_many(p: SLProblem, lams) -> list:
+    """FundamentalData at each lambda of lams, in their order, by panels.
+
+    Memoized lambdas are read from the problem's memo and the others are
+    solved in batched endpoint passes (_solve_missing), which form no
+    moments and, for constant q, run no node pass.  The fields are bitwise
+    those of a one-lambda solve, with or without moments.  Past
+    lambda ~ -47,600 (q = 0) the endpoint fields leave the range
+    _FIELD_MAX and the first such lambda in node order raises
+    NumericalError.
+    """
+    memo = p._memo
+    return [memo[key] for key in _solve_missing(p, lams, moments=False)]
+
+
+def _moments(p: SLProblem, lams) -> np.ndarray:
+    """Hermitian L^2 Grams of the basis (c, s) at each lambda of lams, entry
+    [a, b] = <basis_b, basis_a>: a (K, 2, 2) stack.
+
+    Memoized per problem.  A lambda without them is solved once in a pass
+    that forms its endpoint fields and moments together and fills both
+    memos.  The moments grow like e^(2 pi sqrt(-lambda)) and leave the
+    double range near lambda = -12,750, where this read raises
+    NumericalError.
+    """
+    memo = p._moment_memo
+    m = np.array([memo[key] for key in _solve_missing(p, lams, moments=True)], dtype=complex)
+    m_cc, m_cs, m_ss = m.reshape(-1, 3).T
+    return np.stack([m_cc, m_cs.conj(), m_cs, m_ss], axis=-1).reshape(-1, 2, 2)
 
 
 def fundamental(p: SLProblem, lam) -> FundamentalData:
@@ -628,17 +690,17 @@ def curve_provider(p: SLProblem) -> CurveProvider:
 
     def speed(us):
         # phase speed trace(-i B^{-1} B') equals the trace of the L^2 Gram
-        # of the gamma_+ field, available from the accumulated moments of
-        # the same (memoized) fundamental solves that produced B(u): one
-        # fundamental read per u, a memo read after B_many's prefetch,
+        # of the gamma_+ field.  The path reads a round's speeds ahead of
+        # its B_many, so one moment pass solves its new knots, endpoints and
+        # moments together; then one fundamental read per u, a memo read,
         # which, as for B, leaves the memo hits where the benchmark's
         # tracer counts
-        C, mom, G = _gamma_plus_gram([fundamental(p, u) for u in us])
+        mom = _moments(p, us)
+        C, G = _gamma_plus_gram([fundamental(p, u) for u in us], mom)
         t = G.trace(axis1=1, axis2=2).real
         # for lambda << 0 the solutions grow like e^{2 pi sqrt(|lambda|)} and
         # the trace cancels below noise; report the speed as zero there
-        aC = np.abs(C)
-        t[t < 1e-6 * (aC.swapaxes(1, 2) @ np.abs(mom) @ aC).trace(axis1=1, axis2=2)] = 0.0
+        t[t < 1e-6 * _form_scale(C, mom).trace(axis1=1, axis2=2)] = 0.0
         return t
 
     return CurveProvider(
@@ -660,11 +722,18 @@ def _gamma_system(fds, sign: int) -> np.ndarray:
     return np.stack([i * one, one, -cp_ + i * c_, -sp_ + i * s_], axis=-1).reshape(-1, 2, 2) / SQRT2
 
 
-def _moment_matrix(fds) -> np.ndarray:
-    """Hermitian L^2 Grams of the basis (c, s), entry [a,b] = <basis_b,
-    basis_a>: a (K, 2, 2) stack over the FundamentalData of fds."""
-    m_cc, m_cs, m_ss = _stack(fds, "m_cc", "m_cs", "m_ss")
-    return np.stack([m_cc, m_cs.conj(), m_cs, m_ss], axis=-1).reshape(-1, 2, 2)
+# a gamma-field norm c* mom c below this share of the size of its terms
+# (_form_scale) has cancelled below noise: its error reached 3e-11 of that
+# size against the q = 0 closed forms (lambda in [-60, 10] + [-20, 20] i),
+# so a norm above it keeps about eight digits
+_NORM_FLOOR = 1e-8
+
+
+def _form_scale(C, mom) -> np.ndarray:
+    """|C|^T |mom| |C|, (K, m, m): the size of the terms of C* mom C, which
+    cancel where c and s grow (lambda << 0) and the field does not."""
+    aC = np.abs(C)
+    return aC.swapaxes(1, 2) @ np.abs(mom) @ aC
 
 
 def _gamma_coeffs(fds, sign: int, rhs=np.eye(2)) -> np.ndarray:
@@ -675,14 +744,19 @@ def _gamma_coeffs(fds, sign: int, rhs=np.eye(2)) -> np.ndarray:
 
 
 def _gamma(p: SLProblem, lam, phi, sign: int) -> dict:
+    lam, name = complex(lam), f"gamma_{'+' if sign > 0 else '-'}"
     phi = np.asarray(phi, dtype=complex).ravel()
+    mom = _moments(p, [lam])
     fd = fundamental(p, lam)
     sv = np.linalg.svd(_gamma_system([fd], sign)[0], compute_uv=False)
     if sv.min() <= 1e-12 * sv.max():
-        raise NumericalError(f"boundary system for gamma_{'+' if sign > 0 else '-'} "
-                             "is singular at this lambda")
-    coeffs = _gamma_coeffs([fd], sign, phi[:, None])[0, :, 0]
-    norm_sq = complex(coeffs.conj() @ _moment_matrix([fd])[0] @ coeffs).real
+        raise NumericalError(f"boundary system for {name} is singular at this lambda")
+    C = _gamma_coeffs([fd], sign, phi[:, None])
+    coeffs = C[0, :, 0]
+    norm_sq = complex(coeffs.conj() @ mom[0] @ coeffs).real
+    if norm_sq < _NORM_FLOOR * _form_scale(C, mom)[0, 0, 0]:
+        raise NumericalError(f"the L^2 norm of {name} phi cancels below the noise of the "
+                             f"moments at lambda = {lam:g}")
     return {"coeffs": coeffs, "l2_norm_sq": norm_sq}
 
 
@@ -696,19 +770,19 @@ def gamma_minus(p: SLProblem, lam, phi) -> dict:
     return _gamma(p, lam, phi, -1)
 
 
-def _gamma_plus_gram(fds) -> tuple:
-    """(C, mom, C* mom C), (K, 2, 2) stacks over the FundamentalData of fds:
-    the columns of C are the coefficients in (c, s) of gamma_+ e_j, mom is
-    the moment matrix of (c, s), and C* mom C is the L^2 Gram of the fields
-    gamma_+ e_j, not yet symmetrized."""
+def _gamma_plus_gram(fds, mom) -> tuple:
+    """(C, C* mom C), (K, 2, 2) stacks over the FundamentalData of fds and
+    their moment stack mom (_moments): the columns of C are the
+    coefficients in (c, s) of gamma_+ e_j, and C* mom C is the L^2 Gram of
+    the fields gamma_+ e_j, not yet symmetrized."""
     C = _gamma_coeffs(fds, +1)
-    mom = _moment_matrix(fds)
-    return C, mom, C.conj().swapaxes(1, 2) @ mom @ C
+    return C, C.conj().swapaxes(1, 2) @ mom @ C
 
 
 def gamma_plus_gram(p: SLProblem, lam) -> np.ndarray:
     """2x2 Gram G_ij = <gamma_+(lam) e_j, gamma_+(lam) e_i> in L^2."""
-    G = _gamma_plus_gram([fundamental(p, lam)])[2][0]
+    mom = _moments(p, [lam])
+    G = _gamma_plus_gram([fundamental(p, lam)], mom)[1][0]
     return (G + G.conj().T) / 2
 
 
@@ -825,7 +899,7 @@ def resolvent_residual(p: SLProblem, bc: BoundaryCondition, lam: float, f) -> fl
 
     cv, _, sv, _ = cs
     fd = fundamental(p, lam)
-    C = _gamma_plus_gram([fd])[0][0]
+    C = _gamma_coeffs([fd], +1)[0]
     basis = [C[0, j] * cv + C[1, j] * sv for j in range(2)]
     w = np.array([simpson(fv * np.conj(basis[j]), x=xs) for j in range(2)])
     T = np.linalg.solve(_weyl_B(fd), bc.chart_unitary) - np.eye(2)

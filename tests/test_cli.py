@@ -260,6 +260,31 @@ def test_malformed_numbers_exit_2(tmp_path, capsys, command, params, edit, key):
     assert "validation error" in err and key in err
 
 
+@pytest.mark.parametrize("command, params, edit, key", [
+    ("height", {"r_grid": [1.0]}, _set("problem", {"sturm_liouville": 5}), "sturm_liouville"),
+    ("kernel-check", {"random": 5}, None, "random"),
+    ("resolvent-check", {"f": 5}, None, "command_params.f"),
+    ("height", {"r_grid": [1.0]}, _set("problem", {"builtin_curve": {
+        "name": "shifted_identity", "params": 5}}), "params"),
+    ("kernel-check", {"points": [5]}, None, "points"),
+    ("kernel-check", {"points": 5}, None, "points"),
+    ("height", {"r_grid": [1.0]}, _set("problem", {"builtin_curve": 5}), "builtin_curve"),
+    ("height", {"r_grid": [1.0]}, _set("output", 5), "output"),
+    ("eig", {"interval": [0.5, 10.0]}, _set("boundary_conditions", 5), "boundary_conditions"),
+    ("eig", {"interval": [0.5, 10.0]}, _set("boundary_conditions", [5]), "boundary_conditions"),
+])
+def test_sections_that_are_not_objects_exit_2(tmp_path, capsys, command, params, edit, key):
+    # a section read by key that is a number exits 2 naming it, not with a
+    # traceback
+    cfg = sl_cfg(tmp_path, command_params=params)
+    if edit is not None:
+        edit(cfg)
+    rc = main([command, "--config", write_cfg(tmp_path, "c.json", cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and key in err
+
+
 def test_numbers_as_strings_are_read(tmp_path):
     cfg = sl_cfg(tmp_path, command_params={"interval": ["0.5", "10"]})
     cfg["problem"]["sturm_liouville"].update(interval="3.141592653589793", rtol="1e-10")

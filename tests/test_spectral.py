@@ -413,9 +413,9 @@ def test_robin_contour_solves_in_lockstep_rounds(monkeypatch):
     p, p_ref = (wc.SLProblem(potential=wc.Potential.zero()) for _ in range(2))
     passes = []
 
-    def counted(pan, lam, solve=sturm._solve):
+    def counted(pan, lam, solve=sturm._solve, **kw):
         passes.append(lam.shape[0] if lam.ndim else 1)
-        return solve(pan, lam)
+        return solve(pan, lam, **kw)
 
     monkeypatch.setattr(sturm, "_solve", counted)
     evs = wc.eigenvalues_complex(wc.curve_provider(p), bc, rect)

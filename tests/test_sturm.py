@@ -146,8 +146,10 @@ def test_fundamental_matches_dop853(name, re, im):
 
 
 def _dop853_errors(name, lam, fd):
-    """The errors of fd's fields against DOP853, each relative to its scale."""
+    """The errors of fd's fields and of the moments at its lambda against
+    DOP853, each relative to its scale."""
     pot = ORACLE_POTENTIALS[name]
+    (fd_m_cc, _), (fd_m_cs, fd_m_ss) = sturm._moments(ORACLE_PROBLEMS[name], [lam])[0]
     c, cp, s, sp, m_cc, m_cs, m_ss, w, wp = _dop853(pot, lam)
     k = np.sqrt(1.0 + abs(lam))
     # the oracle's own w loses digits where q' is rough (a spline table);
@@ -157,9 +159,9 @@ def _dop853_errors(name, lam, fd):
         w, wp = c - sp, cp - (_scalar_q(pot)[0](LENGTH) - lam) * s
     env_c, env_s = abs(c) + abs(cp) / k, abs(s) + abs(sp) / k
     pairs = [(fd.c, c, env_c), (fd.cp, cp, k * env_c), (fd.s, s, env_s),
-             (fd.sp, sp, k * env_s), (fd.m_cc, m_cc, abs(m_cc)),
-             (fd.m_cs, m_cs, np.sqrt(abs(m_cc)) * np.sqrt(abs(m_ss))),
-             (fd.m_ss, m_ss, abs(m_ss))]
+             (fd.sp, sp, k * env_s), (fd_m_cc, m_cc, abs(m_cc)),
+             (fd_m_cs, m_cs, np.sqrt(abs(m_cc)) * np.sqrt(abs(m_ss))),
+             (fd_m_ss, m_ss, abs(m_ss))]
     if name == "q0":
         assert fd.w == 0 and fd.wp == 0  # exact for constant q
     else:
@@ -210,9 +212,43 @@ def test_overflow_is_a_typed_error_without_warnings(p_qcos, lam):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(wc.NumericalError, match="moment overflow") as err:
-            fundamental(p, lam)
+            sturm._moments(p, [lam])
         assert f"{lam:g}" in str(err.value)
-        assert np.isfinite(fundamental(p, -12000.0).m_cc)
+        assert np.isfinite(sturm._moments(p, [-12000.0])[0, 0, 0])
+
+
+@pytest.mark.parametrize("name", ["q0", "cos"])
+@pytest.mark.parametrize("im", [0.0, 37.0])
+def test_endpoint_reads_reach_past_the_moments_without_warnings(name, im):
+    # the endpoint fields leave the range _FIELD_MAX near lambda = -47,600,
+    # far past the moments: every endpoint reader returns finite values on
+    # one side and raises the typed error naming lambda on the other, with
+    # no warning and no untyped exception (Python's complex abs raises
+    # OverflowError, and a product of two fields can reach inf)
+    p = wc.SLProblem(potential=ORACLE_POTENTIALS[name])
+    c = wc.curve_provider(p)
+    bc = wc.bc_from_physical(np.array([[1, 0, 0, 0], [0, 0, -(0.5 + 1j), 1]]), "functional")
+    fields = ("c", "cp", "s", "sp", "w", "wp")
+    readers = (lambda lam: [getattr(fundamental(p, lam), f) for f in fields],
+               lambda lam: sections(c, bc, [lam, lam + 1])[:2], c.B, c.frame)
+    outcome = {}
+    for re in np.arange(-44000.0, -51000.0, -500.0):
+        lam = complex(re, im)
+        got = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for read in readers:
+                try:
+                    got.append(bool(np.isfinite(read(lam)).all()))
+                except wc.NumericalError as err:
+                    assert type(err) is wc.NumericalError and f"{lam:g}" in str(err)
+                    assert "fundamental overflow" in str(err)
+                    got.append(None)
+        outcome[re] = got
+        assert got in ([True] * 4, [None] * 4), (lam, got)
+    assert outcome[-44000.0] == [True] * 4 and outcome[-50500.0] == [None] * 4
+    with pytest.raises(wc.NumericalError, match="moment overflow"):
+        sturm._moments(p, [complex(-44000.0, im)])
 
 
 # -- the sixth-order Magnus step -----------------------------------------------------
@@ -324,14 +360,14 @@ def test_fundamental_many_is_bitwise_fundamental(name, lams, memo):
     assert all(many._memo[(fd.lam.real, fd.lam.imag)] == fd for fd in ref)
 
 
-def _pass_peak_in_node_arrays(pan, lam):
+def _pass_peak_in_node_arrays(pan, lam, **kw):
     """The peak memory of one _solve pass over the lambdas of a column, in
     arrays over its K N J quadrature nodes."""
     import tracemalloc
     node_array = lam.size * pan.step[0].size * len(sturm._QUAD_WEIGHTS) * lam.itemsize
     tracemalloc.start()
     try:
-        sturm._solve(pan, lam)
+        sturm._solve(pan, lam, **kw)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -352,6 +388,17 @@ def test_a_full_real_pass_holds_few_node_arrays(p_q0, n):
     # the same bound in float64, on both signs of the axis in one pass
     lam = np.linspace(-50.0, 400.0, sturm._BATCH_PANELS // n)[:, None]
     assert _pass_peak_in_node_arrays(sturm._panels(p_q0, n), lam) < 8
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("name", ["q0", "x"])
+def test_a_moment_pass_holds_few_node_arrays(name, n):
+    # the same bound on the node pass with the moments, complex and real,
+    # with and without the forcing of w
+    pan = sturm._panels(ORACLE_PROBLEMS[name], n)
+    for lam in (50.0 * np.exp(1j * np.linspace(0.1, 3.0, sturm._BATCH_PANELS // n)),
+                np.linspace(-50.0, 400.0, sturm._BATCH_PANELS // n)):
+        assert _pass_peak_in_node_arrays(pan, lam[:, None], moments=True) < 8
 
 
 def _envelope_errors(got, ref, env, k):
@@ -404,7 +451,7 @@ def test_fundamental_many_overflow_names_the_first_failing_lambda(p_qcos):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(wc.NumericalError, match="moment overflow") as err:
-            fundamental_many(p, [5.0, -13000.0, -12000.0, -20000.0])
+            sturm._moments(p, [5.0, -13000.0, -12000.0, -20000.0])
     assert f"{complex(-13000.0):g}" in str(err.value)
     assert "-20000" not in str(err.value)
 
@@ -413,13 +460,13 @@ def test_fundamental_many_overflow_names_the_first_failing_lambda(p_qcos):
 
 
 def _field_scales(v, lam):
-    """The scale of each of the nine fields (c, c', s, s', m_cc, m_cs, m_ss,
-    w, w') of one solve, as in the DOP853 comparison."""
-    c, cp, s, sp, m_cc, _, m_ss, w, wp = np.abs(v)
+    """The scale of each of the nine rows (c, c', s, s', w, w', m_cc, m_cs,
+    m_ss) of one solve with moments, as in the DOP853 comparison."""
+    c, cp, s, sp, w, wp, m_cc, _, m_ss = np.abs(v)
     k = np.sqrt(1.0 + abs(lam))
     env_c, env_s, env_w = c + cp / k, s + sp / k, w + wp / k
-    return np.array([env_c, k * env_c, env_s, k * env_s, m_cc, np.sqrt(m_cc) * np.sqrt(m_ss),
-                     m_ss, env_w, k * env_w])
+    return np.array([env_c, k * env_c, env_s, k * env_s, env_w, k * env_w, m_cc,
+                     np.sqrt(m_cc) * np.sqrt(m_ss), m_ss])
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_POTENTIALS))
@@ -433,13 +480,16 @@ def test_real_kernel_matches_the_complex_kernel_and_dop853(name, lam):
     p = ORACLE_PROBLEMS[name]
     n = sturm._panel_count(p, lam)
     pan = sturm._panels(p, n)
-    got = sturm._solve(pan, np.array(lam))
-    ref = sturm._solve(pan, np.array(complex(lam)))
+    got = sturm._solve(pan, np.array(lam), moments=True)
+    ref = sturm._solve(pan, np.array(complex(lam)), moments=True)
     assert got.dtype == float and ref.dtype == complex
-    # fundamental runs the real kernel and stores its fields as complex
+    # fundamental and the moment read run the real kernel and store their
+    # fields as complex
     fd = fundamental(p, lam)
-    assert [fd.c, fd.cp, fd.s, fd.sp, fd.m_cc, fd.m_cs, fd.m_ss, fd.w, fd.wp] == got.tolist()
-    assert all(isinstance(v, complex) for v in (fd.c, fd.m_cs, fd.wp))
+    (m_cc, _), (m_cs, m_ss) = sturm._moments(p, [lam])[0]
+    assert [fd.c, fd.cp, fd.s, fd.sp, fd.w, fd.wp, m_cc, m_cs, m_ss] == got.tolist()
+    m_memo = p._moment_memo[(float(lam), 0.0)]
+    assert all(isinstance(v, complex) for v in (fd.c, m_memo[1], fd.wp))
     # the two kernels round differently by about an ulp per panel factor
     # (numpy's float64 cosh is not its complex one), and N factors carry it
     # to about N ulps, twice that in the moments
@@ -462,6 +512,101 @@ def test_fundamental_many_mixing_real_and_complex_is_bitwise_fundamental(name, l
     assert fundamental_many(many, lams) == ref
 
 
+# -- the moment read ------------------------------------------------------------
+
+MIXED_LAMS = st.lists(st.one_of(st.floats(-1e4, 1e4),
+                                st.builds(complex, st.floats(-1e4, 1e4), st.floats(-50.0, 50.0))),
+                      min_size=1, max_size=10)
+
+
+def _field_bits(fds) -> bytes:
+    fields = [[fd.c, fd.cp, fd.s, fd.sp, fd.w, fd.wp] for fd in fds]
+    return np.array(fields, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_POTENTIALS))
+@settings(max_examples=10)
+@given(lams=MIXED_LAMS, first=st.lists(st.booleans(), min_size=10, max_size=10))
+@example(lams=[3.0, -7.5 + 2j, 1e4, -1e4, 450.0 - 50j], first=[True, False] * 5)
+def test_endpoint_fields_are_bitwise_the_same_with_or_without_moments(name, lams, first):
+    # endpoint passes of the whole batch against moment passes of a part of
+    # it first: the memo then holds fields from both kinds of pass
+    pot = ORACLE_POTENTIALS[name]
+    plain, mixed = wc.SLProblem(potential=pot), wc.SLProblem(potential=pot)
+    sturm._moments(mixed, [lam for lam, f in zip(lams, first) if f])
+    got = fundamental_many(mixed, lams)
+    assert _field_bits(got) == _field_bits(fundamental_many(plain, lams))
+    assert _field_bits(got) == _field_bits([fundamental(wc.SLProblem(potential=pot), lam)
+                                            for lam in lams])
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_POTENTIALS))
+@settings(max_examples=10)
+@given(lams=MIXED_LAMS)
+@example(lams=[0.0, 2.5, -40.0, 7.0 + 3.0j, 300.0 - 20.0j, -1e3 + 1j, 1e4])
+def test_moments_are_bitwise_the_rows_of_the_one_lambda_moment_pass(name, lams):
+    # whatever the batch, a lambda's moments are those of its own nine-row
+    # pass, in the layout [[m_cc, conj m_cs], [m_cs, m_ss]]
+    p = wc.SLProblem(potential=ORACLE_POTENTIALS[name])
+    got = sturm._moments(p, lams)
+    for lam, mom in zip(lams, got):
+        lam = complex(lam)
+        pan = sturm._panels(p, sturm._panel_count(p, lam))
+        v = sturm._solve(pan, np.array(lam.real if lam.imag == 0 else lam), moments=True)
+        m_cc, m_cs, m_ss = v[6:].astype(complex)
+        ref = np.array([[m_cc, m_cs.conj()], [m_cs, m_ss]])
+        assert mom.tobytes() == ref.tobytes()
+
+
+def _count_passes(monkeypatch):
+    """Record each _solve pass as (lambdas, moments, node pass): the node
+    pass shows as a _cosh_sinhc call over the quadrature nodes."""
+    passes = []
+    solve, cosh_sinhc = sturm._solve, sturm._cosh_sinhc
+
+    def counted(pan, lam, **kw):
+        passes.append((np.ravel(lam).tolist(), kw.get("moments", False), False))
+        return solve(pan, lam, **kw)
+
+    def nodes(z):
+        if np.shape(z)[-1] == len(sturm._QUAD_WEIGHTS):
+            passes[-1] = passes[-1][:2] + (True,)
+        return cosh_sinhc(z)
+
+    monkeypatch.setattr(sturm, "_solve", counted)
+    monkeypatch.setattr(sturm, "_cosh_sinhc", nodes)
+    return passes
+
+
+def test_q0_forms_moments_only_at_the_cover_knots(monkeypatch, bc_dirichlet):
+    # q = 0: proximity, the contour and the samples of the heights read
+    # endpoints only, and so run no node pass; the fmt report forms moments
+    # at its cover knots alone, each knot in one pass
+    bc_robin = wc.bc_from_physical(np.array([[1, 0, 0, 0], [0, 0, -(0.5 + 1j), 1]]),
+                                   "functional")
+    passes = _count_passes(monkeypatch)
+    c = wc.curve_provider(wc.SLProblem(potential=wc.Potential.zero()))
+    wc.proximity(c, bc_dirichlet, 50.37)
+    wc.eigenvalues_complex(c, bc_robin, (0.3, 30.0, -3.0, 3.0))
+    assert passes and not any(mom or node for _, mom, node in passes)
+    passes.clear()
+    wc.height_grid(c, [0.5, 5.0, 50.0])
+    # the knots, then the samples between them
+    assert [node for _, _, node in passes] == [mom for _, mom, _ in passes]
+    knots = [lam for lams, mom, _ in passes if mom for lam in lams]
+    assert sorted(knots) == c.phase_path.us.tolist()
+    assert any(not mom for _, mom, _ in passes)
+    passes.clear()
+    p = wc.SLProblem(potential=wc.Potential.zero())
+    c = wc.curve_provider(p)
+    wc.fmt_report(c, [bc_dirichlet], [10.37, 30.37, 50.37])
+    knots = [lam for lams, mom, _ in passes if mom for lam in lams]
+    assert sorted(knots) == c.phase_path.us.tolist() == sorted(set(knots))
+    assert [node for _, _, node in passes] == [mom for _, mom, _ in passes]
+    assert len(p._memo) == sum(len(lams) for lams, _, _ in passes)
+    assert set(p._moment_memo) == {(u, 0.0) for u in knots}
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_POTENTIALS))
 def test_real_and_complex_kernels_overflow_at_the_same_lambda(name):
     # the moments leave the double range near lambda = -12,750
@@ -469,7 +614,8 @@ def test_real_and_complex_kernels_overflow_at_the_same_lambda(name):
     lams = np.arange(-12900.0, -12600.0, 5.0)
     with np.errstate(all="ignore"):
         finite = [[np.isfinite(sturm._solve(sturm._panels(p, sturm._panel_count(p, lam)),
-                                            np.array(x))).all() for x in (lam, complex(lam))]
+                                            np.array(x), moments=True)).all()
+                   for x in (lam, complex(lam))]
                   for lam in lams]
     assert [r for r, _ in finite] == [c for _, c in finite]
     assert not finite[0][0] and finite[-1][0]
@@ -477,7 +623,7 @@ def test_real_and_complex_kernels_overflow_at_the_same_lambda(name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(wc.NumericalError, match="moment overflow at lambda = -13000"):
-            fundamental(fresh, -13000.0)
+            sturm._moments(fresh, [-13000.0])
 
 
 def test_stable_lognorm_takes_arrays(c_qx):
@@ -568,6 +714,44 @@ def test_gamma_plus_norm_matches_quadrature(p_qx):
     assert out["l2_norm_sq"] == pytest.approx(quad, rel=1e-8)
 
 
+def _q0_gamma_norm_sq(lam, phi, sign):
+    """||y||^2 on [0, pi] of the q = 0 solution y of -y'' = lam y with
+    (y'(0) + i sign y(0), -y'(pi) + i sign y(pi)) = sqrt(2) phi: y = A e^{ikx}
+    + B e^{ik(pi - x)} with Im k >= 0, whose two terms stay at most 1 on
+    [0, pi], so neither the solve nor the quadrature cancels."""
+    k = cmath.sqrt(lam)
+    e, p, m = cmath.exp(1j * k * np.pi), 1j * k + 1j * sign, 1j * sign - 1j * k
+    A, B = np.linalg.solve(np.array([[p, e * m], [e * m, p]]) / np.sqrt(2), phi)
+    x, wt = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(0.0, np.pi, 65)
+    xs = ((edges[:-1, None] + edges[1:, None]) + np.diff(edges)[:, None] * x) / 2
+    y = A * np.exp(1j * k * xs) + B * np.exp(1j * k * (np.pi - xs))
+    return float(np.sum(np.abs(y) ** 2 * wt) * np.diff(edges)[0] / 2)
+
+
+def test_gamma_norms_match_the_q0_closed_form_or_raise(p_q0):
+    # c* mom c is a difference of the moments of c and s, which grow like
+    # e^{pi sqrt(-lambda)} while the field stays bounded: where that
+    # cancels below noise the norm raises the typed error, never a
+    # negative value (-0.285 at the first lambda once)
+    gen = np.random.default_rng(2)
+    drawn = zip(gen.uniform(-50.0, 300.0, 50), gen.uniform(-20.0, 20.0, 50))
+    lams = [complex(-43.14, 1.11)] + [complex(re, im) for re, im in drawn]
+    kept = 0
+    for lam in lams:
+        for phi in (np.array([1.0, 0.0]), np.array([0.3 - 0.2j, 1.0])):
+            for sign, gamma in ((+1, gamma_plus), (-1, gamma_minus)):
+                try:
+                    got = gamma(p_q0, lam, phi)["l2_norm_sq"]
+                except wc.NumericalError as err:
+                    assert "cancels" in str(err) and f"{lam:g}" in str(err)
+                    continue
+                ref = _q0_gamma_norm_sq(lam, phi, sign)
+                assert got >= 0 and abs(got - ref) <= 1e-6 * ref, (lam, phi, sign, got, ref)
+                kept += 1
+    assert kept >= 4 * 40
+
+
 def test_gamma_plus_gram_is_kernel_diagonal(p_qx, c_qx):
     lam = 0.9 + 1.4j
     G = gamma_plus_gram(p_qx, lam)
@@ -588,14 +772,18 @@ def test_gamma_minus_is_B_times_gamma_plus(p_qx, c_qx):
 
 @pytest.mark.parametrize("name", sorted(ORACLE_POTENTIALS))
 def test_stacked_gamma_systems_and_moments_are_the_one_element_stacks(name):
-    from weylcurve.sturm import _gamma_system, _moment_matrix
-    fds = fundamental_many(ORACLE_PROBLEMS[name],
-                           [0.0, 2.5, -40.0, 7.0 + 3.0j, 300.0 - 20.0j, -1e3 + 1j])
-    for stack in (lambda f: _gamma_system(f, +1), lambda f: _gamma_system(f, -1), _moment_matrix):
+    from weylcurve.sturm import _gamma_system, _moments
+    p = ORACLE_PROBLEMS[name]
+    fds = fundamental_many(p, [0.0, 2.5, -40.0, 7.0 + 3.0j, 300.0 - 20.0j, -1e3 + 1j])
+
+    def moments(f):
+        return _moments(p, [fd.lam for fd in f])
+
+    for stack in (lambda f: _gamma_system(f, +1), lambda f: _gamma_system(f, -1), moments):
         got = stack(fds)
         assert got.shape == (len(fds), 2, 2)
         assert np.array_equal(got, np.concatenate([stack([fd]) for fd in fds]))
-    assert _moment_matrix([]).shape == _gamma_system([], 1).shape == (0, 2, 2)
+    assert moments([]).shape == _gamma_system([], 1).shape == (0, 2, 2)
 
 
 def test_gamma_plus_singular_in_lower_half(p_q0):

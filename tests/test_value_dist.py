@@ -146,9 +146,9 @@ def test_proximity_solves_each_level_in_one_batch(monkeypatch, bc_dirichlet):
         entries.append((len(lams), []))
         return many(p_, lams)
 
-    def solve(pan, lam, solve=sturm._solve):
+    def solve(pan, lam, solve=sturm._solve, **kw):
         entries[-1][1].append((1 if lam.ndim == 0 else lam.shape[0], pan.step[0].size))
-        return solve(pan, lam)
+        return solve(pan, lam, **kw)
 
     monkeypatch.setattr(value_dist, "_neg_lognorm", logged)
     monkeypatch.setattr(sturm, "fundamental_many", many)

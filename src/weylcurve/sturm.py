@@ -164,6 +164,11 @@ class FundamentalData:
 
     @property
     def wronskian(self) -> complex:
+        """c s' - c' s, which is 1, formed from the endpoint values: its
+        error is about eps (|c s'| + |c' s|), so it has no digits once the
+        solutions pass 1e8 (lambda below about -37 on q = 0), and it is nan
+        from lambda = -12,825 down on q = 0, where c s' overflows, well
+        inside the endpoint range."""
         return self.c * self.sp - self.cp * self.s
 
 

@@ -376,29 +376,31 @@ def _pass_peak_in_node_arrays(pan, lam, **kw):
 
 @pytest.mark.parametrize("n", [16, 64])
 def test_a_full_complex_pass_holds_few_node_arrays(p_q0, n):
-    # numpy allocates every result; a pass of K N = 4096 complex lambda-panels
-    # works in place, so its peak is under eight arrays over the K N J
-    # quadrature nodes (over ten when each operation allocated its result)
+    # numpy allocates every result; a full pass (one that forms the moments,
+    # the only one that runs the node pass on q = 0) of K N = 4096 complex
+    # lambda-panels works in place, so its peak is under eight arrays over
+    # the K N J quadrature nodes (over ten when each operation allocated its
+    # result)
     lam = (50.0 * np.exp(1j * np.linspace(0.1, 3.0, sturm._BATCH_PANELS // n)))[:, None]
-    assert _pass_peak_in_node_arrays(sturm._panels(p_q0, n), lam) < 8
+    assert _pass_peak_in_node_arrays(sturm._panels(p_q0, n), lam, moments=True) < 8
 
 
 @pytest.mark.parametrize("n", [16, 64])
 def test_a_full_real_pass_holds_few_node_arrays(p_q0, n):
     # the same bound in float64, on both signs of the axis in one pass
     lam = np.linspace(-50.0, 400.0, sturm._BATCH_PANELS // n)[:, None]
-    assert _pass_peak_in_node_arrays(sturm._panels(p_q0, n), lam) < 8
+    assert _pass_peak_in_node_arrays(sturm._panels(p_q0, n), lam, moments=True) < 8
 
 
 @pytest.mark.parametrize("n", [16, 64])
-@pytest.mark.parametrize("name", ["q0", "x"])
-def test_a_moment_pass_holds_few_node_arrays(name, n):
-    # the same bound on the node pass with the moments, complex and real,
-    # with and without the forcing of w
-    pan = sturm._panels(ORACLE_PROBLEMS[name], n)
+@pytest.mark.parametrize("moments", [False, True])
+def test_a_forced_pass_holds_few_node_arrays(moments, n):
+    # the same bound where the forcing of w is not zero, so that the node
+    # pass runs with or without the moments, complex and real
+    pan = sturm._panels(ORACLE_PROBLEMS["x"], n)
     for lam in (50.0 * np.exp(1j * np.linspace(0.1, 3.0, sturm._BATCH_PANELS // n)),
                 np.linspace(-50.0, 400.0, sturm._BATCH_PANELS // n)):
-        assert _pass_peak_in_node_arrays(pan, lam[:, None], moments=True) < 8
+        assert _pass_peak_in_node_arrays(pan, lam[:, None], moments=moments) < 8
 
 
 def _envelope_errors(got, ref, env, k):

@@ -22,6 +22,7 @@ from .symplectic import PseudoUnitary, mobius_pu
 
 STENCIL_H0 = 1e-3  # the derivative stencil's step at |lambda| <= 1 (_stencil)
 COND_MAX = 1e12
+LAMBDA_MAX = 1e6  # the supported range of |lambda|: real-axis reads, radii, SL solves
 
 
 class CurveProvider:
@@ -282,8 +283,10 @@ class PhasePath:
         every cell between them and the path.
 
         A request farther from the path than its own length starts the path
-        afresh.
+        afresh.  ValidationError unless -LAMBDA_MAX <= a <= b <= LAMBDA_MAX.
         """
+        if not -LAMBDA_MAX <= a <= b <= LAMBDA_MAX:
+            raise ValidationError(f"real-axis request [{a}, {b}] not within +-{LAMBDA_MAX:g}")
         us = self.us
         if us.size and us[0] <= a and b <= us[-1]:
             return

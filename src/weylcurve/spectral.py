@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .curves import TWO_PI, CurveProvider, _dets
+from .curves import LAMBDA_MAX, TWO_PI, CurveProvider, _dets
 from .errors import ChartError, DegenerateBCError, NumericalError, ValidationError
 from .symplectic import (GrassPoint, chart_convert, frame_sections, graph_of, null_space,
                          rank_deficient)
@@ -221,11 +221,29 @@ def _endpoint_count(c: CurveProvider, bc: BoundaryCondition, a: float, b: float)
     return int(_crossings(phis[-1] - phis[0], th[0], th[1])), float(phis[-1] - phis[0])
 
 
+def _real_request(c: CurveProvider, bc: BoundaryCondition, a, b, what: str) -> tuple:
+    """(a, b) as floats once bc is self-adjoint, c entire and a < b; their
+    range is PhasePath.cover's."""
+    if not (bc.selfadjoint and c.domain == "entire"):
+        raise ValidationError(f"{what} requires a self-adjoint condition on an entire curve")
+    a, b = float(a), float(b)
+    if not a < b:
+        raise ValidationError(f"{what} needs an interval (a, b] with a < b, got ({a}, {b}]")
+    return a, b
+
+
+def _radii(rs, least: int = 1) -> np.ndarray:
+    """rs sorted, as a float array, once there are `least` or more, all in (0, LAMBDA_MAX]."""
+    radii = np.sort(np.asarray(rs, dtype=float).ravel())
+    if radii.size < least or not (0 < radii[0] and radii[-1] <= LAMBDA_MAX):
+        raise ValidationError(f"need {least}+ radii in (0, {LAMBDA_MAX:g}], got {radii.tolist()}")
+    return radii
+
+
 def count_real(c: CurveProvider, bc: BoundaryCondition, a: float, b: float) -> int:
-    """Eigenvalue count (with multiplicity) in (a, b] from the unwrapped det B phase."""
-    if bc.chart_unitary is None:
-        raise ValidationError("count_real requires a chart-unitary boundary condition")
-    return _endpoint_count(c, bc, a, b)[0]
+    """Eigenvalue count (with multiplicity) in (a, b] from the unwrapped det B phase:
+    a self-adjoint condition, an entire curve and a < b within +-LAMBDA_MAX."""
+    return _endpoint_count(c, bc, *_real_request(c, bc, a, b, "count_real"))[0]
 
 
 def _find_roots(f, a, b, fa, fb) -> np.ndarray:
@@ -361,22 +379,17 @@ def _merge_clusters(roots, mults) -> tuple:
 
 def _real_spectrum(c: CurveProvider, bc: BoundaryCondition, a: float, b: float) -> tuple:
     """Sorted arrays (lams, mults) of a self-adjoint chart condition's
-    eigenvalues in (a, b], clusters merged."""
+    eigenvalues in (a, b], clusters merged; the path is covered before the degeneracy test."""
+    samples = _real_samples(c, a, b)
     if is_degenerate(c, bc, samples=np.linspace(a, b, 16)):
         raise DegenerateBCError("characteristic function vanishes identically; spectrum = C")
-    return _merge_clusters(*_crossing_roots(c, bc.chart_unitary, *_real_samples(c, a, b)))
+    return _merge_clusters(*_crossing_roots(c, bc.chart_unitary, *samples))
 
 
 def eigenvalues_real(c: CurveProvider, bc: BoundaryCondition, interval):
     """All eigenvalues of a self-adjoint condition in a real interval (a, b]."""
-    if not bc.selfadjoint:
-        raise ValidationError("eigenvalues_real requires a self-adjoint condition")
-    if c.domain != "entire":
-        raise ValidationError("eigenvalues_real requires an entire provider")
-    a, b = float(interval[0]), float(interval[1])
-    if not a < b:
-        raise ValidationError("empty interval")
-    lams, mults = _real_spectrum(c, bc, a, b)
+    lams, mults = _real_spectrum(c, bc, *_real_request(c, bc, interval[0], interval[1],
+                                                       "eigenvalues_real"))
     if not lams.size:
         return []
     return [Eigenvalue(lam=complex(lam), multiplicity=mult, residual=r)
@@ -562,8 +575,8 @@ def eigenvalues_complex(c: CurveProvider, bc: BoundaryCondition, rectangle):
     if c.domain != "entire":
         raise ValidationError("contour search requires an entire provider")
     x0, x1, y0, y1 = (float(v) for v in rectangle)
-    if not (x0 < x1 and y0 < y1):
-        raise ValidationError("degenerate rectangle")
+    if not (-LAMBDA_MAX <= x0 < x1 <= LAMBDA_MAX and -LAMBDA_MAX <= y0 < y1 <= LAMBDA_MAX):
+        raise ValidationError(f"degenerate rectangle or sides beyond +-{LAMBDA_MAX:g}")
     if is_degenerate(c, bc, samples=[complex(a, b)
                                      for a in np.linspace(x0, x1, 8)
                                      for b in np.linspace(y0, y1, 8)]):
@@ -668,9 +681,7 @@ def counting(c: CurveProvider, bc: BoundaryCondition, r: float) -> dict:
     """n_T(r) and the logarithmically weighted count N_T(r), at the middle
     of the nearest moduli below and above (at most r (1 + 1e-3)) the ring
     RING_TOL_BASE (1 + r) about r, where that ring holds an eigenvalue."""
-    r = float(r)
-    if r <= 0:
-        raise ValidationError("radius must be positive")
+    r = float(_radii([r])[0])
     lams, mults = _disc_spectrum(c, bc, r)
     moduli = np.hypot(lams.real, lams.imag)
     ring_tol = RING_TOL_BASE * (1 + r)
@@ -700,12 +711,9 @@ def counting_sums(lams, mults, radii) -> tuple:
 
 def interlace(c: CurveProvider, bc1: BoundaryCondition, bc2: BoundaryCondition,
               r: float) -> dict:
-    """Eigenvalue counts of two self-adjoint conditions in (-r, r] (count_real)."""
-    for bc in (bc1, bc2):
-        if not bc.selfadjoint:
-            raise ValidationError("interlace requires self-adjoint chart conditions")
-    if c.domain != "entire":
-        raise ValidationError("interlace requires an entire provider")
+    """Eigenvalue counts of two self-adjoint conditions in (-r, r] (count_real),
+    on an entire curve, with r in (0, LAMBDA_MAX]."""
+    r = float(_radii([r])[0])
     n1 = count_real(c, bc1, -r, r)
     n2 = count_real(c, bc2, -r, r)
     return {"n1": int(n1), "n2": int(n2),
@@ -717,11 +725,11 @@ def phase_count(c: CurveProvider, bc: BoundaryCondition, r: float) -> dict:
 
     After re-gauging by g = diag(I, U*) the characteristic chart is the
     identity and det(U* B) = det(U*) det B, so the phase integral equals
-    the unwrapped det-B phase difference and is chart-independent.
+    the unwrapped det-B phase difference and is chart-independent.  It needs
+    a self-adjoint condition, an entire curve and r in (0, LAMBDA_MAX].
     """
-    if not bc.selfadjoint:
-        raise ValidationError("phase_count requires a self-adjoint chart condition")
-    n_T, dphi = _endpoint_count(c, bc, -float(r), float(r))
+    r = float(_radii([r])[0])
+    n_T, dphi = _endpoint_count(c, bc, *_real_request(c, bc, -r, r, "phase_count"))
     phase_integral = dphi / TWO_PI
     gap = abs(phase_integral - n_T)
     if gap > c.n + 1.0:

@@ -33,12 +33,11 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .curves import CurveProvider
+from .curves import LAMBDA_MAX, CurveProvider
 from .errors import NumericalError, ValidationError
 from .spectral import BoundaryCondition, _rows_frame
 from .symplectic import GrassPoint, null_space
 
-LAMBDA_MAX = 1e6
 BVP_NODES = 2049  # uniform grid points of the Green's-function solves
 SQRT2 = np.sqrt(2.0)
 
@@ -135,13 +134,15 @@ class Potential:
 
 
 def _floats(values, where) -> tuple:
-    """values, a sequence of numbers (a string is not one), as a tuple of floats."""
+    """values, a sequence of finite numbers (not a string), as a tuple of floats."""
     if not isinstance(values, str):
         try:
-            return tuple(float(v) for v in values)
-        except (TypeError, ValueError):
+            out = tuple(float(v) for v in values)
+            if all(map(math.isfinite, out)):
+                return out
+        except (TypeError, ValueError, OverflowError):
             pass
-    raise ValidationError(f"potential {where}: expected a list of numbers, got {values!r}")
+    raise ValidationError(f"potential {where}: expected finite numbers, got {values!r}")
 
 
 @dataclass(frozen=True)
@@ -187,8 +188,8 @@ class SLProblem:
     _panel_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ValidationError("interval length must be positive")
+        if not 0 < self.length < math.inf:
+            raise ValidationError("interval length must be positive and finite")
         if not 0 < self.ode_rtol <= 1e-4:
             raise ValidationError("ODE tolerance must lie in (0, 1e-4]")
 
@@ -202,9 +203,12 @@ class SLProblem:
 
     @functools.cached_property
     def _q_scale(self) -> tuple:
-        """(max |q|, max |q'|) on 1,025 points of [0, L]."""
+        """(max |q|, max |q'|) on 1,025 points of [0, L], max |q| within LAMBDA_MAX."""
         xs = np.linspace(0.0, self.length, 1025)
-        return float(np.max(np.abs(self._q(xs)))), float(np.max(np.abs(self._qd(xs))))
+        q_max = float(np.max(np.abs(self._q(xs))))
+        if not q_max <= LAMBDA_MAX:
+            raise ValidationError(f"potential: max |q| = {q_max:g} exceeds {LAMBDA_MAX:g}")
+        return q_max, float(np.max(np.abs(self._qd(xs))))
 
 
 # Sixth-order Magnus (Blanes, Casas & Ros 2000): the three Gauss nodes of a
@@ -490,7 +494,7 @@ def _solve_missing(p: SLProblem, lams, moments: bool) -> list:
     """
     lams = np.ravel(np.asarray(lams, dtype=complex)).tolist()
     for lam in lams:
-        if abs(lam) > LAMBDA_MAX:
+        if not abs(lam) <= LAMBDA_MAX:
             raise ValidationError(f"|lambda| exceeds the supported range {LAMBDA_MAX:g}")
     keys = [(lam.real, lam.imag) for lam in lams]
     memo = p._moment_memo if moments else p._memo

@@ -10,12 +10,13 @@ and Nevanlinna/Valiron defects are finite-grid estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .curves import TWO_PI, CurveProvider
 from .errors import NumericalError, ValidationError
-from .spectral import BoundaryCondition, _disc_spectrum, counting_sums, sections
+from .spectral import BoundaryCondition, _disc_spectrum, _radii, counting_sums, sections
 # re-exported: bench/tracing.py wraps them in this namespace too
 from .spectral import (char_function, eigenvalues_complex, eigenvalues_real,  # noqa: F401
                        is_degenerate)
@@ -28,11 +29,13 @@ _GL7_NODES, _GL7_WEIGHTS = np.polynomial.legendre.leggauss(7)
 
 def total_phase(c: CurveProvider, u):
     """Unwrapped arg det B along [0, u], anchored at the principal value of
-    arg det B(0), at u, a number or an array: one sample call for all.
+    arg det B(0), at u (a number or a non-empty array, in +-LAMBDA_MAX): one sample call.
 
     The value is sampled at u off the phase path, not interpolated.
     """
     us = np.asarray(u, dtype=float)
+    if not us.size:
+        raise ValidationError("total_phase needs at least one u")
     c.phase_path.cover(min(us.min(), 0.0), max(us.max(), 0.0))
     phis = c.phase_path.sample(us.ravel())[1].reshape(us.shape)
     return float(phis) if phis.ndim == 0 else phis
@@ -50,9 +53,7 @@ def height_grid(c: CurveProvider, r_grid) -> np.ndarray:
     at phases sampled exactly off the phase path: one sample call for the
     nodes of both half-axes.
     """
-    radii = np.asarray(sorted(float(r) for r in r_grid))
-    if radii.size == 0 or radii[0] <= 0:
-        raise ValidationError("radii must be positive")
+    radii = _radii(r_grid)
     rmax = radii[-1]
     path = c.phase_path
     path.cover(-rmax, rmax)
@@ -130,9 +131,9 @@ def proximity(c: CurveProvider, bc: BoundaryCondition, r: float) -> float:
     W(conj lambda) is the J-orthogonal complement of W(lambda), and a
     self-adjoint V_y is its own, so the section norm is even in theta.  A
     self-adjoint condition integrates the upper half circle, [0, pi], on
-    the first four of the full circle's eight starting panels.
+    the first four of the full circle's eight starting panels.  r is in (0, LAMBDA_MAX].
     """
-    r = float(r)
+    r = float(_radii([r])[0])
     edges = np.linspace(0.0, TWO_PI, 9)[:5 if bc.selfadjoint else 9]
     return _adaptive_gl(lambda ths: _neg_lognorm(c, bc, r, ths), edges,
                         PROXIMITY_TOL) / edges[-1]
@@ -182,10 +183,7 @@ def fmt_report(c: CurveProvider, bcs, r_grid) -> list:
     """One VDReport per condition of bcs: the First-Main-Theorem table h, N, m,
     the residual h - m - N and the defects.  h and the phases at +-r belong
     to the curve, so they are computed once for all of the conditions."""
-    radii = np.asarray([float(r) for r in r_grid])
-    if np.any(radii <= 0) or radii.size < 2:
-        raise ValidationError("need at least two positive radii")
-    radii = np.sort(radii)
+    radii = _radii(r_grid, least=2)
     # one eigenvalue search per condition, reused for every radius, which
     # raises DegenerateBCError for a degenerate one; the searches run first,
     # so the heights are read off the phase path they covered
@@ -209,20 +207,18 @@ def fmt_report(c: CurveProvider, bcs, r_grid) -> list:
 
 def order_type(c: CurveProvider, r_grid) -> dict:
     """Finite-r Weyl order and type estimates from the top decade of h."""
-    radii = np.sort(np.asarray([float(r) for r in r_grid]))
-    return order_type_of_heights(radii, height_grid(c, radii))
-
-
-def spans_two_decades(radii) -> bool:
-    """Whether sorted radii span the two decades order_type needs."""
-    return radii[-1] / radii[0] >= 100 * (1 - 1e-9)
-
-
-def order_type_of_heights(radii, h) -> dict:
-    """order_type read off the heights h already computed on the sorted radii."""
-    radii, h = np.asarray(radii, dtype=float), np.asarray(h, dtype=float)
-    if not spans_two_decades(radii):
+    radii = _radii(r_grid)
+    ot = order_type_of_heights(radii, height_grid(c, radii))
+    if ot is None:
         raise ValidationError("order_type needs a grid spanning >= 2 decades")
+    return ot
+
+
+def order_type_of_heights(radii, h) -> Optional[dict]:
+    """order_type off the heights h on the sorted radii; None below two decades."""
+    radii, h = np.asarray(radii, dtype=float), np.asarray(h, dtype=float)
+    if radii[-1] / radii[0] < 100 * (1 - 1e-9):
+        return None
     if h[-1] <= 1e-9:
         return {"rho": 0.0, "tau": float(max(h.max(), 0.0))}
     top = radii >= radii[-1] / 10
@@ -247,7 +243,7 @@ def _tail_defects(radii, h, m_on) -> dict:
 
 def defects(c: CurveProvider, bc: BoundaryCondition, r_grid) -> dict:
     """Tail min/max of m/h, clamped to [0, 1]: defect estimates."""
-    radii = np.sort(np.asarray([float(r) for r in r_grid]))
+    radii = _radii(r_grid)
     return _tail_defects(radii, height_grid(c, radii),
                          lambda tail: np.array([proximity(c, bc, r) for r in radii[tail]]))
 

@@ -1,10 +1,17 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import weylcurve
 from weylcurve.cli import main
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(weylcurve.__file__)))
+_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -249,6 +256,21 @@ TRIG = {"kind": "trig", "coeffs_sin": [1.0]}
         "name": "shifted_identity", "params": {"a": "x"}}}), "params.a"),
     ("height", {"r_grid": [1.0]}, _set("problem", {"builtin_curve": {
         "name": "shifted_identity", "params": {"n": "2.5"}}}), "params.n"),
+    # non-finite or overflowing numbers, as strings and as JSON NaN/Infinity
+    ("eig", {"interval": [0.5, "inf"]}, None, "interval"),
+    ("height", {"r_grid": ["nan", 2]}, None, "r_grid"),
+    ("eig-complex", {"rectangle": [0, 10, -1, "inf"]}, None, "rectangle"),
+    ("eig", {"interval": [0.5, 10.0]},
+     _set(f"{SL}.potential", {"kind": "polynomial", "coeffs": ["nan"]}), "coeffs"),
+    ("eig", {"interval": [0.5, 10.0]},
+     _set(f"{SL}.potential", {"kind": "polynomial", "coeffs": [1e300, 1]}), "potential"),
+    ("eig", {"interval": [0.5, 10.0]}, _set(f"{SL}.interval", "inf"), "interval"),
+    ("eig", {"interval": [0.5, 10.0]}, _set(f"{SL}.interval", "nan"), "interval"),
+    ("scan", {"start": float("nan"), "stop": 2.0}, None, "start"),
+    ("phase-count", {"r": float("inf")}, None, "command_params.r"),
+    ("curvature", {"lambdas": [[1.0, float("-inf")]]}, None, "lambdas"),
+    ("eig", {"interval": [0.5, 10.0]}, _set(f"{SL}.potential", {
+        "kind": "table", "x": [0, 1, 2, float("inf")], "q": [0, 0, 0, 0]}), "x"),
 ])
 def test_malformed_numbers_exit_2(tmp_path, capsys, command, params, edit, key):
     cfg = sl_cfg(tmp_path, command_params=params)
@@ -346,3 +368,32 @@ def test_interlace(tmp_path):
     assert rc == 0
     doc = read_out(tmp_path)
     assert abs(doc["n1"] - doc["n2"]) <= 2
+
+
+# requests that once grew the phase path without end: each must exit 2 at once
+_EXP_U = {"mode": "unitary", "label": "U", "rows": [[[0.955336, 0.29552]]]}
+
+
+@pytest.mark.parametrize("command, params, bcs", [
+    ("height", {"r_grid": [1e300]}, []),
+    ("height", {"r_grid": ["inf"]}, []),
+    ("phase-count", {"r": "inf"}, [_EXP_U]),
+    ("eig", {"interval": [0, 1e300]}, [_EXP_U]),
+])
+def test_unbounded_requests_exit_2_promptly(tmp_path, command, params, bcs):
+    cfg = exp_cfg(tmp_path, command_params=params)
+    cfg["boundary_conditions"] = bcs
+    proc = subprocess.run([sys.executable, "-m", "weylcurve.cli", command,
+                           "--config", write_cfg(tmp_path, "c.json", cfg)],
+                          capture_output=True, text=True, env=_ENV, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "validation error" in proc.stderr
+
+
+def test_sl_height_beyond_the_range_raises_promptly():
+    code = ("import weylcurve as wc\n"
+            "c = wc.curve_provider(wc.SLProblem(potential=wc.Potential.zero()))\n"
+            "try:\n    wc.height(c, 1e300)\nexcept wc.ValidationError:\n    raise SystemExit(2)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_ENV, timeout=60)
+    assert proc.returncode == 2, proc.stderr

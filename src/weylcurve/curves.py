@@ -181,19 +181,20 @@ def _step_cap(u):
 
 
 # the cap lattice 0, x + _step_cap(x), ... on the right of 0 and 0,
-# x - _step_cap(x), ... on its left, as far as requests have reached; a side
-# grows by being replaced whole, and any two growths make the same points
+# x - _step_cap(x), ... on its left, each side ending at +-LAMBDA_MAX (its
+# outer cell clipped there), as far as requests have reached; a side grows
+# by being replaced whole, and any two growths make the same points
 _LATTICE = {1.0: (0.0,), -1.0: (0.0,)}
 
 
 def _lattice(a: float, b: float) -> np.ndarray:
     """The cap lattice from its last point at or below a to its first at or
-    above b (the next one if that is a again): the ends of the cells that
-    overlap [a, b]."""
+    above b (the next one if that is a again, and there is one): the ends of
+    the cells that overlap [a, b]."""
     for sign, end in ((1.0, b), (-1.0, a)):
         side = list(_LATTICE[sign])
-        while sign * side[-1] <= sign * end:
-            side.append(side[-1] + sign * float(_step_cap(side[-1])))
+        while sign * side[-1] <= sign * end and sign * side[-1] < LAMBDA_MAX:
+            side.append(sign * min(sign * side[-1] + float(_step_cap(side[-1])), LAMBDA_MAX))
         _LATTICE[sign] = tuple(side)
     xs = np.array(_LATTICE[-1.0][:0:-1] + _LATTICE[1.0])
     i = np.searchsorted(xs, a, side="right") - 1
@@ -336,9 +337,15 @@ class PhasePath:
         on requests.
         """
         xs = np.asarray(xs, dtype=float)
-        k = np.searchsorted(self.us, xs, side="right") - 1
-        Bs = self.c.B_many(xs)
-        turns = np.angle(_dets(Bs) / self.dets[k])
+        return self._lift(xs, np.searchsorted(self.us, xs, side="right") - 1)
+
+    def _lift(self, xs, k):
+        """(Bs, phis) at the covered points xs (any shape), each lifted from
+        the knot k at or below it (k broadcasts against xs): B from one
+        B_many call over xs raveled, and phis[k] + arg(det B(x) / dets[k]),
+        or phis[k] at the knot itself.  The one lifting rule of the path."""
+        Bs = self.c.B_many(xs.ravel())
+        turns = np.angle(_dets(Bs).reshape(xs.shape) / self.dets[k])
         return Bs, self.phis[k] + np.where(self.us[k] == xs, 0.0, turns)
 
     def samples(self, a: float, b: float):

@@ -666,12 +666,14 @@ ZERO_TOL = 1e-8
 
 
 def _disc_spectrum(c: CurveProvider, bc: BoundaryCondition, r: float) -> tuple:
-    """Sorted arrays (lams, mults) of the eigenvalues in |lambda| <= r (1 + 1e-3)
-    and some beyond: the real sweep for a self-adjoint chart condition on an
-    entire curve, else the contour search of the square of half-side 1.05 r."""
+    """Sorted arrays (lams, mults) of the eigenvalues in |lambda| <=
+    min(r (1 + 1e-3), LAMBDA_MAX) and some beyond: the real sweep for a
+    self-adjoint chart condition on an entire curve, else the contour
+    search of the square of half-side min(1.05 r, LAMBDA_MAX)."""
     if bc.selfadjoint and c.domain == "entire":
-        return _real_spectrum(c, bc, -r * (1 + 1e-3) - 1e-6, r * (1 + 1e-3) + 1e-6)
-    s = 1.05 * r
+        w = min(r * (1 + 1e-3) + 1e-6, LAMBDA_MAX)
+        return _real_spectrum(c, bc, -w, w)
+    s = min(1.05 * r, LAMBDA_MAX)
     evs = eigenvalues_complex(c, bc, (-s, s, -s, s))
     return (np.array([e.lam for e in evs], dtype=complex),
             np.array([e.multiplicity for e in evs], dtype=int))
@@ -679,8 +681,9 @@ def _disc_spectrum(c: CurveProvider, bc: BoundaryCondition, r: float) -> tuple:
 
 def counting(c: CurveProvider, bc: BoundaryCondition, r: float) -> dict:
     """n_T(r) and the logarithmically weighted count N_T(r), at the middle
-    of the nearest moduli below and above (at most r (1 + 1e-3)) the ring
-    RING_TOL_BASE (1 + r) about r, where that ring holds an eigenvalue."""
+    of the nearest moduli below and above (at most r (1 + 1e-3) and
+    LAMBDA_MAX) the ring RING_TOL_BASE (1 + r) about r, where that ring
+    holds an eigenvalue."""
     r = float(_radii([r])[0])
     lams, mults = _disc_spectrum(c, bc, r)
     moduli = np.hypot(lams.real, lams.imag)
@@ -688,7 +691,7 @@ def counting(c: CurveProvider, bc: BoundaryCondition, r: float) -> dict:
     r_used = r
     if np.any(np.abs(moduli - r) < ring_tol):
         below = moduli[moduli < r - ring_tol].max(initial=0.0)
-        above = moduli[moduli > r + ring_tol].min(initial=r * (1 + 1e-3))
+        above = moduli[moduli > r + ring_tol].min(initial=min(r * (1 + 1e-3), LAMBDA_MAX))
         r_used = 0.5 * (below + above)
     n_T, N_T = counting_sums(lams, mults, [r_used])
     return {"n_T": int(n_T[0]), "N_T": float(N_T[0]), "r_used": float(r_used)}

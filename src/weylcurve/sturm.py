@@ -228,6 +228,9 @@ _QUAD_NODES, _QUAD_WEIGHTS = (_QUAD_X + 1) / 2, _QUAD_W / 2
 _QUAD_ERR = 1.5e-12
 _MAGNUS_ERR = 2.7e-3
 _MIN_PANELS = 16
+# the most panels of a solve, about 1 KB each: 16 times the 4,096 of a
+# default-length problem at |lambda| = LAMBDA_MAX
+_MAX_PANELS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -295,13 +298,18 @@ def _panel_count(p: SLProblem, lam: complex) -> int:
     QUAD_ERR (k h)^12.  At rtol 1e-10 that is 128 to 256 panels for q = cos x
     and q = x on [-2, 450], 1,024 at |lambda| = 1e4, and 16 to 64 for q = 0 at
     |lambda| <= 450.  tests/test_sturm.py checks the result against DOP853 at
-    rtol 1e-13."""
+    rtol 1e-13.  ValidationError, before anything is allocated, past
+    _MAX_PANELS."""
     q_max, qd_max = p._q_scale
     k = math.sqrt(1.0 + abs(lam) + q_max)
     h = (p.ode_rtol / _QUAD_ERR) ** (1 / 12) / k
     if qd_max > 0:
         h = min(h, (p.ode_rtol / (_MAGNUS_ERR * qd_max * k ** 3)) ** (1 / 6))
-    return max(_MIN_PANELS, 1 << math.ceil(math.log2(p.length / h)))
+    need = p.length / h
+    if not need <= _MAX_PANELS:
+        raise ValidationError(f"a solve on the interval [0, {p.length:g}] at lambda = {lam} "
+                              f"needs {need:.3g} panels, more than {_MAX_PANELS}")
+    return max(_MIN_PANELS, 1 << math.ceil(math.log2(max(need, 1.0))))
 
 
 def _panels(p: SLProblem, n: int) -> _Panels:

@@ -25,6 +25,7 @@ PROXIMITY_TOL = 1e-7  # _adaptive_gl's relative panel tolerance in proximity
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL7_NODES, _GL7_WEIGHTS = np.polynomial.legendre.leggauss(7)
+HEIGHT_CHUNK = 8192  # the most Gauss nodes height_grid lifts in one B_many call
 
 
 def total_phase(c: CurveProvider, u):
@@ -50,25 +51,49 @@ def height_grid(c: CurveProvider, r_grid) -> np.ndarray:
 
     Each half-axis is integrated on its own, as int_0^r [phi(+-t) - phi(0)] / t dt,
     by 7-point Gauss-Legendre on the panels between its knots and the radii,
-    at phases sampled exactly off the phase path: one sample call for the
-    nodes of both half-axes.
+    at phases sampled exactly off the phase path (_panel_sums).
     """
     radii = _radii(r_grid)
     rmax = radii[-1]
     path = c.phase_path
     path.cover(-rmax, rmax)
-    ends = [np.unique(np.concatenate([[0.0], radii, np.abs(path.knots(*span))]))
-            for span in ((0.0, rmax), (-rmax, 0.0))]
-    ts = [0.5 * (t[1:] + t[:-1])[:, None] + 0.5 * np.diff(t)[:, None] * _GL7_NODES for t in ends]
-    phis = path.sample(np.concatenate([[0.0], ts[0].ravel(), -ts[1].ravel()]))[1]
+    phi0 = path.sample([0.0])[1][0]
     h = 0.0
-    for sign, t, nodes, ph in zip((1.0, -1.0), ends, ts, np.split(phis[1:], [ts[0].size])):
-        vals = (ph.reshape(nodes.shape) - phis[0]) / nodes
-        acc = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(t) * (vals @ _GL7_WEIGHTS))])
+    for sign, span in ((1.0, (0.0, rmax)), (-1.0, (-rmax, 0.0))):
+        t = np.unique(np.concatenate([[0.0], radii, np.abs(path.knots(*span))]))
+        acc = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(t) * _panel_sums(path, sign, t, phi0))])
         h = h + sign * acc[np.searchsorted(t, radii)]
     # restore caller order
     order = np.argsort(np.argsort([float(r) for r in r_grid]))
     return (h / TWO_PI)[order]
+
+
+def _panel_sums(path, sign: float, t, phi0) -> np.ndarray:
+    """The 7-point Gauss-Legendre sums of (phi(sign x) - phi0) / x on the
+    panels [t_j, t_j+1] of the sorted ends t >= 0, before the factor of the
+    half panel, where every knot of the half-axis inside [0, t[-1]] is an end.
+
+    So the knot at or below a node is that of the panel's left end, or on the
+    negative half-axis that of its mirrored left end -t_j+1: one lookup per
+    panel end.  The nodes are lifted (PhasePath._lift) in chunks of at most
+    HEIGHT_CHUNK, so the temporaries do not grow with the number of panels.
+    """
+    k = np.searchsorted(path.us, sign * t, side="right") - 1
+    k = k[:-1] if sign > 0 else k[1:]
+    per = HEIGHT_CHUNK // len(_GL7_NODES)
+    sums = np.empty(len(t) - 1)
+    for i in range(0, len(sums), per):
+        a, b = t[:-1][i:i + per], t[1:][i:i + per]
+        x = 0.5 * (b + a)[:, None] + 0.5 * (b - a)[:, None] * _GL7_NODES
+        kx = k[i:i + per, None]
+        # a panel a few ulps wide can round a node onto an end, where a knot
+        # may sit: its nodes are looked up one by one
+        loose = (x[:, 0] <= a) | (x[:, -1] >= b)
+        if loose.any():
+            kx = np.repeat(kx, x.shape[1], axis=1)
+            kx[loose] = np.searchsorted(path.us, sign * x[loose], side="right") - 1
+        sums[i:i + per] = ((path._lift(sign * x, kx)[1] - phi0) / x) @ _GL7_WEIGHTS
+    return sums
 
 
 # -- proximity --------------------------------------------------------------

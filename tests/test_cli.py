@@ -307,6 +307,16 @@ def test_sections_that_are_not_objects_exit_2(tmp_path, capsys, command, params,
     assert "validation error" in err and key in err
 
 
+@pytest.mark.parametrize("length", [1e9, 1e300])
+def test_an_interval_that_needs_too_many_panels_exits_2(tmp_path, capsys, length):
+    # refused by the panel count, before a solve allocates its panels
+    cfg = sl_cfg(tmp_path, command_params={"interval": [0.5, 10.0]})
+    cfg["problem"]["sturm_liouville"]["interval"] = length
+    assert main(["eig", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and f"[0, {length:g}]" in err and "panels" in err
+
+
 def test_numbers_as_strings_are_read(tmp_path):
     cfg = sl_cfg(tmp_path, command_params={"interval": ["0.5", "10"]})
     cfg["problem"]["sturm_liouville"].update(interval="3.141592653589793", rtol="1e-10")

@@ -7,16 +7,18 @@ interval (a self-adjoint condition, an entire curve, a < b) and the radii
 None of these requests may hang, return a value or raise another error.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import weylcurve as wc
-from weylcurve import sturm
+from weylcurve import curves, sturm
 from weylcurve.curves import LAMBDA_MAX
 
-from conftest import DIRICHLET_ROWS, NEUMANN_ROWS, PERIODIC_ROWS
+from conftest import DIRICHLET_ROWS, NEUMANN_ROWS, PERIODIC_ROWS, _cos_potential
 
 U = wc.bc_from_unitary([[np.exp(0.3j)]])
 V = wc.bc_from_unitary([[1.0]])
@@ -181,3 +183,71 @@ def test_the_real_sweep_solves_each_lambda_once(monkeypatch):
     for rows in (DIRICHLET_ROWS, NEUMANN_ROWS, PERIODIC_ROWS):
         wc.eigenvalues_real(c, wc.bc_from_physical(rows, "functional"), (-0.5, 450.0))
     assert sum(passed) == len(p._memo)
+
+
+# e^{i lambda / 10^4}: the phase turns once per 2 pi 10^4, so a read out to
+# LAMBDA_MAX covers few knots
+SLOW_EXP = wc.reparameterize(wc.exponential(), [[100.0, 0.0], [0.0, 0.01]])
+
+
+@pytest.mark.parametrize("bc, r, zeros", [
+    # B = e^{i 0.3}: lambda = 10^4 (0.3 + 2 pi k)
+    (U, 999_999.0, lambda k: 1e4 * (0.3 + 2 * np.pi * k)),
+    (U, LAMBDA_MAX, lambda k: 1e4 * (0.3 + 2 * np.pi * k)),
+    # B = Y: lambda = 10^4 (-i log Y + 2 pi k), by the contour search
+    (wc.bc_from_chart([[0.5 + 0.2j]]), 960_000.0,
+     lambda k: 1e4 * (-1j * np.log(0.5 + 0.2j) + 2 * np.pi * k)),
+    (wc.bc_from_chart([[0.5 + 0.2j]]), LAMBDA_MAX,
+     lambda k: 1e4 * (-1j * np.log(0.5 + 0.2j) + 2 * np.pi * k)),
+])
+def test_counting_reads_radii_up_to_the_range_edge(bc, r, zeros):
+    # the real sweep's margin r (1 + 1e-3) and the contour's square of
+    # half-side 1.05 r stop at LAMBDA_MAX
+    moduli = np.abs(zeros(np.arange(-40, 41)))
+    inside = moduli[moduli < r]
+    got = wc.counting(SLOW_EXP, bc, r)
+    assert got["n_T"] == inside.size == 31
+    assert got["N_T"] == pytest.approx(np.log(r / inside).sum(), rel=1e-9)
+    assert got["r_used"] == r
+
+
+def test_the_lattice_ends_at_the_range_edge():
+    # the outer cell is clipped at +-LAMBDA_MAX, and a request that ends
+    # there covers up to it and no further
+    assert curves._lattice(9.9e5, LAMBDA_MAX)[-1] == LAMBDA_MAX
+    assert curves._lattice(-LAMBDA_MAX, -9.9e5)[0] == -LAMBDA_MAX
+    assert curves._lattice(LAMBDA_MAX, LAMBDA_MAX).tolist() == [LAMBDA_MAX]
+    c = wc.exponential()
+    c.phase_path.cover(LAMBDA_MAX, LAMBDA_MAX)
+    assert c.phase_path.us.tolist() == [LAMBDA_MAX]
+    assert c.phase_path.sample([LAMBDA_MAX])[1][0] == np.angle(np.exp(1j * LAMBDA_MAX))
+    c = wc.curve_provider(wc.SLProblem(potential=wc.Potential.zero()))
+    c.phase_path.cover(999_000.0, LAMBDA_MAX)
+    us = c.phase_path.us
+    assert us[0] <= 999_000.0 and us[-1] == LAMBDA_MAX
+
+
+@pytest.mark.parametrize("length", [1e9, 1e300])
+def test_a_solve_that_needs_too_many_panels_raises_before_allocating(length):
+    p = wc.SLProblem(potential=wc.Potential.zero(), length=length)
+    with pytest.raises(wc.ValidationError,
+                       match=re.escape(f"[0, {length:g}]") + ".* panels, more than"):
+        wc.fundamental(p, 1.0)
+    assert not p._panel_cache and not p._memo
+
+
+def test_the_panel_bound_admits_default_length_problems_across_the_range():
+    lams = [LAMBDA_MAX, -LAMBDA_MAX, LAMBDA_MAX * 1j, 0.0]
+    for pot in (wc.Potential.zero(), wc.Potential.polynomial([0.0, 1.0]),
+                _cos_potential(), wc.Potential.polynomial([LAMBDA_MAX])):
+        p = wc.SLProblem(potential=pot)
+        assert max(sturm._panel_count(p, lam) for lam in lams) == 4096
+
+
+def test_a_short_interval_takes_the_fewest_panels():
+    # a step longer than the interval asks for one panel, not a negative shift
+    p = wc.SLProblem(potential=wc.Potential.zero(), length=1e-6)
+    assert sturm._panel_count(p, 4.0) == 16
+    fd = wc.fundamental(p, 4.0)
+    assert fd.c == pytest.approx(np.cos(2e-6), abs=1e-14)
+    assert fd.s == pytest.approx(np.sin(2e-6) / 2, abs=1e-14)

@@ -1,4 +1,6 @@
+import bisect
 import cmath
+import functools
 import warnings
 
 import numpy as np
@@ -92,7 +94,9 @@ DENSE_XS = np.sort(np.concatenate([np.linspace(0.0, LENGTH, 101),
 
 
 def _scalar_q(pot):
-    """Scalar q and q' for the oracle's right-hand side (Horner for polynomials)."""
+    """Scalar q and q' for the oracle's right-hand side: Horner for
+    polynomials, and for a table Horner on the piece of its natural cubic
+    spline that holds x, from the spline's own coefficients."""
     if pot.kind == "zero":
         return (lambda x: 0.0), (lambda x: 0.0)
     if pot.kind == "polynomial":
@@ -107,13 +111,29 @@ def _scalar_q(pot):
                 return acc
             return f
         return horner(a), horner(da)
-    q, qd = pot.evaluator(LENGTH), pot.deriv_evaluator(LENGTH)
-    return (lambda x: float(q(x))), (lambda x: float(qd(x)))
+    spl = pot._table_spline()
+    breaks, pieces = spl.x.tolist(), spl.c.T.tolist()
+
+    def piece(x):
+        # the piece at or left of x, the end pieces extended, as scipy's PPoly
+        i = min(max(bisect.bisect_right(breaks, x) - 1, 0), len(pieces) - 1)
+        return pieces[i], x - breaks[i]
+
+    def q(x):
+        (c3, c2, c1, c0), t = piece(x)
+        return ((c3 * t + c2) * t + c1) * t + c0
+
+    def qd(x):
+        (c3, c2, c1, _), t = piece(x)
+        return (3 * c3 * t + 2 * c2) * t + c1
+    return q, qd
 
 
-def _dop853(pot, lam, moments=True, xs=None):
+@functools.cache
+def _dop853_run(pot, lam, moments, xs):
     """DOP853 at rtol 1e-13 on (c, c', s, s'), with the moment integrals and
-    w = c - s' (w'' = (q - lam) w - q' s) as extra components if asked."""
+    w = c - s' (w'' = (q - lam) w - q' s) as extra components if asked, at
+    the points xs (a tuple) or at the end."""
     q, qd = _scalar_q(pot)
 
     def rhs(x, y):
@@ -128,7 +148,24 @@ def _dop853(pot, lam, moments=True, xs=None):
     sol = solve_ivp(rhs, (0.0, LENGTH), y0, method="DOP853", rtol=1e-13, atol=1e-15,
                     t_eval=xs)
     assert sol.success
-    return sol.y if xs is not None else sol.y[:, -1]
+    out = sol.y if xs is not None else sol.y[:, -1]
+    out.flags.writeable = False
+    return out
+
+
+def _dop853(pot, lam, moments=True, xs=None):
+    """_dop853_run, solved once per session for each potential, lambda,
+    moments flag and set of points: the tests share some references (the
+    lambda = 1e5 of two oracle tests)."""
+    return _dop853_run(pot, complex(lam), moments, None if xs is None else tuple(xs))
+
+
+def test_the_table_oracle_evaluates_the_spline_of_the_problem():
+    pot = ORACLE_POTENTIALS["table"]
+    q, qd = _scalar_q(pot)
+    xs = np.concatenate([np.linspace(0.0, LENGTH, 997), pot.x])
+    assert np.abs([q(x) for x in xs] - pot.evaluator(LENGTH)(xs)).max() <= 1e-15
+    assert np.abs([qd(x) for x in xs] - pot.deriv_evaluator(LENGTH)(xs)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_POTENTIALS))

@@ -1,14 +1,16 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import weylcurve as wc
 from weylcurve import spectral, value_dist
 from weylcurve.spectral import sections
 
-from conftest import DEGENERATE_ROWS_SPAN, DIRICHLET_ROWS, NEUMANN_ROWS, PERIODIC_ROWS
+from conftest import (DEGENERATE_ROWS_SPAN, DIRICHLET_ROWS, NEUMANN_ROWS, PERIODIC_ROWS,
+                      _cos_potential)
 
 rng = np.random.default_rng(3141)
 
@@ -91,6 +93,77 @@ def test_total_phase_q0_matches_closed_form(p_q0):
 def test_height_grid_validates(c_exp):
     with pytest.raises(wc.ValidationError):
         wc.height_grid(c_exp, [-1.0, 2.0])
+
+
+# the curves of the height reference tests, each with the largest radius drawn
+HEIGHT_CURVES = {"q0": (wc.curve_provider(wc.SLProblem(potential=wc.Potential.zero())), 60.0),
+                 "cos24": (wc.curve_provider(wc.SLProblem(potential=_cos_potential())), 60.0),
+                 "exp": (wc.exponential(), 1e4),
+                 "rexp": (wc.reparameterize(wc.exponential(), [[2.0, 1.0], [0.0, 0.5]]), 1e4)}
+
+
+def _reference_heights(c, r_grid):
+    """(heights, phi(0), [(ends, panel sums)] per half-axis) as height_grid
+    forms them, but with the phase at every node from one PhasePath.sample
+    call per half-axis, which looks each node up on its own."""
+    radii = np.sort(np.asarray(r_grid, dtype=float))
+    path = c.phase_path
+    path.cover(-radii[-1], radii[-1])
+    phi0 = path.sample([0.0])[1][0]
+    h, panels = 0.0, []
+    for sign, span in ((1.0, (0.0, radii[-1])), (-1.0, (-radii[-1], 0.0))):
+        t = np.unique(np.concatenate([[0.0], radii, np.abs(path.knots(*span))]))
+        x = 0.5 * (t[1:] + t[:-1])[:, None] + 0.5 * np.diff(t)[:, None] * value_dist._GL7_NODES
+        vals = (path.sample(sign * x.ravel())[1].reshape(x.shape) - phi0) / x
+        panels.append((t, vals @ value_dist._GL7_WEIGHTS))
+        acc = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(t) * panels[-1][1])])
+        h = h + sign * acc[np.searchsorted(t, radii)]
+    return (h / (2 * np.pi))[np.argsort(np.argsort(r_grid))], phi0, panels
+
+
+@settings(max_examples=24)
+@given(name=st.sampled_from(sorted(HEIGHT_CURVES)),
+       fractions=st.lists(st.floats(1e-4, 1.0), min_size=1, max_size=4).flatmap(
+           lambda fs: st.permutations(fs + fs[:1])))
+@example(name="exp", fractions=[1.0, 0.01, 1.0, 0.1])
+@example(name="cos24", fractions=[0.5, 1.0, 0.5])
+def test_height_grid_is_bitwise_the_per_node_reference(name, fractions):
+    # unsorted radii with a repeat; on exp the largest radius makes about
+    # nine thousand panels a side, more than one chunk
+    c, top = HEIGHT_CURVES[name]
+    r_grid = [f * top for f in fractions]
+    h, phi0, panels = _reference_heights(c, r_grid)
+    assert wc.height_grid(c, r_grid).tobytes() == h.tobytes()
+    for sign, (t, sums) in zip((1.0, -1.0), panels):
+        assert value_dist._panel_sums(c.phase_path, sign, t, phi0).tobytes() == sums.tobytes()
+
+
+def test_height_panels_a_few_ulps_wide_keep_the_phases_of_a_lookup_per_node():
+    # radii one ulp off each knot make panels whose nodes round onto a knot
+    # (or past a panel end), so the knot below the panel is not theirs
+    c = HEIGHT_CURVES["cos24"][0]
+    c.phase_path.cover(-20.0, 20.0)
+    knots = np.abs(c.phase_path.knots(-20.0, 20.0))
+    knots = knots[knots > 0]
+    r_grid = np.concatenate([knots, np.nextafter(knots, np.inf), np.nextafter(knots, 0.0)])
+    h, phi0, panels = _reference_heights(c, r_grid)
+    assert wc.height_grid(c, r_grid).tobytes() == h.tobytes()
+    for sign, (t, sums) in zip((1.0, -1.0), panels):
+        assert value_dist._panel_sums(c.phase_path, sign, t, phi0).tobytes() == sums.tobytes()
+
+
+def test_height_grid_temporaries_do_not_grow_with_r():
+    # about 640,000 Gauss nodes at r = 1e5, lifted a chunk at a time; a
+    # whole node array of B alone would take 10 MB
+    c = wc.exponential()
+    c.phase_path.cover(-1e5, 1e5)
+    tracemalloc.start()
+    try:
+        wc.height_grid(c, [1e3, 1e4, 1e5])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 # -- proximity -------------------------------------------------------------------
